@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +28,9 @@ from .harness import (
     SweepConfig,
     classify_regime,
     compare_to_reference,
-    resolve_flux,
     run_sweep,
 )
-from .model import diffusion_preset
+from .model import diffusion_preset, flux_preset
 from .solver import SolveParams, initial_preset, solve
 
 EXIT_OK = 0
@@ -45,37 +45,45 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # config file parsing: [section] headers, key=value lines, comma arrays
 
-_CONFIG_SCHEMA = {
+# [section] ini key -> SweepConfig field; the field's type hint gives the
+# value type.  uL/uR/w/amplitude each add one (key, value) pair to
+# initial_args, and window_t_lo/hi are the two ends of window_t.
+_INI_FIELDS = {
     "problem": {
-        "flux": str, "diffusion": str, "initial": str,
-        "uL": float, "uR": float, "w": float, "amplitude": float,
-        "length": float, "dim": int, "t_end": float,
+        "flux": "flux", "diffusion": "diffusion", "initial": "initial",
+        "uL": "initial_args", "uR": "initial_args", "w": "initial_args",
+        "amplitude": "initial_args", "length": "length", "dim": "dim",
+        "t_end": "t_end",
     },
     "sweep": {
-        "epsilons": "floats", "grids": "ints", "gamma": float, "coeff": float,
-        "deltas": "floats", "ref_n": int, "cfl": float, "samples": int,
-        "seed": int, "workers": int,
+        "epsilons": "epsilons", "grids": "grid_ns", "gamma": "gamma",
+        "coeff": "coeff", "deltas": "delta_ladder", "ref_n": "ref_n",
+        "cfl": "cfl_safety", "samples": "sample_count", "workers": "workers",
     },
     "diagnostics": {
-        "enabled": "strs", "theta_center": float, "theta_t_center": float,
-        "theta_radius": float, "theta_t_radius": float, "kruzkov_k": float,
-        "kruzkov_center": float, "kruzkov_t_center": float,
-        "kruzkov_radius": float, "kruzkov_t_radius": float,
-        "window_center": float, "window_halfwidth": float,
-        "window_t_lo": float, "window_t_hi": float,
+        "enabled": "diagnostics", "theta_center": "theta_center",
+        "theta_t_center": "theta_t_center", "theta_radius": "theta_radius",
+        "theta_t_radius": "theta_t_radius", "kruzkov_k": "kruzkov_k",
+        "kruzkov_center": "kru_center", "kruzkov_t_center": "kru_t_center",
+        "kruzkov_radius": "kru_radius", "kruzkov_t_radius": "kru_t_radius",
+        "window_center": "window_center",
+        "window_halfwidth": "window_halfwidth",
+        "window_t_lo": "window_t", "window_t_hi": "window_t",
     },
-    "output": {"dir": str},
+    "output": {"dir": "out_dir"},
 }
+_FIELD_TYPES = typing.get_type_hints(SweepConfig)
 
 
-def _coerce(kind, raw: str):
-    if kind == "floats":
-        return tuple(float(v) for v in raw.split(",") if v.strip())
-    if kind == "ints":
-        return tuple(int(v) for v in raw.split(",") if v.strip())
-    if kind == "strs":
-        return tuple(v.strip() for v in raw.split(",") if v.strip())
-    return kind(raw)
+def _coerce(field: str, raw: str):
+    """raw as a value of the field's type; tuple[X, ...] is a comma list."""
+    if field in ("initial_args", "window_t"):
+        return float(raw)  # one entry of the tuple per key
+    hint = _FIELD_TYPES[field]
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return tuple(item(v.strip()) for v in raw.split(",") if v.strip())
+    return hint(raw)
 
 
 def parse_config(path) -> dict:
@@ -88,7 +96,7 @@ def parse_config(path) -> dict:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _CONFIG_SCHEMA:
+            if section not in _INI_FIELDS:
                 raise ConfigError(f"{path}:{lineno}: unknown section [{section}]")
             sections.setdefault(section, {})
             continue
@@ -97,60 +105,35 @@ def parse_config(path) -> dict:
         if section is None:
             raise ConfigError(f"{path}:{lineno}: key outside any [section]")
         key, raw = (s.strip() for s in line.split("=", 1))
-        schema = _CONFIG_SCHEMA[section]
-        if key not in schema:
+        fields = _INI_FIELDS[section]
+        if key not in fields:
             raise ConfigError(
                 f"{path}:{lineno}: unknown key {key!r} in [{section}]; "
-                f"known keys: {', '.join(sorted(schema))}"
+                f"known keys: {', '.join(sorted(fields))}"
             )
         try:
-            sections[section][key] = _coerce(schema[key], raw)
+            sections[section][key] = _coerce(fields[key], raw)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return sections
 
 
 def sweep_config_from_sections(sections: dict, out_override=None) -> SweepConfig:
-    prob = sections.get("problem", {})
-    swp = sections.get("sweep", {})
-    dia = sections.get("diagnostics", {})
-    outp = sections.get("output", {})
-
+    kwargs: dict = {}
     initial_args = []
-    for key in ("uL", "uR", "w", "amplitude"):
-        if key in prob:
-            initial_args.append((key, prob[key]))
-
-    kwargs = {}
-    mapping = [
-        ("flux", prob, "flux"), ("diffusion", prob, "diffusion"),
-        ("initial", prob, "initial"), ("length", prob, "length"),
-        ("dim", prob, "dim"), ("t_end", prob, "t_end"),
-        ("epsilons", swp, "epsilons"), ("grid_ns", swp, "grids"),
-        ("gamma", swp, "gamma"), ("coeff", swp, "coeff"),
-        ("delta_ladder", swp, "deltas"), ("ref_n", swp, "ref_n"),
-        ("cfl_safety", swp, "cfl"), ("sample_count", swp, "samples"),
-        ("seed", swp, "seed"), ("workers", swp, "workers"),
-        ("diagnostics", dia, "enabled"),
-        ("theta_center", dia, "theta_center"),
-        ("theta_t_center", dia, "theta_t_center"),
-        ("theta_radius", dia, "theta_radius"),
-        ("theta_t_radius", dia, "theta_t_radius"),
-        ("kruzkov_k", dia, "kruzkov_k"),
-        ("kru_center", dia, "kruzkov_center"),
-        ("kru_t_center", dia, "kruzkov_t_center"),
-        ("kru_radius", dia, "kruzkov_radius"),
-        ("kru_t_radius", dia, "kruzkov_t_radius"),
-        ("window_center", dia, "window_center"),
-        ("window_halfwidth", dia, "window_halfwidth"),
-        ("out_dir", outp, "dir"),
-    ]
-    for dest, src, key in mapping:
-        if key in src:
-            kwargs[dest] = src[key]
+    for section, fields in _INI_FIELDS.items():
+        values = sections.get(section, {})
+        for key, field in fields.items():
+            if key not in values:
+                continue
+            if field == "initial_args":
+                initial_args.append((key, values[key]))
+            elif field != "window_t":
+                kwargs[field] = values[key]
+    dia = sections.get("diagnostics", {})
     if "window_t_lo" in dia or "window_t_hi" in dia:
         kwargs["window_t"] = (dia.get("window_t_lo", 0.0),
-                              dia.get("window_t_hi", prob.get("t_end", 0.5)))
+                              dia.get("window_t_hi", kwargs.get("t_end", 0.5)))
     if initial_args:
         kwargs["initial_args"] = tuple(initial_args)
     if out_override:
@@ -184,7 +167,7 @@ def _cmd_solve(args) -> int:
     length = args.L if args.L is not None else \
         (2.0 * np.pi if init_name == "sine" else 2.0)
     grid = GridSpec(n=args.N, length=length, dim=1)
-    flux = resolve_flux(flux_name)
+    flux = flux_preset(flux_name)
     diffusion = diffusion_preset(diff_name)
     params = SolveParams(
         flux=flux, diffusion=diffusion, epsilon=args.epsilon,

@@ -10,13 +10,14 @@ appears explicitly in the production terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .grids import Field, Trajectory, gradient, lp_norm, spacetime_integral
-from .model import DiffusionSpec, EntropyPair, FluxSpec, kruzkov_entropy
+from .model import DiffusionSpec, EntropyPair, FluxSpec, antiderivative, \
+    kruzkov_entropy
 
 __all__ = [
     "TestFunction",
@@ -33,6 +34,7 @@ __all__ = [
     "entropy_production",
     "production_scaling_fit",
     "kruzkov_residual",
+    "window_samples",
     "young_histogram",
     "initial_trace_check",
     "bootstrap_bound",
@@ -457,19 +459,6 @@ def production_scaling_fit(reports: Sequence[EntropyProductionReport]) -> dict:
 # Kruzkov residual and weak-limit diagnostics
 
 
-def _tabulated_entropy_flux(flux: FluxSpec, eta_prime, lo: float, hi: float,
-                            n_table: int = 8193):
-    """Cumulative-trapezoid table of q(u) = int_0^u eta'(v) f'(v) dv."""
-    lo = min(lo, 0.0) - 1e-9
-    hi = max(hi, 0.0) + 1e-9
-    u_tab = np.linspace(lo, hi, n_table)
-    g = np.asarray(eta_prime(u_tab)) * np.asarray(flux.deriv(u_tab))[0]
-    cum = np.concatenate([[0.0], np.cumsum((g[1:] + g[:-1]) * 0.5 * np.diff(u_tab))])
-    q0 = np.interp(0.0, u_tab, cum)
-    cum -= q0
-    return lambda u: np.interp(u, u_tab, cum)
-
-
 def kruzkov_residual(traj: Trajectory, flux: FluxSpec, k: float, rho: float,
                      theta: TestFunction) -> float:
     """Pairing of the smoothed |u-k| entropy residual with theta:
@@ -483,7 +472,8 @@ def kruzkov_residual(traj: Trajectory, flux: FluxSpec, k: float, rho: float,
     eta, eta_p, _ = kruzkov_entropy(k, rho)
     umin = min(float(np.min(f.values)) for f in traj.fields)
     umax = max(float(np.max(f.values)) for f in traj.fields)
-    q_fun = _tabulated_entropy_flux(flux, eta_p, umin, umax)
+    q_fun = antiderivative(lambda v: eta_p(v) * np.asarray(flux.deriv(v))[0],
+                           umin, umax, n=8192)
     coords = traj.grid.meshgrid()
 
     def density(t, f):
@@ -502,6 +492,18 @@ class Window:
 
     space: tuple   # ((lo, hi), ...) one pair per axis
     t: tuple       # (lo, hi)
+
+
+def window_samples(traj: Trajectory, window: Window) -> np.ndarray:
+    """Every value of u in the window's cells at the window's sample times,
+    time by time; empty when the window holds no cell or no sample."""
+    coords = traj.grid.meshgrid()
+    mask = np.ones(traj.grid.shape, dtype=bool)
+    for ax, (lo, hi) in enumerate(window.space):
+        mask &= (coords[ax] >= lo) & (coords[ax] <= hi)
+    vals = [f.values[mask] for t, f in zip(traj.times, traj.fields)
+            if window.t[0] <= t <= window.t[1]]
+    return np.concatenate(vals) if vals else np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -532,19 +534,9 @@ def young_histogram(runs: Sequence[Trajectory], window: Window,
     pooled = []
     per_run = []
     for tr in ordered[-n_pool:]:
-        coords = tr.grid.meshgrid()
-        mask = np.ones(tr.grid.shape, dtype=bool)
-        for ax, (lo, hi) in enumerate(window.space):
-            mask &= (coords[ax] >= lo) & (coords[ax] <= hi)
-        if not np.any(mask):
-            raise ValueError("window contains no grid cells")
-        vals = []
-        for t, f in zip(tr.times, tr.fields):
-            if window.t[0] <= t <= window.t[1]:
-                vals.append(f.values[mask])
-        if not vals:
-            raise ValueError("window contains no time samples")
-        vals = np.concatenate(vals)
+        vals = window_samples(tr, window)
+        if not vals.size:
+            raise ValueError("window contains no grid cells or no time samples")
         label = (tr.params.get("epsilon", 0.0), tr.params.get("delta", 0.0))
         per_run.append((label, float(np.mean(vals)), float(np.var(vals))))
         pooled.append(vals)

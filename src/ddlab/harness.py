@@ -21,17 +21,17 @@ from .grids import (
     lp_norm,
     read_snapshot_binary,
     write_snapshot_binary,
-    write_snapshot_csv,
     write_manifest,
 )
 from .model import (
-    DiffusionSpec,
     EntropyPair,
     FluxSpec,
     diffusion_preset,
     flux_preset,
 )
+from .reference import SCHEME as REFERENCE_SCHEME
 from .reference import reference_solve
+from .solver import SCHEME as SOLVER_SCHEME
 from .solver import InitialData, SolveParams, initial_preset, solve
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "run_sweep",
     "compare_to_reference",
     "quadratic_entropy_pair",
-    "zero_flux",
 ]
 
 RECORD_COLUMNS = [
@@ -50,26 +49,6 @@ RECORD_COLUMNS = [
     "taint", "L1", "L2", "Linf", "mu1", "mu2", "mu3", "kruzkov_pos",
     "young_var",
 ]
-
-
-def zero_flux(dim: int = 1) -> FluxSpec:
-    """Fluxless transport, for pure diffusion / dispersion analytic runs."""
-    def ev(u):
-        u = np.asarray(u, dtype=float)
-        return np.stack([np.zeros_like(u)] * dim)
-
-    def dv(u):
-        u = np.asarray(u, dtype=float)
-        return np.stack([np.zeros_like(u)] * dim)
-
-    return FluxSpec(eval=ev, deriv=dv, m=1.0, c1=1e-12, c1p=1e-12, dim=dim,
-                    name="zero")
-
-
-def resolve_flux(name: str, dim: int = 1) -> FluxSpec:
-    if name == "zero":
-        return zero_flux(dim=dim)
-    return flux_preset(name, dim=dim)
 
 
 def quadratic_entropy_pair(flux: FluxSpec) -> EntropyPair:
@@ -175,24 +154,23 @@ class SweepConfig:
     flux: str = "burgers"
     diffusion: str = "linear"
     initial: str = "smoothed_riemann"
-    initial_args: tuple = ()        # (key, value) pairs, kept hashable
+    initial_args: tuple[tuple[str, float], ...] = ()  # hashable (key, value) pairs
     length: float = 2.0
     dim: int = 1
     t_end: float = 0.5
     # ladder
-    epsilons: tuple = (0.04, 0.02, 0.01, 0.005)
-    grid_ns: tuple = (512, 1024, 2048, 4096)
+    epsilons: tuple[float, ...] = (0.04, 0.02, 0.01, 0.005)
+    grid_ns: tuple[int, ...] = (512, 1024, 2048, 4096)
     gamma: float = 2.5
     coeff: float = 1.0
-    delta_ladder: tuple = ()        # used only when the eps entry is 0
+    delta_ladder: tuple[float, ...] = ()  # used only when the eps entry is 0
     # numerics
     ref_n: int = 8192
     cfl_safety: float = 0.4
     sample_count: int = 65
-    seed: int = 0
     workers: int = 1
     # diagnostics
-    diagnostics: tuple = ("production", "kruzkov", "young")
+    diagnostics: tuple[str, ...] = ("production", "kruzkov", "young")
     # bump support [0.55, 1.45] x [0.05, 0.45]: the default shock path
     # 1.1 + t/2 stays right of center, so the grad-theta pairings keep one sign
     theta_center: float = 1.0
@@ -208,7 +186,7 @@ class SweepConfig:
     kru_t_radius: float = 0.2
     window_center: float = 1.3
     window_halfwidth: float = 0.06
-    window_t: tuple = (0.4, 0.5)
+    window_t: tuple[float, float] = (0.4, 0.5)
     # output
     out_dir: str = "sweep_out"
 
@@ -269,20 +247,25 @@ def _hash_payload(payload: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _reference_path(cfg: SweepConfig) -> Path:
+    payload = cfg.problem_key() | {"scheme": REFERENCE_SCHEME}
+    return Path(cfg.out_dir) / f"reference_{_hash_payload(payload)}.ddl"
+
+
 def ensure_reference(cfg: SweepConfig) -> Field:
     """Entropy-solution reference at the fine grid, cached on disk by a
-    content hash of the problem."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    key = _hash_payload(cfg.problem_key())
-    path = out / f"reference_{key}.ddl"
+    content hash of the problem and the reference scheme."""
+    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    path = _reference_path(cfg)
     if path.exists():
         return read_snapshot_binary(path)
     grid = GridSpec(n=cfg.ref_n, length=cfg.length, dim=cfg.dim)
     u0 = cfg.initial_data().build(grid)
-    flux = resolve_flux(cfg.flux, dim=cfg.dim)
+    flux = flux_preset(cfg.flux, dim=cfg.dim)
     ref = reference_solve(u0, flux, cfg.t_end)
-    write_snapshot_binary(ref, path)
+    tmp = path.with_suffix(".tmp")
+    write_snapshot_binary(ref, tmp)
+    os.replace(tmp, path)
     return ref
 
 
@@ -302,25 +285,13 @@ def _run_window(cfg: SweepConfig) -> diag.Window:
     return diag.Window(space=((lo, hi),) * cfg.dim, t=tuple(cfg.window_t))
 
 
-def _window_variance(traj: Trajectory, window: diag.Window) -> float:
-    coords = traj.grid.meshgrid()
-    mask = np.ones(traj.grid.shape, dtype=bool)
-    for ax, (lo, hi) in enumerate(window.space):
-        mask &= (coords[ax] >= lo) & (coords[ax] <= hi)
-    vals = [f.values[mask] for t, f in zip(traj.times, traj.fields)
-            if window.t[0] <= t <= window.t[1]]
-    if not vals or not np.any(mask):
-        return float("nan")
-    return float(np.var(np.concatenate(vals)))
-
-
 def execute_run(cfg: SweepConfig, idx: int) -> RunRecord:
     """Solve one ladder entry and evaluate its per-run diagnostics."""
     eps = cfg.epsilons[idx]
     n = cfg.grid_ns[idx]
     delta = _delta_at(cfg, idx)
     grid = GridSpec(n=n, length=cfg.length, dim=cfg.dim)
-    flux = resolve_flux(cfg.flux, dim=cfg.dim)
+    flux = flux_preset(cfg.flux, dim=cfg.dim)
     diffusion = diffusion_preset(cfg.diffusion, dim=cfg.dim)
     params = SolveParams(
         flux=flux, diffusion=diffusion, epsilon=eps, delta=delta,
@@ -349,7 +320,8 @@ def execute_run(cfg: SweepConfig, idx: int) -> RunRecord:
                                         _kru_theta(cfg))
             kru = max(0.0, val)
         if "young" in cfg.diagnostics:
-            young = _window_variance(traj, _run_window(cfg))
+            vals = diag.window_samples(traj, _run_window(cfg))
+            young = float(np.var(vals)) if vals.size else float("nan")
 
     return RunRecord(
         epsilon=eps, delta=delta, gamma=cfg.gamma, N=n, dx=grid.dx,
@@ -369,6 +341,8 @@ def _delta_at(cfg: SweepConfig, idx: int) -> float:
 def _record_path(cfg: SweepConfig, idx: int) -> Path:
     payload = dict(cfg.problem_key())
     payload.update({
+        # the record holds distances to the reference, so both schemes count
+        "scheme": [SOLVER_SCHEME, REFERENCE_SCHEME],
         "epsilon": cfg.epsilons[idx],
         "delta": _delta_at(cfg, idx),
         "N": cfg.grid_ns[idx],
@@ -476,7 +450,7 @@ def _fit_slope(eps, vals):
 def summarize(cfg: SweepConfig, records) -> dict:
     eps = [r.epsilon for r in records]
     diffusion = diffusion_preset(cfg.diffusion, dim=cfg.dim)
-    flux = resolve_flux(cfg.flux, dim=cfg.dim)
+    flux = flux_preset(cfg.flux, dim=cfg.dim)
     tag = classify_regime(diffusion.r, flux.m, cfg.gamma, diffusion.claims_h3) \
         if all(e > 0 for e in eps) else "dispersive"
     summary = {

@@ -8,7 +8,8 @@ vectors (component axis first) to vectors of the same shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -17,6 +18,7 @@ __all__ = [
     "FluxSpec",
     "DiffusionSpec",
     "EntropyPair",
+    "antiderivative",
     "make_entropy_pair",
     "kruzkov_entropy",
     "check_growth_H1",
@@ -25,6 +27,7 @@ __all__ = [
     "burgers_flux",
     "advection_flux",
     "bounded_flux",
+    "zero_flux",
     "linear_diffusion",
     "power_diffusion",
     "flux_preset",
@@ -39,7 +42,8 @@ class FluxSpec:
 
     ``eval`` and ``deriv`` take a scalar array and return an array with a
     leading axis of length ``dim``.  ``m``, ``c1``, ``c1p`` declare the
-    growth bound |f'(u)| <= c1 + c1p |u|^(m-1).
+    growth bound |f'(u)| <= c1 + c1p |u|^(m-1).  ``quadratic`` declares
+    f(u) = u^2/2 in every component, which has closed-form oracles.
     """
 
     eval: Callable
@@ -49,6 +53,7 @@ class FluxSpec:
     c1p: float
     dim: int = 1
     name: str = "custom"
+    quadratic: bool = False
 
     def __post_init__(self):
         if self.m < 0:
@@ -63,7 +68,9 @@ class DiffusionSpec:
 
     ``r``, ``c2``, ``c3`` declare the sandwich
     c2 |l|^(r+1) <= l . b(l) <= c3 |l|^(r+1); ``claims_h3`` marks uniform
-    positive-definiteness of the Jacobian.
+    positive-definiteness of the Jacobian.  ``spectral_bound`` bounds the
+    spectral radius of Db: a number when it holds for every gradient, a
+    function of max |grad u| otherwise, None to probe the Jacobian.
     """
 
     eval: Callable
@@ -74,6 +81,7 @@ class DiffusionSpec:
     claims_h3: bool = False
     h3_constant: float = 0.0
     name: str = "custom"
+    spectral_bound: float | Callable | None = None
 
     def __post_init__(self):
         if self.r < 0:
@@ -95,24 +103,34 @@ class EntropyPair:
     dim: int = 1
 
 
-def _simpson_antiderivative(g, u, n_quad: int):
-    """Composite-Simpson antiderivative of g from 0 to each entry of u."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty(u.shape)
-    it = np.nditer(u, flags=["multi_index"])
-    for val in it:
-        a = float(val)
-        if a == 0.0:
-            out[it.multi_index] = 0.0
-            continue
-        n = n_quad if n_quad % 2 == 0 else n_quad + 1
-        s = np.linspace(0.0, a, n + 1)
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        h = a / n
-        out[it.multi_index] = h / 3.0 * np.sum(w * g(s))
-    return out
+def antiderivative(g, lo: float, hi: float, n: int):
+    """Q(u) = int_0^u g(v) dv as a vectorized callable, with Q(0) = 0.
+
+    One table covers [min(lo, 0), max(hi, 0)] with n uniform panels that
+    have 0 as a node: composite Simpson gives Q at the nodes, and between
+    nodes Q is the cubic Hermite interpolant of Q and Q' = g.  Exact for
+    quadratic g and for piecewise-linear g with kinks on nodes.  Just outside
+    the range the end cubics extrapolate.
+    """
+    lo, hi = min(lo, 0.0), max(hi, 0.0)
+    h = (hi - lo) / n or 1.0
+    k_lo = math.floor(lo / h)
+    nodes = h * np.arange(k_lo, max(math.ceil(hi / h), k_lo + 1) + 1)
+    g_nodes = np.asarray(g(nodes), dtype=float)
+    panels = h / 6.0 * (g_nodes[:-1] + 4.0 * np.asarray(g(nodes[:-1] + 0.5 * h))
+                        + g_nodes[1:])
+    q_nodes = np.concatenate([[0.0], np.cumsum(panels)])
+    q_nodes -= q_nodes[-k_lo]
+
+    def Q(u):
+        t = np.asarray(u, dtype=float) / h - k_lo
+        i = np.clip(np.floor(t).astype(int), 0, len(nodes) - 2)
+        s = t - i
+        return ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * q_nodes[i]
+                + s**2 * (3.0 - 2.0 * s) * q_nodes[i + 1]
+                + h * s * (1.0 - s) * ((1.0 - s) * g_nodes[i] - s * g_nodes[i + 1]))
+
+    return Q
 
 
 def make_entropy_pair(eta, eta_prime, eta_second, flux: FluxSpec,
@@ -120,9 +138,9 @@ def make_entropy_pair(eta, eta_prime, eta_second, flux: FluxSpec,
                       eta_third=None, kind: str = "custom") -> EntropyPair:
     """Build an entropy pair with q_j(u) = int_0^u eta'(v) f_j'(v) dv.
 
-    The flux q is anchored at q(0)=0 and computed by composite Simpson
-    quadrature with n_quad panels.  Rejects eta that fails convexity on the
-    sampled range.
+    The flux q is anchored at q(0)=0 and computed by ``antiderivative`` with
+    n_quad panels over the evaluated range.  Rejects eta that fails
+    convexity on the sampled range.
     """
     if n_quad < 2:
         raise ValueError("n_quad must be >= 2")
@@ -140,12 +158,12 @@ def make_entropy_pair(eta, eta_prime, eta_second, flux: FluxSpec,
 
     def q(u):
         u = np.asarray(u, dtype=float)
-        comps = []
-        for j in range(dim):
-            def gj(v, j=j):
-                return np.asarray(eta_prime(v)) * np.asarray(flux.deriv(v))[j]
-            comps.append(_simpson_antiderivative(gj, u, n_quad))
-        return np.stack(comps)
+        lo, hi = float(np.min(u, initial=0.0)), float(np.max(u, initial=0.0))
+        return np.stack([
+            antiderivative(lambda v, j=j: np.asarray(eta_prime(v)) *
+                           np.asarray(flux.deriv(v))[j], lo, hi, n_quad)(u)
+            for j in range(dim)
+        ])
 
     return EntropyPair(eta=eta, eta_prime=eta_prime, eta_second=eta_second,
                        q=q, eta_third=eta_third, kind=kind, dim=dim)
@@ -256,7 +274,7 @@ def burgers_flux(dim: int = 1) -> FluxSpec:
         return np.stack([u] * dim)
 
     return FluxSpec(eval=ev, deriv=dv, m=2.0, c1=1.0, c1p=1.0, dim=dim,
-                    name="burgers")
+                    name="burgers", quadratic=True)
 
 
 def advection_flux(a: float = 1.0, dim: int = 1) -> FluxSpec:
@@ -287,6 +305,16 @@ def bounded_flux(dim: int = 1) -> FluxSpec:
                     name="bounded")
 
 
+def zero_flux(dim: int = 1) -> FluxSpec:
+    """Fluxless transport, for pure diffusion / dispersion analytic runs."""
+    def ev(u):
+        u = np.asarray(u, dtype=float)
+        return np.stack([np.zeros_like(u)] * dim)
+
+    return FluxSpec(eval=ev, deriv=ev, m=1.0, c1=1e-12, c1p=1e-12, dim=dim,
+                    name="zero")
+
+
 def linear_diffusion(dim: int = 1) -> DiffusionSpec:
     """b(l) = l: r = 1, exact sandwich constants 1, uniformly elliptic."""
     def ev(lam):
@@ -297,7 +325,8 @@ def linear_diffusion(dim: int = 1) -> DiffusionSpec:
         return np.eye(lam.shape[0])
 
     return DiffusionSpec(eval=ev, jacobian=jac, r=1.0, c2=1.0, c3=1.0,
-                         claims_h3=True, h3_constant=1.0, name="linear")
+                         claims_h3=True, h3_constant=1.0, name="linear",
+                         spectral_bound=1.0)
 
 
 def power_diffusion(r: float, dim: int = 1) -> DiffusionSpec:
@@ -326,15 +355,21 @@ def power_diffusion(r: float, dim: int = 1) -> DiffusionSpec:
         outer = np.outer(lam, lam)
         return mag ** (r - 1) * np.eye(d) + (r - 1) * mag ** (r - 3) * outer
 
+    def spectral_bound(grad_max):
+        # largest Jacobian eigenvalue of |l|^(r-1) l is r |l|^(r-1)
+        return max(r * max(grad_max, 1e-12) ** (r - 1.0), 1e-12)
+
     return DiffusionSpec(eval=ev, jacobian=jac, r=float(r), c2=1.0, c3=1.0,
                          claims_h3=(r == 1), h3_constant=1.0 if r == 1 else 0.0,
-                         name=f"power{r:g}")
+                         name=f"power{r:g}",
+                         spectral_bound=1.0 if r == 1 else spectral_bound)
 
 
 _FLUXES = {
     "burgers": burgers_flux,
     "advection": advection_flux,
     "bounded": bounded_flux,
+    "zero": zero_flux,
 }
 
 

@@ -9,15 +9,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Field, GridSpec
-from .model import FluxSpec
+from .grids import Field
+from .model import FluxSpec, antiderivative
 
 __all__ = [
+    "SCHEME",
     "RiemannData",
     "engquist_osher_flux",
     "reference_solve",
     "burgers_riemann_exact",
 ]
+
+_EO_PANELS = 2048
+# names the scheme and its EO quadrature in the reference cache key
+SCHEME = f"engquist-osher-fv1/simpson-hermite-{_EO_PANELS}"
 
 
 @dataclass(frozen=True)
@@ -37,57 +42,27 @@ class RiemannData:
                 raise ValueError("flux is not convex between the Riemann states")
 
 
-def _eo_split_integrals(flux: FluxSpec, u, n_quad: int = 256):
-    """(int_0^u max(f',0), int_0^u min(f',0)) by composite Simpson."""
-    u = float(u)
-    if u == 0.0:
-        return 0.0, 0.0
-    n = n_quad + n_quad % 2
-    s = np.linspace(0.0, u, n + 1)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    h = u / n
-    fp = np.asarray(flux.deriv(s))[0]
-    plus = h / 3.0 * np.sum(w * np.maximum(fp, 0.0))
-    minus = h / 3.0 * np.sum(w * np.minimum(fp, 0.0))
-    return plus, minus
+def _eo_flux(flux: FluxSpec, lo: float, hi: float, n: int = _EO_PANELS):
+    """The EO flux F(a, b) for states in [lo, hi], its split integrals
+    tabulated once by ``antiderivative``."""
+    if flux.quadratic:
+        return lambda a, b: 0.5 * np.maximum(a, 0.0) ** 2 + 0.5 * np.minimum(b, 0.0) ** 2
+    f0 = float(np.asarray(flux.eval(0.0))[0])
+    plus = antiderivative(lambda v: np.maximum(np.asarray(flux.deriv(v))[0], 0.0),
+                          lo, hi, n)
+    minus = antiderivative(lambda v: np.minimum(np.asarray(flux.deriv(v))[0], 0.0),
+                           lo, hi, n)
+    return lambda a, b: f0 + plus(a) + minus(b)
 
 
 def engquist_osher_flux(a, b, flux: FluxSpec):
     """Monotone numerical flux
     F(a, b) = f(0) + int_0^a max(f',0) + int_0^b min(f',0)."""
-    if flux.name == "burgers":
-        # closed form avoids quadrature in the time loop
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        f0 = 0.0
-        return f0 + 0.5 * np.maximum(a, 0.0) ** 2 + 0.5 * np.minimum(b, 0.0) ** 2
-    f0 = float(np.asarray(flux.eval(0.0))[0])
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    scalar = a.ndim == 0 and b.ndim == 0
-    a, b = np.atleast_1d(a), np.atleast_1d(b)
-    out = np.empty(np.broadcast(a, b).shape)
-    a, b = np.broadcast_arrays(a, b)
-    for i in np.ndindex(out.shape):
-        plus, _ = _eo_split_integrals(flux, a[i])
-        _, minus = _eo_split_integrals(flux, b[i])
-        out[i] = f0 + plus + minus
-    return float(out.reshape(-1)[0]) if scalar else out
-
-
-def _eo_flux_vector(flux: FluxSpec, u_left: np.ndarray, u_right: np.ndarray):
-    """Vectorized EO interface flux on tabulated split integrals."""
-    if flux.name == "burgers":
-        return 0.5 * np.maximum(u_left, 0.0) ** 2 + 0.5 * np.minimum(u_right, 0.0) ** 2
-    lo = min(u_left.min(), u_right.min())
-    hi = max(u_left.max(), u_right.max())
-    table_u = np.linspace(lo - 1e-9, hi + 1e-9, 2049)
-    plus = np.array([_eo_split_integrals(flux, v)[0] for v in table_u])
-    minus = np.array([_eo_split_integrals(flux, v)[1] for v in table_u])
-    f0 = float(np.asarray(flux.eval(0.0))[0])
-    return f0 + np.interp(u_left, table_u, plus) + np.interp(u_right, table_u, minus)
+    states = np.concatenate([a.ravel(), b.ravel()])
+    out = _eo_flux(flux, states.min(), states.max())(a, b)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def reference_solve(u0: Field, flux: FluxSpec, t_end: float,
@@ -95,10 +70,12 @@ def reference_solve(u0: Field, flux: FluxSpec, t_end: float,
     """First-order finite-volume evolution with the EO flux, periodic.
 
     Satisfies the discrete maximum principle exactly, so the output obeys
-    min u0 <= u <= max u0 and contracts every L^p norm.  In 2-d the flux
-    differences are applied dimension by dimension within one step.
+    min u0 <= u <= max u0 and contracts every L^p norm; one EO table over
+    that range serves every step.  In 2-d the flux differences are applied
+    dimension by dimension within one step.
     """
     u = u0.values.copy()
+    eo_flux = _eo_flux(flux, u.min(), u.max())
     grid = u0.grid
     dx = grid.dx
     t = 0.0
@@ -109,7 +86,7 @@ def reference_solve(u0: Field, flux: FluxSpec, t_end: float,
         dt = min(dt, t_end - t)
         upd = np.zeros(grid.shape)
         for ax in range(grid.dim):
-            flux_right = _eo_flux_vector(flux, u, np.roll(u, -1, axis=ax))
+            flux_right = eo_flux(u, np.roll(u, -1, axis=ax))
             upd -= dt / dx * (flux_right - np.roll(flux_right, 1, axis=ax))
         u = u + upd
         t += dt
@@ -118,7 +95,7 @@ def reference_solve(u0: Field, flux: FluxSpec, t_end: float,
 
 def burgers_riemann_exact(data: RiemannData, x_over_t):
     """Self-similar entropy solution of the quadratic-flux Riemann problem."""
-    if data.flux.name != "burgers":
+    if not data.flux.quadratic:
         raise ValueError("exact solution implemented for the quadratic flux only")
     uL, uR = data.u_left, data.u_right
     xi = np.asarray(x_over_t, dtype=float)

@@ -8,7 +8,7 @@ with classical RK4 in time and centered second-order stencils in space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -16,14 +16,15 @@ from .grids import (
     Field,
     GridSpec,
     Trajectory,
+    _diff_centered,
     divergence,
     gradient,
     third_derivative_axis,
-    lp_norm,
 )
 from .model import DiffusionSpec, FluxSpec
 
 __all__ = [
+    "SCHEME",
     "SolveParams",
     "InitialData",
     "BlowUpError",
@@ -33,6 +34,9 @@ __all__ = [
     "solve",
     "initial_preset",
 ]
+
+# names the integrator in trajectories and in the record cache key
+SCHEME = "centered-rk4"
 
 # blow-up detector: |u| exceeding this multiple of the initial sup norm
 BLOWUP_FACTOR = 1.0e6
@@ -82,10 +86,6 @@ class InitialData:
         if not self.analytic:
             _check_support(f)
         return f
-
-    def norms(self, grid: GridSpec, p_list=(1, 2)) -> dict:
-        f = self.build(grid)
-        return {p: lp_norm(f, p) for p in p_list}
 
 
 def _check_support(f: Field):
@@ -160,11 +160,9 @@ def rhs(u: Field, p: SolveParams) -> Field:
 
 def _diffusion_spectral_bound(diff: DiffusionSpec, grad_max: float) -> float:
     """Bound on the spectral radius of Db over |lambda| <= grad_max."""
-    if diff.name == "linear":
-        return 1.0
-    if diff.name.startswith("power"):
-        # |l|^(r-1) l has largest Jacobian eigenvalue r |l|^(r-1)
-        return max(diff.r * max(grad_max, 1e-12) ** (diff.r - 1.0), 1e-12)
+    bound = diff.spectral_bound
+    if bound is not None:
+        return bound(grad_max) if callable(bound) else bound
     # probe the Jacobian along a ray; isotropic b makes this exact
     mags = np.linspace(0.0, max(grad_max, 1e-12), 17)[1:]
     worst = 0.0
@@ -210,31 +208,11 @@ def step_rk4(u: Field, dt: float, p: SolveParams) -> Field:
 
 
 def _grad_max_arr(u: np.ndarray, grid: GridSpec) -> float:
-    mag2 = np.zeros(grid.shape)
-    for ax in range(grid.dim):
-        d = (np.roll(u, -1, axis=ax) - np.roll(u, 1, axis=ax)) / (2.0 * grid.dx)
-        mag2 += d**2
+    mag2 = sum(_diff_centered(u, ax, grid.dx) ** 2 for ax in range(grid.dim))
     return float(np.sqrt(np.max(mag2)))
 
 
-def _grad_max(u: Field) -> float:
-    return _grad_max_arr(u.values, u.grid)
-
-
-def _needs_grad_max(p: SolveParams) -> bool:
-    # the diffusion stiffness bound is state-independent for linear and
-    # power-r=1 diffusions; skip the per-step gradient scan there
-    if p.epsilon == 0.0:
-        return False
-    if p.diffusion.name == "linear":
-        return False
-    if p.diffusion.name.startswith("power") and p.diffusion.r == 1.0:
-        return False
-    return True
-
-
-def solve(u0: InitialData, p: SolveParams, grid: GridSpec,
-          on_step: Optional[Callable] = None) -> Trajectory:
+def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
     """Integrate to t_end, storing sample_count evenly spaced snapshots.
 
     The step size is recomputed from the current solution every step and
@@ -254,7 +232,7 @@ def solve(u0: InitialData, p: SolveParams, grid: GridSpec,
         "flux": p.flux.name,
         "diffusion": p.diffusion.name,
         "initial": u0.name,
-        "scheme": "centered-rk4",
+        "scheme": SCHEME,
     })
     traj.append(0.0, u)
 
@@ -265,7 +243,9 @@ def solve(u0: InitialData, p: SolveParams, grid: GridSpec,
     # data that already touches the seam (e.g. sine) is never flagged; the
     # flag marks compact support escaping through the wrap during the run
     wrap_guard = _support_touches_wrap(u)
-    needs_grad = _needs_grad_max(p)
+    # only a gradient-dependent diffusion stiffness bound needs the scan
+    bound = p.diffusion.spectral_bound
+    needs_grad = p.epsilon != 0.0 and (bound is None or callable(bound))
     blowup_sup = BLOWUP_FACTOR * max(u0_sup, 1e-300)
     uv = u.values
     try:
@@ -282,8 +262,6 @@ def solve(u0: InitialData, p: SolveParams, grid: GridSpec,
                 t += dt
                 steps += 1
                 dt_min = min(dt_min, dt)
-                if on_step is not None:
-                    on_step(t, Field(grid, uv))
             u = Field(grid, uv)
             if u.max_abs() > blowup_sup:
                 raise BlowUpError(t, u.max_abs())

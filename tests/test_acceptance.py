@@ -20,8 +20,8 @@ import pytest
 
 from ddlab import diagnostics as diag
 from ddlab.grids import Field, GridSpec, lp_norm
-from ddlab.harness import SweepConfig, run_sweep, zero_flux
-from ddlab.model import burgers_flux, linear_diffusion
+from ddlab.harness import SweepConfig, run_sweep
+from ddlab.model import burgers_flux, linear_diffusion, zero_flux
 from ddlab.reference import (
     RiemannData,
     burgers_riemann_exact,

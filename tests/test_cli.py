@@ -56,6 +56,67 @@ def test_parse_config_unknown_key_lists_known(tmp_path):
         parse_config(p)
 
 
+def test_parse_config_rejects_seed(tmp_path):
+    p = _write(tmp_path, "[sweep]\nseed = 0\n")
+    with pytest.raises(ConfigError, match="unknown key 'seed'"):
+        parse_config(p)
+
+
+def test_every_ini_key_reaches_its_field(tmp_path):
+    p = _write(tmp_path, """
+[problem]
+flux = bounded
+diffusion = power2
+initial = bump
+amplitude = 0.5
+length = 3.0
+dim = 1
+t_end = 0.3
+[sweep]
+epsilons = 0.1, 0.05
+grids = 64, 128
+gamma = 2.0
+coeff = 0.5
+deltas = 1e-3, 5e-4
+ref_n = 512
+cfl = 0.3
+samples = 9
+workers = 2
+[diagnostics]
+enabled = young, kruzkov
+theta_center = 1.1
+theta_t_center = 0.15
+theta_radius = 0.4
+theta_t_radius = 0.1
+kruzkov_k = 0.25
+kruzkov_center = 1.2
+kruzkov_t_center = 0.16
+kruzkov_radius = 0.3
+kruzkov_t_radius = 0.12
+window_center = 1.4
+window_halfwidth = 0.05
+window_t_lo = 0.2
+[output]
+dir = out
+""")
+    cfg = sweep_config_from_sections(parse_config(p))
+    assert (cfg.flux, cfg.diffusion, cfg.initial) == ("bounded", "power2", "bump")
+    assert cfg.initial_args == (("amplitude", 0.5),)
+    assert (cfg.length, cfg.dim, cfg.t_end) == (3.0, 1, 0.3)
+    assert cfg.epsilons == (0.1, 0.05) and cfg.grid_ns == (64, 128)
+    assert (cfg.gamma, cfg.coeff, cfg.delta_ladder) == (2.0, 0.5, (1e-3, 5e-4))
+    assert (cfg.ref_n, cfg.cfl_safety, cfg.sample_count, cfg.workers) == \
+        (512, 0.3, 9, 2)
+    assert cfg.diagnostics == ("young", "kruzkov")
+    assert (cfg.theta_center, cfg.theta_t_center, cfg.theta_radius,
+            cfg.theta_t_radius) == (1.1, 0.15, 0.4, 0.1)
+    assert (cfg.kruzkov_k, cfg.kru_center, cfg.kru_t_center, cfg.kru_radius,
+            cfg.kru_t_radius) == (0.25, 1.2, 0.16, 0.3, 0.12)
+    assert (cfg.window_center, cfg.window_halfwidth) == (1.4, 0.05)
+    assert cfg.window_t == (0.2, 0.3)   # the upper end defaults to t_end
+    assert cfg.out_dir == "out"
+
+
 def test_parse_config_bad_value(tmp_path):
     p = _write(tmp_path, "[sweep]\ngamma = three\n")
     with pytest.raises(ConfigError, match="bad value"):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from ddlab.grids import Field, GridSpec, Trajectory, lp_norm
-from ddlab.model import burgers_flux, diffusion_preset, linear_diffusion
+from ddlab.model import burgers_flux, diffusion_preset, linear_diffusion, \
+    zero_flux
 from ddlab.solver import SolveParams, initial_preset, solve
-from ddlab.harness import quadratic_entropy_pair, zero_flux
+from ddlab.harness import quadratic_entropy_pair
 from ddlab import diagnostics as diag
 
 

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from ddlab import harness
 from ddlab.grids import Field, GridSpec
 from ddlab.harness import (
     RECORD_COLUMNS,
@@ -16,9 +17,8 @@ from ddlab.harness import (
     compare_to_reference,
     quadratic_entropy_pair,
     run_sweep,
-    zero_flux,
 )
-from ddlab.model import burgers_flux
+from ddlab.model import burgers_flux, flux_preset, zero_flux
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +66,10 @@ def test_scaling_law():
 
 
 def test_zero_flux_is_zero():
-    f = zero_flux()
     u = np.linspace(-2, 2, 7)
-    assert np.all(f.eval(u) == 0.0)
-    assert np.all(f.deriv(u) == 0.0)
+    for f in (zero_flux(), flux_preset("zero", dim=2)):
+        assert np.all(f.eval(u) == 0.0)
+        assert np.all(f.deriv(u) == 0.0)
 
 
 def test_quadratic_entropy_pair():
@@ -201,3 +201,24 @@ def test_run_sweep_dispersive_ladder_uses_delta_ladder(tmp_path):
     assert [r.delta for r in records] == [1e-3, 5e-4]
     with open(tmp_path / "disp" / "summary.json") as fh:
         assert json.load(fh)["theorem_tag"] == "dispersive"
+
+
+def test_cache_paths_follow_the_scheme_tags(tmp_path, monkeypatch):
+    # a record or reference computed by another scheme is never served
+    cfg = _tiny_config(tmp_path / "sweep")
+    record, reference = harness._record_path(cfg, 0), harness._reference_path(cfg)
+    monkeypatch.setattr(harness, "REFERENCE_SCHEME", "other-reference")
+    assert harness._record_path(cfg, 0) != record
+    assert harness._reference_path(cfg) != reference
+    monkeypatch.undo()
+    monkeypatch.setattr(harness, "SOLVER_SCHEME", "other-solver")
+    assert harness._record_path(cfg, 0) != record
+    assert harness._reference_path(cfg) == reference
+
+
+def test_reference_is_written_atomically(tmp_path):
+    cfg = _tiny_config(tmp_path / "sweep")
+    ref = harness.ensure_reference(cfg)
+    assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == \
+        [harness._reference_path(cfg).name]
+    assert np.array_equal(harness.ensure_reference(cfg).values, ref.values)

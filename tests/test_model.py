@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddlab.model import (
     advection_flux,
+    antiderivative,
     bounded_flux,
     burgers_flux,
     check_H3,
@@ -168,3 +171,53 @@ def test_tabulated_flux(tmp_path):
     probe = np.array([-1.0, 0.25, 1.5])
     assert np.allclose(flux.eval(probe)[0], 0.5 * probe**2, atol=1e-4)
     assert np.allclose(flux.deriv(probe)[0], probe, atol=1e-12)
+
+
+_finite = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coef=st.tuples(_finite, _finite, _finite), ends=st.tuples(_finite, _finite),
+       n=st.integers(1, 600), fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_antiderivative_exact_for_quadratics(coef, ends, n, fracs):
+    c0, c1, c2 = coef
+    lo, hi = min(ends), max(ends)
+    Q = antiderivative(lambda v: c0 + c1 * v + c2 * v**2, lo, hi, n)
+    # probes anywhere on the table, which always reaches 0
+    lo, hi = min(lo, 0.0), max(hi, 0.0)
+    u = lo + (hi - lo) * np.array(fracs)
+    exact = c0 * u + c1 * u**2 / 2.0 + c2 * u**3 / 3.0
+    # |Q| <= sum |c_i| R (1 + R)^2 with R the table's reach
+    R = max(-lo, hi)
+    scale = (abs(c0) + abs(c1) + abs(c2)) * R * (1.0 + R) ** 2
+    assert np.all(np.abs(Q(u) - exact) <= 1e-12 * scale)
+    assert Q(0.0) == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.floats(-1.0, 1.0), steps=st.floats(4.0, 200.0),
+       probes=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8))
+def test_kruzkov_entropy_flux_matches_closed_form(k, steps, probes):
+    # q(u) = int_0^u v (v-k)/sqrt((v-k)^2+rho^2) dv for Burgers, with rho at
+    # least 4 table steps of the 512-panel table over [min(u,0), max(u,0)]
+    u = np.array(probes)
+    h = (max(u.max(), 0.0) - min(u.min(), 0.0)) / 512
+    rho = max(steps * h, 1e-3)
+    pair = make_entropy_pair(*kruzkov_entropy(k, rho), burgers_flux(), n_quad=512)
+
+    def F(v):
+        w = v - k
+        r = np.sqrt(w * w + rho * rho)
+        return 0.5 * w * r - 0.5 * rho**2 * np.log(w + r) + k * r
+
+    assert np.allclose(pair.q(u)[0], F(u) - F(0.0), rtol=0.0, atol=1e-6)
+
+
+def test_declared_structure_of_presets():
+    assert burgers_flux().quadratic
+    assert not any(flux_preset(name).quadratic
+                   for name in ("advection", "bounded", "zero"))
+    assert linear_diffusion().spectral_bound == 1.0
+    assert power_diffusion(1.0).spectral_bound == 1.0
+    # r |l|^(r-1): the largest Jacobian eigenvalue of |l|^(r-1) l
+    assert power_diffusion(3.0).spectral_bound(2.0) == pytest.approx(12.0)

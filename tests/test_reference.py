@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddlab.grids import Field, GridSpec
-from ddlab.model import bounded_flux, burgers_flux
+from ddlab.model import advection_flux, bounded_flux, burgers_flux
 from ddlab.reference import (
     RiemannData,
     burgers_riemann_exact,
@@ -50,6 +52,40 @@ def test_eo_flux_nonconvex_capable_flux():
     flux = bounded_flux()
     val = engquist_osher_flux(1.0, 1.0, flux)
     assert val == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-5.0, 5.0))
+def test_eo_flux_consistency_bounded(a):
+    # F(a, a) = f(0) + int_0^a f' = f(a) on the tabulated path
+    flux = bounded_flux()
+    assert engquist_osher_flux(a, a, flux) == \
+        pytest.approx(float(flux.eval(a)[0]), abs=1e-8)
+
+
+def test_reference_advection_is_explicit_upwind():
+    # EO with f' = a > 0 is the upwind flux a u_left
+    a, cfl, t_end = 0.7, 0.4, 0.3
+    grid = GridSpec(n=128, length=2.0)
+    rng = np.random.default_rng(3)
+    u0 = rng.uniform(-1.0, 1.0, 128)
+    out = reference_solve(Field(grid, u0), advection_flux(a), t_end, cfl=cfl)
+    u, t = u0.copy(), 0.0
+    while t < t_end - 1e-14 * t_end:
+        dt = min(cfl * grid.dx / a, t_end - t)
+        u = u - dt / grid.dx * (a * u - a * np.roll(u, 1))
+        t += dt
+    assert np.max(np.abs(out.values - u)) <= 1e-12
+
+
+def test_reference_bounded_flux_maximum_principle_and_mass():
+    grid = GridSpec(n=256, length=2.0)
+    rng = np.random.default_rng(4)
+    u0 = Field(grid, rng.uniform(-1.5, 2.0, 256))
+    out = reference_solve(u0, bounded_flux(), 0.4)
+    assert out.values.min() >= u0.values.min() - 1e-12
+    assert out.values.max() <= u0.values.max() + 1e-12
+    assert np.sum(out.values) == pytest.approx(np.sum(u0.values), abs=1e-10)
 
 
 def test_reference_discrete_maximum_principle():

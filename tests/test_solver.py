@@ -5,7 +5,7 @@ import pytest
 
 from ddlab.grids import Field, GridSpec, laplacian, lp_norm
 from ddlab.model import DiffusionSpec, advection_flux, burgers_flux, \
-    linear_diffusion
+    linear_diffusion, power_diffusion, zero_flux
 from ddlab.solver import (
     SolveParams,
     initial_preset,
@@ -14,7 +14,6 @@ from ddlab.solver import (
     stable_dt,
     step_rk4,
 )
-from ddlab.harness import zero_flux
 
 
 def _params(flux, diff, eps, delta, t_end=1.0, **kw):
@@ -86,6 +85,18 @@ def test_stable_dt_min_of_active_terms():
     assert dt <= 0.4 * dx / 1.0 + 1e-15
     assert dt <= 0.4 * dx**2 / (2 * 0.05) + 1e-15
     assert dt <= 0.4 * dx**3 / (4 * 1e-4) + 1e-15
+
+
+def test_stable_dt_follows_declared_structure_not_name():
+    # a custom spec named "linear" with power-2 numerics is probed, not
+    # taken for the linear preset
+    p2 = power_diffusion(2.0)
+    named_linear = DiffusionSpec(eval=p2.eval, jacobian=p2.jacobian, r=2.0,
+                                 c2=1.0, c3=1.0, name="linear")
+    g = GridSpec(n=128, length=2.0)
+    dts = [stable_dt(_params(zero_flux(), d, 0.05, 0.0), g, 1.0, 30.0)
+           for d in (named_linear, p2)]
+    assert dts[0] == pytest.approx(dts[1], rel=1e-12)
 
 
 def test_stable_dt_all_zero_coefficients():
