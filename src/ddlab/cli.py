@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Subcommands: solve, sweep, diagnose, compare, classify.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure.
+0 success, 2 configuration or argument error, 3 numerical failure.  Any
+other error, such as a ValueError raised inside a solve or a diagnostic,
+propagates as a bug.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import typing
@@ -40,6 +43,17 @@ EXIT_NUMERICAL = 3
 
 class ConfigError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _config_errors():
+    """Report a ValueError or LookupError raised while reading the
+    configuration or the arguments as a ConfigError; errors inside a run
+    propagate."""
+    try:
+        yield
+    except (ValueError, LookupError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +180,13 @@ def _cmd_solve(args) -> int:
     flux_name, diff_name, init_name, init_kwargs = _SOLVE_PRESETS[args.preset]
     length = args.L if args.L is not None else \
         (2.0 * np.pi if init_name == "sine" else 2.0)
-    grid = GridSpec(n=args.N, length=length, dim=1)
-    flux = flux_preset(flux_name)
-    diffusion = diffusion_preset(diff_name)
-    params = SolveParams(
-        flux=flux, diffusion=diffusion, epsilon=args.epsilon,
-        delta=args.delta, t_end=args.T, cfl_safety=args.cfl,
-        sample_count=args.samples,
-    )
+    with _config_errors():
+        grid = GridSpec(n=args.N, length=length, dim=1)
+        params = SolveParams(
+            flux=flux_preset(flux_name), diffusion=diffusion_preset(diff_name),
+            epsilon=args.epsilon, delta=args.delta, t_end=args.T,
+            cfl_safety=args.cfl, sample_count=args.samples,
+        )
     traj = solve(initial_preset(init_name, **init_kwargs), params, grid)
 
     out = Path(args.out)
@@ -216,9 +229,10 @@ def _load_trajectory(path) -> Trajectory:
 
 
 def _cmd_diagnose(args) -> int:
-    traj = _load_trajectory(args.run)
-    eps = float(traj.params.get("epsilon", 0.0))
-    diffusion = diffusion_preset(traj.params.get("diffusion", "linear"))
+    with _config_errors():
+        traj = _load_trajectory(args.run)
+        eps = float(traj.params.get("epsilon", 0.0))
+        diffusion = diffusion_preset(traj.params.get("diffusion", "linear"))
     t = args.t if args.t is not None else traj.t_final
     residual = diag.energy_balance_residual(traj, diffusion, eps, t)
     u0_l2 = lp_norm(traj.fields[0], 2)
@@ -251,20 +265,21 @@ def _final_field(path) -> Field:
 
 
 def _cmd_compare(args) -> int:
-    a = _final_field(args.a)
-    b = _final_field(args.b)
-    p_list = []
-    for p in args.p.split(","):
-        p = p.strip()
-        p_list.append(np.inf if p == "inf" else float(p))
-    dists = compare_to_reference(a, b, p_list)
+    with _config_errors():
+        a = _final_field(args.a)
+        b = _final_field(args.b)
+        p_list = [np.inf if p.strip() == "inf" else float(p)
+                  for p in args.p.split(",")]
+        # the two inputs must share a domain and commensurate grids
+        dists = compare_to_reference(a, b, p_list)
     for key in sorted(dists):
         print(f"{key} {dists[key]!r}")
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
-    tag = classify_regime(args.r, args.m, args.gamma, not args.no_h3)
+    with _config_errors():
+        tag = classify_regime(args.r, args.m, args.gamma, not args.no_h3)
     print(tag)
     return EXIT_OK
 
@@ -272,6 +287,8 @@ def _cmd_classify(args) -> int:
 def _cmd_sweep(args) -> int:
     sections = parse_config(args.config) if args.config else {}
     cfg = sweep_config_from_sections(sections, out_override=args.out)
+    with _config_errors():
+        cfg.validate()
     records = run_sweep(cfg)
     out = Path(cfg.out_dir)
     if args.plot_data:
@@ -344,9 +361,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FloatingPointError as exc:

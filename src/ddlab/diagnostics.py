@@ -110,10 +110,11 @@ class TestFunction:
 
 
 def bump_over(center, t_center, radius, t_radius, dim: int = 1) -> TestFunction:
-    """Convenience constructor with scalar radii."""
-    center = tuple(np.atleast_1d(center).astype(float))
-    radius = tuple(np.atleast_1d(radius).astype(float)) if np.ndim(radius) else \
-        (float(radius),) * dim
+    """Convenience constructor: a scalar center or radius is repeated on
+    each of the dim axes."""
+    center = tuple(np.atleast_1d(center).astype(float)) if np.ndim(center) else \
+        (float(center),) * dim
+    radius = tuple(np.atleast_1d(radius).astype(float))
     if len(radius) != len(center):
         radius = (radius[0],) * len(center)
     return TestFunction(center=center, t_center=float(t_center),

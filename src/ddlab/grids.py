@@ -1,4 +1,5 @@
-"""Periodic uniform grids, finite-difference operators, and discrete norms.
+"""Periodic uniform grids, finite-difference operators, their exact Fourier
+symbols, and discrete norms.
 
 All stencils are centered, second order, and wrap periodically.  Fields are
 value types: every operator returns a new Field and never mutates its input.
@@ -21,6 +22,7 @@ __all__ = [
     "divergence",
     "third_derivative_axis",
     "laplacian",
+    "stencil_symbols",
     "lp_norm",
     "spacetime_integral",
     "write_snapshot_csv",
@@ -170,6 +172,18 @@ def third_derivative_axis(f: Field, axis: int = 0) -> Field:
         - np.roll(u, 2, axis=axis)
     ) / (2.0 * dx3)
     return Field(f.grid, out)
+
+
+def stencil_symbols(grid: GridSpec) -> tuple:
+    """Exact symbols of the centered D1, wide Laplacian and D3 stencils on
+    the rfftn half-spectrum, with th = 2 pi k / n per axis: i sin(th)/dx,
+    -sum_j (sin(th_j)/dx)^2 and i (sin 2th - 2 sin th)/dx^3.  D1 and D3
+    have one row per axis; irfftn(symbol * rfftn(u)) applies the stencil."""
+    k = [np.fft.fftfreq(grid.n)] * (grid.dim - 1) + [np.fft.rfftfreq(grid.n)]
+    th = 2.0 * np.pi * np.stack(np.meshgrid(*k, indexing="ij"))
+    s = np.sin(th) / grid.dx
+    d3 = 1j * (np.sin(2.0 * th) - 2.0 * np.sin(th)) / grid.dx**3
+    return 1j * s, -np.sum(s * s, axis=0), d3
 
 
 def lp_norm(f: Field, p) -> float:

@@ -190,6 +190,13 @@ class SweepConfig:
     # output
     out_dir: str = "sweep_out"
 
+    def validate(self):
+        """Raise ValueError or LookupError for a config no run can use."""
+        if len(self.epsilons) != len(self.grid_ns):
+            raise ValueError("epsilons and grid_ns ladders must pair up")
+        for idx in range(len(self.epsilons)):
+            self.initial_data().build(_entry(self, idx)[0])
+
     def scaling(self) -> ScalingLaw:
         return ScalingLaw(gamma=self.gamma, coeff=self.coeff)
 
@@ -285,19 +292,24 @@ def _run_window(cfg: SweepConfig) -> diag.Window:
     return diag.Window(space=((lo, hi),) * cfg.dim, t=tuple(cfg.window_t))
 
 
-def execute_run(cfg: SweepConfig, idx: int) -> RunRecord:
-    """Solve one ladder entry and evaluate its per-run diagnostics."""
-    eps = cfg.epsilons[idx]
-    n = cfg.grid_ns[idx]
-    delta = _delta_at(cfg, idx)
-    grid = GridSpec(n=n, length=cfg.length, dim=cfg.dim)
-    flux = flux_preset(cfg.flux, dim=cfg.dim)
-    diffusion = diffusion_preset(cfg.diffusion, dim=cfg.dim)
+def _entry(cfg: SweepConfig, idx: int) -> tuple:
+    """Grid and solver parameters of one ladder entry."""
+    grid = GridSpec(n=cfg.grid_ns[idx], length=cfg.length, dim=cfg.dim)
     params = SolveParams(
-        flux=flux, diffusion=diffusion, epsilon=eps, delta=delta,
+        flux=flux_preset(cfg.flux, dim=cfg.dim),
+        diffusion=diffusion_preset(cfg.diffusion, dim=cfg.dim),
+        epsilon=cfg.epsilons[idx], delta=_delta_at(cfg, idx),
         t_end=cfg.t_end, cfl_safety=cfg.cfl_safety,
         sample_count=cfg.sample_count,
     )
+    return grid, params
+
+
+def execute_run(cfg: SweepConfig, idx: int) -> RunRecord:
+    """Solve one ladder entry and evaluate its per-run diagnostics."""
+    grid, params = _entry(cfg, idx)
+    eps, delta = params.epsilon, params.delta
+    flux, diffusion = params.flux, params.diffusion
     traj = solve(cfg.initial_data(), params, grid)
 
     ref = ensure_reference(cfg)
@@ -324,7 +336,7 @@ def execute_run(cfg: SweepConfig, idx: int) -> RunRecord:
             young = float(np.var(vals)) if vals.size else float("nan")
 
     return RunRecord(
-        epsilon=eps, delta=delta, gamma=cfg.gamma, N=n, dx=grid.dx,
+        epsilon=eps, delta=delta, gamma=cfg.gamma, N=grid.n, dx=grid.dx,
         dt_min=traj.params.get("dt_min", 0.0),
         steps=traj.params.get("steps", 0),
         blowup=traj.blowup, taint=traj.taint,
@@ -377,8 +389,7 @@ def run_sweep(cfg: SweepConfig) -> list:
     Individual blow-ups are recorded and the sweep continues; if every run
     fails, raises RuntimeError.
     """
-    if len(cfg.epsilons) != len(cfg.grid_ns):
-        raise ValueError("epsilons and grid_ns ladders must pair up")
+    cfg.validate()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ensure_reference(cfg)

@@ -71,6 +71,7 @@ class DiffusionSpec:
     positive-definiteness of the Jacobian.  ``spectral_bound`` bounds the
     spectral radius of Db: a number when it holds for every gradient, a
     function of max |grad u| otherwise, None to probe the Jacobian.
+    ``linear`` declares b(l) = l, which the solver integrates exactly.
     """
 
     eval: Callable
@@ -82,6 +83,7 @@ class DiffusionSpec:
     h3_constant: float = 0.0
     name: str = "custom"
     spectral_bound: float | Callable | None = None
+    linear: bool = False
 
     def __post_init__(self):
         if self.r < 0:
@@ -326,7 +328,7 @@ def linear_diffusion(dim: int = 1) -> DiffusionSpec:
 
     return DiffusionSpec(eval=ev, jacobian=jac, r=1.0, c2=1.0, c3=1.0,
                          claims_h3=True, h3_constant=1.0, name="linear",
-                         spectral_bound=1.0)
+                         spectral_bound=1.0, linear=True)
 
 
 def power_diffusion(r: float, dim: int = 1) -> DiffusionSpec:
@@ -362,7 +364,8 @@ def power_diffusion(r: float, dim: int = 1) -> DiffusionSpec:
     return DiffusionSpec(eval=ev, jacobian=jac, r=float(r), c2=1.0, c3=1.0,
                          claims_h3=(r == 1), h3_constant=1.0 if r == 1 else 0.0,
                          name=f"power{r:g}",
-                         spectral_bound=1.0 if r == 1 else spectral_bound)
+                         spectral_bound=1.0 if r == 1 else spectral_bound,
+                         linear=(r == 1))
 
 
 _FLUXES = {

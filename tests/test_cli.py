@@ -262,3 +262,34 @@ def test_main_sweep_bad_config_exit_code(tmp_path, capsys):
     cfg.write_text("[sweep]\nepsilon = 0.1\n")
     assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "[problem]\nflux = nope\n",
+    "[problem]\ndim = 3\n",
+    "[sweep]\ncfl = 2.0\n",
+    "[sweep]\nepsilons = 0.0\ngrids = 64\n",   # no delta_ladder entry
+])
+def test_main_sweep_unusable_config_is_a_config_error(tmp_path, capsys, text):
+    # found before any run starts, so it is not mistaken for a failed run
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    assert main(["sweep", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_main_lets_an_error_inside_a_run_propagate(tmp_path, monkeypatch):
+    # a ValueError from inside a solve or diagnostic is a bug, not a config
+    # error: it must not be reported as exit code 2
+    from ddlab import harness
+
+    def broken(cfg, idx):
+        raise ValueError("failure inside a run")
+
+    monkeypatch.setattr(harness, "execute_run", broken)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[problem]\nt_end = 0.05\n[sweep]\nepsilons = 0.08\n"
+                   "grids = 64\nref_n = 64\n")
+    with pytest.raises(ValueError, match="failure inside a run"):
+        main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])

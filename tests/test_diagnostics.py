@@ -44,6 +44,13 @@ def test_bump_compact_support_and_positivity():
     assert np.all(theta.value([x], 0.71) == 0.0)  # outside time support
 
 
+def test_bump_over_repeats_scalars_on_every_axis():
+    theta = diag.bump_over(1.0, 0.5, 0.3, 0.2, dim=2)
+    assert theta.center == (1.0, 1.0) and theta.radius == (0.3, 0.3)
+    theta = diag.bump_over((1.0, 0.8), 0.5, 0.3, 0.2)
+    assert theta.center == (1.0, 0.8) and theta.radius == (0.3, 0.3)
+
+
 def test_bump_derivatives_match_finite_differences():
     theta = diag.bump_over(1.0, 0.5, 0.3, 0.2)
     x = np.array([0.85, 0.95, 1.1])

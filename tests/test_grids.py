@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ddlab.grids import (
     Field,
@@ -15,6 +18,7 @@ from ddlab.grids import (
     read_snapshot_binary,
     read_snapshot_csv,
     spacetime_integral,
+    stencil_symbols,
     third_derivative_axis,
     write_manifest,
     write_snapshot_binary,
@@ -209,3 +213,53 @@ def test_manifest_roundtrip(tmp_path):
     path = tmp_path / "manifest.json"
     write_manifest(path, payload)
     assert read_manifest(path) == payload
+
+
+# ---------------------------------------------------------------------------
+# exact Fourier symbols of the stencils
+
+
+@st.composite
+def periodic_fields(draw):
+    dim = draw(st.sampled_from((1, 2)))
+    grid = GridSpec(n=draw(st.sampled_from((8, 9, 16, 17))),
+                    length=draw(st.floats(0.5, 8.0)), dim=dim)
+    return Field(grid, draw(hnp.arrays(np.float64, grid.shape,
+                                       elements=st.floats(-1.0, 1.0))))
+
+
+def _apply(symbol, f: Field) -> np.ndarray:
+    axes = tuple(range(f.grid.dim))
+    return np.fft.irfftn(symbol * np.fft.rfftn(f.values), s=f.grid.shape,
+                         axes=axes)
+
+
+def _close(a, b, symbol):
+    # FFT roundoff grows with the point count and the largest symbol entry
+    scale = max(np.max(np.abs(symbol)), 1.0)
+    return np.max(np.abs(a - b)) <= 1e-14 * a.size * scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=periodic_fields())
+def test_symbols_apply_the_stencils(f):
+    g = f.grid
+    d1, lap, d3 = stencil_symbols(g)
+    assert d1.shape == d3.shape == (g.dim,) + np.fft.rfftn(f.values).shape
+    for ax in range(g.dim):
+        assert _close(_apply(d1[ax], f), gradient(f)[ax].values, d1)
+        assert _close(_apply(d3[ax], f), third_derivative_axis(f, ax).values, d3)
+    assert _close(_apply(lap, f), laplacian(f).values, lap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=periodic_fields())
+def test_d1_and_d3_are_skew(f):
+    # sum u D u = 0 for a skew stencil, applied directly or through its symbol
+    u = f.values
+    d1, _, d3 = stencil_symbols(f.grid)
+    for ax in range(f.grid.dim):
+        for du in (gradient(f)[ax].values, _apply(d1[ax], f),
+                   third_derivative_axis(f, ax).values, _apply(d3[ax], f)):
+            scale = np.linalg.norm(u) * np.linalg.norm(du)
+            assert abs(np.sum(u * du)) <= 1e-14 * u.size * scale + 1e-300

@@ -170,6 +170,21 @@ def test_run_sweep_tiny(tmp_path):
     assert "L1" in summary["slopes"]
 
 
+def test_run_sweep_2d_bump_with_every_diagnostic(tmp_path):
+    # the scalar theta/Kruzkov centers of the config cover both axes
+    cfg = SweepConfig(initial="bump", dim=2, epsilons=(0.08, 0.04),
+                      grid_ns=(16, 32), ref_n=64,
+                      diagnostics=("production", "kruzkov", "young"),
+                      out_dir=str(tmp_path / "sweep2d"))
+    records = run_sweep(cfg)
+    assert [r.N for r in records] == [16, 32]
+    for r in records:
+        assert not r.blowup
+        assert all(np.isfinite(getattr(r, col)) for col in
+                   ("L1", "L2", "Linf", "mu1", "mu2", "mu3", "kruzkov_pos",
+                    "young_var"))
+
+
 def test_run_sweep_reuses_records(tmp_path):
     cfg = _tiny_config(tmp_path / "sweep")
     first = run_sweep(cfg)

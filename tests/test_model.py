@@ -221,3 +221,6 @@ def test_declared_structure_of_presets():
     assert power_diffusion(1.0).spectral_bound == 1.0
     # r |l|^(r-1): the largest Jacobian eigenvalue of |l|^(r-1) l
     assert power_diffusion(3.0).spectral_bound(2.0) == pytest.approx(12.0)
+    # b(l) = l is declared linear, so the solver integrates it exactly
+    assert linear_diffusion().linear and power_diffusion(1.0).linear
+    assert not power_diffusion(2.0).linear

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ddlab.grids import Field, GridSpec, laplacian, lp_norm
 from ddlab.model import DiffusionSpec, advection_flux, burgers_flux, \
-    linear_diffusion, power_diffusion, zero_flux
+    diffusion_preset, flux_preset, linear_diffusion, power_diffusion, zero_flux
 from ddlab.solver import (
     SolveParams,
     initial_preset,
@@ -64,27 +67,84 @@ def test_rhs_1d_fast_path_matches_generic_operators():
     assert np.allclose(rhs(u, p).values, expected, atol=1e-12)
 
 
+@st.composite
+def _periodic_fields(draw):
+    dim = draw(st.sampled_from((1, 2)))
+    grid = GridSpec(n=draw(st.sampled_from((8, 9, 16))),
+                    length=draw(st.floats(0.5, 8.0)), dim=dim)
+    return Field(grid, draw(hnp.arrays(np.float64, grid.shape,
+                                       elements=st.floats(-1.0, 1.0))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(u=_periodic_fields(), flux=st.sampled_from(("burgers", "bounded")),
+       diff=st.sampled_from(("linear", "power2")),
+       eps=st.floats(0.0, 0.5), delta=st.floats(-1e-2, 1e-2))
+def test_rhs_conserves_mass(u, flux, diff, eps, delta):
+    dim = u.grid.dim
+    p = _params(flux_preset(flux, dim=dim), diffusion_preset(diff, dim=dim),
+                eps, delta)
+    r = rhs(u, p).values
+    assert abs(np.sum(r)) <= 1e-12 * max(np.sum(np.abs(r)), 1e-300)
+
+
 def test_stable_dt_single_term_convection():
     g = GridSpec(n=200, length=2.0)  # dx = 0.01
     p = _params(burgers_flux(), linear_diffusion(), 0.0, 0.0, cfl_safety=0.5)
     assert stable_dt(p, g, u_max=1.0, grad_max=0.0) == pytest.approx(0.005)
 
 
-def test_stable_dt_dispersive_bound():
-    g = GridSpec(n=20, length=2.0)  # dx = 0.1
-    p = _params(zero_flux(), linear_diffusion(), 0.0, 1e-3, cfl_safety=0.4)
-    assert stable_dt(p, g, u_max=1.0, grad_max=0.0) == \
-        pytest.approx(0.4 * 0.25 * 0.1**3 / 1e-3)
-
-
-def test_stable_dt_min_of_active_terms():
+def test_stable_dt_ignores_exact_linear_terms():
+    # dispersion and linear diffusion are integrated exactly: only the
+    # convection bound is left, whatever delta and eps are
     g = GridSpec(n=128, length=2.0)
-    p = _params(burgers_flux(), linear_diffusion(), 0.05, 1e-4)
-    dt = stable_dt(p, g, u_max=1.0, grad_max=2.0)
-    dx = g.dx
-    assert dt <= 0.4 * dx / 1.0 + 1e-15
-    assert dt <= 0.4 * dx**2 / (2 * 0.05) + 1e-15
-    assert dt <= 0.4 * dx**3 / (4 * 1e-4) + 1e-15
+    for eps, delta in ((0.0, 0.0), (0.05, 0.0), (0.0, 1e-4), (0.05, 1e-4)):
+        p = _params(burgers_flux(), linear_diffusion(), eps, delta)
+        assert stable_dt(p, g, u_max=1.0, grad_max=2.0) == \
+            pytest.approx(0.4 * g.dx, rel=1e-12)
+    p = _params(zero_flux(), linear_diffusion(), 0.05, 1e-3)
+    assert stable_dt(p, g, 1.0, 0.0) == pytest.approx(0.4 * g.dx)
+
+
+def test_stable_dt_min_of_explicit_terms():
+    # power2 stays explicit: its bound dx^2 / (2 d eps B) with B = 2 max|grad u|
+    # competes with convection; delta never enters
+    eps = 0.05
+    for dim in (1, 2):
+        g = GridSpec(n=128, length=2.0, dim=dim)
+        dx = g.dx
+        p = _params(burgers_flux(dim=dim), power_diffusion(2.0, dim=dim),
+                    eps, 1e-4)
+        for grad_max in (0.01, 2.0, 30.0):
+            diff_bound = dx**2 / (2 * dim * eps * 2.0 * grad_max)
+            assert stable_dt(p, g, 1.0, grad_max) == \
+                pytest.approx(0.4 * min(dx, diff_bound), rel=1e-12)
+        assert stable_dt(p, g, 1.0, 30.0) < 0.4 * dx   # diffusion binds
+        assert stable_dt(p, g, 1.0, 0.01) == pytest.approx(0.4 * dx)
+
+
+def _sine_mode_step(eps, delta, old_limit):
+    """One step at 100x the old explicit limit of a k=1 sine with no flux,
+    against exp(h L(1)) applied to the mode."""
+    g = GridSpec(n=64)
+    x = g.axes()[0]
+    u = Field(g, np.sin(x))
+    h = 100.0 * 0.4 * old_limit(g.dx)
+    out = step_rk4(u, h, _params(zero_flux(), linear_diffusion(), eps, delta))
+    th = g.dx   # 2 pi k / n at k = 1 on [0, 2 pi)
+    L = 1j * delta * (np.sin(2 * th) - 2 * np.sin(th)) / g.dx**3 \
+        - eps * np.sin(th) ** 2 / g.dx**2
+    return out.values, np.imag(np.exp(h * L) * np.exp(1j * x))
+
+
+def test_etd_step_is_exact_for_airy_mode():
+    got, expected = _sine_mode_step(0.0, 1e-3, lambda dx: dx**3 / (4 * 1e-3))
+    assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def test_etd_step_is_exact_for_heat_mode():
+    got, expected = _sine_mode_step(0.05, 0.0, lambda dx: dx**2 / (2 * 0.05))
+    assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 def test_stable_dt_follows_declared_structure_not_name():
@@ -195,6 +255,51 @@ def test_solve_blowup_flag_on_backward_diffusion():
     traj = solve(u0, p, g)
     assert traj.blowup
     assert len(traj.fields) < 3   # partial trajectory
+    # the time of the failing step is kept, after the last stored sample
+    assert traj.times[-1] < traj.params["t_blowup"] <= 0.5
+
+
+def test_etd_step_local_error_is_fifth_order():
+    # flux, linear diffusion and dispersion together, with |h L| near 1:
+    # the contour coefficients must give a one-step error ~ h^5, so halving
+    # h cuts it ~32x (a wrong phi-coefficient leaves a low-order error)
+    g = GridSpec(n=32)
+    x = g.axes()[0]
+    u = Field(g, 0.5 * np.sin(x) + 0.2 * np.cos(3 * x))
+    p = _params(burgers_flux(), linear_diffusion(), 0.01, 0.05)
+
+    def one_step_error(h, substeps=64):
+        ref = u
+        for _ in range(substeps):
+            ref = step_rk4(ref, h / substeps, p)
+        return np.max(np.abs(step_rk4(u, h, p).values - ref.values))
+
+    assert one_step_error(0.1) / one_step_error(0.05) > 20.0
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.0])
+def test_2d_solve_of_y_constant_data_matches_1d(eps):
+    # y-constant data stays y-constant; the 2-d solve must repeat the 1-d
+    # one step for step
+    u0 = initial_preset("smoothed_riemann", uL=1.0, uR=0.0, w=0.05)
+    trajs = [solve(u0, _params(burgers_flux(dim=d), linear_diffusion(dim=d),
+                               eps, 1e-4, t_end=0.1, sample_count=3),
+                   GridSpec(n=64, length=2.0, dim=d)) for d in (1, 2)]
+    assert trajs[0].params["steps"] == trajs[1].params["steps"] > 0
+    for f1, f2 in zip(trajs[0].fields, trajs[1].fields):
+        assert np.max(np.abs(f2.values - f1.values[:, None])) <= 1e-13
+
+
+def test_2d_power2_step_of_y_constant_data_matches_1d():
+    # the 2 d factor of the power2 bound doubles the 2-d step count, so one
+    # step at an equal h is compared instead
+    u0 = initial_preset("smoothed_riemann", uL=1.0, uR=0.0, w=0.05)
+    outs = []
+    for d in (1, 2):
+        g = GridSpec(n=64, length=2.0, dim=d)
+        p = _params(burgers_flux(dim=d), power_diffusion(2.0, dim=d), 0.02, 1e-4)
+        outs.append(step_rk4(u0.build(g), 2e-4, p).values)
+    assert np.max(np.abs(outs[1] - outs[0][:, None])) <= 1e-13
 
 
 def test_solve_taint_flag_when_support_reaches_wrap():
