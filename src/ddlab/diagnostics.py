@@ -32,6 +32,7 @@ __all__ = [
     "lp_bound_check",
     "h_regularity_check",
     "entropy_production",
+    "loglog_fit",
     "production_scaling_fit",
     "kruzkov_residual",
     "window_samples",
@@ -431,11 +432,29 @@ def entropy_production(traj: Trajectory, pair: EntropyPair, theta: TestFunction,
                                    sign_checked=sign_checked)
 
 
-def production_scaling_fit(reports: Sequence[EntropyProductionReport]) -> dict:
-    """Least-squares slopes of log|mu_i| against log eps across a sweep.
+def loglog_fit(eps, values) -> Optional[dict]:
+    """Least-squares slope of log|value| against log eps, with its 95%
+    half-width from three points on; None below two points.
 
-    Pairings below 1e-14 in magnitude are numerically zero and excluded.
+    Values below 1e-14 in magnitude are numerically zero and excluded.
     """
+    eps = np.asarray(eps, dtype=float)
+    vals = np.abs(np.asarray(values, dtype=float))
+    keep = np.isfinite(vals) & (vals > 1e-14) & (eps > 0)
+    if np.sum(keep) < 2:
+        return None
+    x = np.log(eps[keep])
+    y = np.log(vals[keep])
+    coef, cov = np.polyfit(x, y, 1, cov=True) if np.sum(keep) > 2 else \
+        (np.polyfit(x, y, 1), np.full((2, 2), np.nan))
+    return {"slope": float(coef[0]),
+            "ci95": float(2.0 * np.sqrt(cov[0, 0])) if np.isfinite(cov[0, 0])
+            else None}
+
+
+def production_scaling_fit(reports: Sequence[EntropyProductionReport]) -> dict:
+    """``loglog_fit`` slopes of mu1 and mu3 across a sweep; nan where
+    fewer than two pairings are nonzero."""
     eps = np.array([r.epsilon for r in reports], dtype=float)
     if len(eps) < 4:
         raise ValueError("need at least 4 sweep points")
@@ -444,11 +463,8 @@ def production_scaling_fit(reports: Sequence[EntropyProductionReport]) -> dict:
         raise ValueError("sweep must span close to a decade in eps")
 
     def slope(values):
-        v = np.abs(np.array(values, dtype=float))
-        keep = v > 1e-14
-        if np.sum(keep) < 2:
-            return float("nan")
-        return float(np.polyfit(np.log(eps[keep]), np.log(v[keep]), 1)[0])
+        fit = loglog_fit(eps, values)
+        return fit["slope"] if fit else float("nan")
 
     return {
         "mu1_slope": slope([r.mu1 for r in reports]),
@@ -464,7 +480,7 @@ def kruzkov_residual(traj: Trajectory, flux: FluxSpec, k: float, rho: float,
                      theta: TestFunction) -> float:
     """Pairing of the smoothed |u-k| entropy residual with theta:
 
-        - int int [ eta_rho(u) dtheta/dt + q_rho(u) . grad theta ] dx dt.
+        - int int [ eta_rho(u) dtheta/dt + q_rho(u) sum_j d_j theta ] dx dt.
 
     Nonpositive (up to discretization and O(rho) smoothing slack) for
     entropy-dissipating solutions; persistently positive on oscillatory
@@ -473,7 +489,7 @@ def kruzkov_residual(traj: Trajectory, flux: FluxSpec, k: float, rho: float,
     eta, eta_p, _ = kruzkov_entropy(k, rho)
     umin = min(float(np.min(f.values)) for f in traj.fields)
     umax = max(float(np.max(f.values)) for f in traj.fields)
-    q_fun = antiderivative(lambda v: eta_p(v) * np.asarray(flux.deriv(v))[0],
+    q_fun = antiderivative(lambda v: eta_p(v) * np.asarray(flux.deriv(v)),
                            umin, umax, n=8192)
     coords = traj.grid.meshgrid()
 

@@ -4,11 +4,12 @@ entropy-solution reference, record persistence, and sweep summaries.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from .model import (
     FluxSpec,
     diffusion_preset,
     flux_preset,
+    make_entropy_pair,
 )
 from .reference import SCHEME as REFERENCE_SCHEME
 from .reference import reference_solve
@@ -44,23 +46,16 @@ __all__ = [
     "quadratic_entropy_pair",
 ]
 
-RECORD_COLUMNS = [
-    "epsilon", "delta", "gamma", "N", "dx", "dt_min", "steps", "blowup",
-    "taint", "L1", "L2", "Linf", "mu1", "mu2", "mu3", "kruzkov_pos",
-    "young_var",
-]
-
 
 def quadratic_entropy_pair(flux: FluxSpec) -> EntropyPair:
-    """eta = u^2/2 with its derivatives; q is unused by the pairings."""
-    return EntropyPair(
+    """eta = u^2/2 with its derivatives and q(u) = int_0^u v f'(v) dv."""
+    return make_entropy_pair(
         eta=lambda u: 0.5 * np.asarray(u, dtype=float) ** 2,
         eta_prime=lambda u: np.asarray(u, dtype=float),
         eta_second=lambda u: np.ones_like(np.asarray(u, dtype=float)),
-        q=lambda u: np.asarray(flux.eval(u)),
+        flux=flux,
         eta_third=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
         kind="quadratic",
-        dim=flux.dim,
     )
 
 
@@ -249,6 +244,9 @@ class RunRecord:
         return ",".join(vals)
 
 
+RECORD_COLUMNS = [f.name for f in fields(RunRecord)]
+
+
 def _hash_payload(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -268,8 +266,7 @@ def ensure_reference(cfg: SweepConfig) -> Field:
         return read_snapshot_binary(path)
     grid = GridSpec(n=cfg.ref_n, length=cfg.length, dim=cfg.dim)
     u0 = cfg.initial_data().build(grid)
-    flux = flux_preset(cfg.flux, dim=cfg.dim)
-    ref = reference_solve(u0, flux, cfg.t_end)
+    ref = reference_solve(u0, flux_preset(cfg.flux), cfg.t_end)
     tmp = path.with_suffix(".tmp")
     write_snapshot_binary(ref, tmp)
     os.replace(tmp, path)
@@ -296,8 +293,8 @@ def _entry(cfg: SweepConfig, idx: int) -> tuple:
     """Grid and solver parameters of one ladder entry."""
     grid = GridSpec(n=cfg.grid_ns[idx], length=cfg.length, dim=cfg.dim)
     params = SolveParams(
-        flux=flux_preset(cfg.flux, dim=cfg.dim),
-        diffusion=diffusion_preset(cfg.diffusion, dim=cfg.dim),
+        flux=flux_preset(cfg.flux),
+        diffusion=diffusion_preset(cfg.diffusion),
         epsilon=cfg.epsilons[idx], delta=_delta_at(cfg, idx),
         t_end=cfg.t_end, cfl_safety=cfg.cfl_safety,
         sample_count=cfg.sample_count,
@@ -351,35 +348,15 @@ def _delta_at(cfg: SweepConfig, idx: int) -> float:
 
 
 def _record_path(cfg: SweepConfig, idx: int) -> Path:
-    payload = dict(cfg.problem_key())
-    payload.update({
-        # the record holds distances to the reference, so both schemes count
-        "scheme": [SOLVER_SCHEME, REFERENCE_SCHEME],
-        "epsilon": cfg.epsilons[idx],
-        "delta": _delta_at(cfg, idx),
-        "N": cfg.grid_ns[idx],
-        "gamma": cfg.gamma,
-        "coeff": cfg.coeff,
-        "delta_ladder": list(cfg.delta_ladder),
-        "cfl": cfg.cfl_safety,
-        "samples": cfg.sample_count,
-        "diagnostics": list(cfg.diagnostics),
-        "theta": [cfg.theta_center, cfg.theta_t_center,
-                  cfg.theta_radius, cfg.theta_t_radius],
-        "kruzkov_k": cfg.kruzkov_k,
-        "kru_theta": [cfg.kru_center, cfg.kru_t_center,
-                      cfg.kru_radius, cfg.kru_t_radius],
-        "window": [cfg.window_center, cfg.window_halfwidth,
-                   list(cfg.window_t)],
-    })
+    """Every config field except where the sweep runs and the other ladder
+    entries, plus this entry's values and both schemes: the record holds
+    distances to the reference."""
+    payload = asdict(cfg)
+    for name in ("out_dir", "workers", "epsilons", "grid_ns", "delta_ladder"):
+        del payload[name]
+    payload.update(epsilon=cfg.epsilons[idx], delta=_delta_at(cfg, idx),
+                   N=cfg.grid_ns[idx], scheme=[SOLVER_SCHEME, REFERENCE_SCHEME])
     return Path(cfg.out_dir) / f"run_{_hash_payload(payload)}.json"
-
-
-def _worker(args):
-    cfg_dict, idx = args
-    cfg = SweepConfig(**cfg_dict)
-    rec = execute_run(cfg, idx)
-    return idx, asdict(rec)
 
 
 def run_sweep(cfg: SweepConfig) -> list:
@@ -404,15 +381,12 @@ def run_sweep(cfg: SweepConfig) -> list:
         else:
             pending.append(idx)
 
-    workers = int(os.environ.get("DDL_WORKERS", cfg.workers))
-    if workers > 1 and len(pending) > 1:
-        cfg_dict = asdict(cfg)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, rec_dict in pool.map(_worker, [(cfg_dict, i) for i in pending]):
-                records[idx] = RunRecord(**rec_dict)
+    run = functools.partial(execute_run, cfg)
+    if cfg.workers > 1 and len(pending) > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            records.update(zip(pending, pool.map(run, pending)))
     else:
-        for idx in pending:
-            records[idx] = execute_run(cfg, idx)
+        records.update(zip(pending, map(run, pending)))
 
     for idx in pending:
         path = _record_path(cfg, idx)
@@ -443,25 +417,10 @@ def _monotone_decreasing(vals) -> bool:
     return len(vals) >= 2 and all(b < a for a, b in zip(vals, vals[1:]))
 
 
-def _fit_slope(eps, vals):
-    eps = np.asarray(eps, dtype=float)
-    vals = np.abs(np.asarray(vals, dtype=float))
-    keep = np.isfinite(vals) & (vals > 1e-14) & (eps > 0)
-    if np.sum(keep) < 2:
-        return None
-    x = np.log(eps[keep])
-    y = np.log(vals[keep])
-    coef, cov = np.polyfit(x, y, 1, cov=True) if np.sum(keep) > 2 else \
-        (np.polyfit(x, y, 1), np.full((2, 2), np.nan))
-    return {"slope": float(coef[0]),
-            "ci95": float(2.0 * np.sqrt(cov[0, 0])) if np.isfinite(cov[0, 0])
-            else None}
-
-
 def summarize(cfg: SweepConfig, records) -> dict:
     eps = [r.epsilon for r in records]
-    diffusion = diffusion_preset(cfg.diffusion, dim=cfg.dim)
-    flux = flux_preset(cfg.flux, dim=cfg.dim)
+    diffusion = diffusion_preset(cfg.diffusion)
+    flux = flux_preset(cfg.flux)
     tag = classify_regime(diffusion.r, flux.m, cfg.gamma, diffusion.claims_h3) \
         if all(e > 0 for e in eps) else "dispersive"
     summary = {
@@ -478,7 +437,7 @@ def summarize(cfg: SweepConfig, records) -> dict:
             for col in ("L1", "L2", "Linf", "kruzkov_pos", "young_var")
         },
         "slopes": {
-            col: _fit_slope(eps, [getattr(r, col) for r in records])
+            col: diag.loglog_fit(eps, [getattr(r, col) for r in records])
             for col in ("L1", "mu1", "mu3")
         },
         "blowups": sum(r.blowup for r in records),

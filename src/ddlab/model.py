@@ -1,8 +1,9 @@
 """Continuous-problem definitions: fluxes, diffusions, entropy pairs,
 and sampling-based checks of the structural hypotheses (H1)-(H3).
 
-All callables are vectorized over numpy arrays.  Flux evaluations return an
-array with a leading component axis of length d; diffusions map gradient
+All callables are vectorized over numpy arrays.  A flux is one scalar
+function f applied along every axis, so div f(u) = sum_j d_j f(u): its
+evaluations return an array of the input's shape.  Diffusions map gradient
 vectors (component axis first) to vectors of the same shape.
 """
 
@@ -38,12 +39,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FluxSpec:
-    """A flux u -> f(u) in R^d with its derivative and growth metadata.
+    """A scalar flux u -> f(u), applied along every axis, with its
+    derivative and growth metadata.
 
-    ``eval`` and ``deriv`` take a scalar array and return an array with a
-    leading axis of length ``dim``.  ``m``, ``c1``, ``c1p`` declare the
-    growth bound |f'(u)| <= c1 + c1p |u|^(m-1).  ``quadratic`` declares
-    f(u) = u^2/2 in every component, which has closed-form oracles.
+    ``eval`` and ``deriv`` map an array of states to an array of the same
+    shape.  ``m``, ``c1``, ``c1p`` declare the growth bound
+    |f'(u)| <= c1 + c1p |u|^(m-1).  ``quadratic`` declares f(u) = u^2/2,
+    which has closed-form oracles.
     """
 
     eval: Callable
@@ -51,7 +53,6 @@ class FluxSpec:
     m: float
     c1: float
     c1p: float
-    dim: int = 1
     name: str = "custom"
     quadratic: bool = False
 
@@ -94,7 +95,7 @@ class DiffusionSpec:
 
 @dataclass(frozen=True)
 class EntropyPair:
-    """Convex entropy eta with compatible flux q (q_j' = eta' f_j')."""
+    """Convex entropy eta with compatible flux q (q' = eta' f')."""
 
     eta: Callable
     eta_prime: Callable
@@ -102,7 +103,6 @@ class EntropyPair:
     q: Callable
     eta_third: Callable | None = None
     kind: str = "custom"
-    dim: int = 1
 
 
 def antiderivative(g, lo: float, hi: float, n: int):
@@ -138,7 +138,7 @@ def antiderivative(g, lo: float, hi: float, n: int):
 def make_entropy_pair(eta, eta_prime, eta_second, flux: FluxSpec,
                       u_range=(-2.0, 2.0), n_quad: int = 512,
                       eta_third=None, kind: str = "custom") -> EntropyPair:
-    """Build an entropy pair with q_j(u) = int_0^u eta'(v) f_j'(v) dv.
+    """Build an entropy pair with q(u) = int_0^u eta'(v) f'(v) dv.
 
     The flux q is anchored at q(0)=0 and computed by ``antiderivative`` with
     n_quad panels over the evaluated range.  Rejects eta that fails
@@ -156,19 +156,14 @@ def make_entropy_pair(eta, eta_prime, eta_second, flux: FluxSpec,
             f"= {curv[bad[0]]:g}"
         )
 
-    dim = flux.dim
-
     def q(u):
         u = np.asarray(u, dtype=float)
         lo, hi = float(np.min(u, initial=0.0)), float(np.max(u, initial=0.0))
-        return np.stack([
-            antiderivative(lambda v, j=j: np.asarray(eta_prime(v)) *
-                           np.asarray(flux.deriv(v))[j], lo, hi, n_quad)(u)
-            for j in range(dim)
-        ])
+        return antiderivative(lambda v: np.asarray(eta_prime(v)) *
+                              np.asarray(flux.deriv(v)), lo, hi, n_quad)(u)
 
     return EntropyPair(eta=eta, eta_prime=eta_prime, eta_second=eta_second,
-                       q=q, eta_third=eta_third, kind=kind, dim=dim)
+                       q=q, eta_third=eta_third, kind=kind)
 
 
 def kruzkov_entropy(k: float, rho: float):
@@ -207,8 +202,7 @@ def check_growth_H1(flux: FluxSpec, u_range=(-10.0, 10.0), n_samples: int = 256)
     if n_samples < 16:
         raise ValueError("need at least 16 samples")
     u = np.linspace(u_range[0], u_range[1], n_samples)
-    fp = np.asarray(flux.deriv(u))
-    mag = np.sqrt(np.sum(fp**2, axis=0))
+    mag = np.abs(np.asarray(flux.deriv(u)))
     with np.errstate(divide="ignore"):
         bound = flux.c1 + flux.c1p * np.abs(u) ** (flux.m - 1)
     ratio = np.where(np.isinf(bound), 0.0, mag / bound)
@@ -265,59 +259,52 @@ def check_H3(diff: DiffusionSpec, lambda_samples, probe_vectors) -> dict:
 # built-in libraries
 
 
-def burgers_flux(dim: int = 1) -> FluxSpec:
-    """f(u) = u^2/2 in every component; m = 2."""
+def burgers_flux() -> FluxSpec:
+    """f(u) = u^2/2; m = 2."""
     def ev(u):
-        u = np.asarray(u, dtype=float)
-        return np.stack([0.5 * u**2] * dim)
+        return 0.5 * np.asarray(u, dtype=float) ** 2
 
     def dv(u):
-        u = np.asarray(u, dtype=float)
-        return np.stack([u] * dim)
+        return np.asarray(u, dtype=float)
 
-    return FluxSpec(eval=ev, deriv=dv, m=2.0, c1=1.0, c1p=1.0, dim=dim,
+    return FluxSpec(eval=ev, deriv=dv, m=2.0, c1=1.0, c1p=1.0,
                     name="burgers", quadratic=True)
 
 
-def advection_flux(a: float = 1.0, dim: int = 1) -> FluxSpec:
+def advection_flux(a: float = 1.0) -> FluxSpec:
     """Linear advection f(u) = a u; m = 1."""
     def ev(u):
-        u = np.asarray(u, dtype=float)
-        return np.stack([a * u] * dim)
+        return a * np.asarray(u, dtype=float)
 
     def dv(u):
-        u = np.asarray(u, dtype=float)
-        return np.stack([np.full_like(u, a)] * dim)
+        return np.full_like(np.asarray(u, dtype=float), a)
 
     return FluxSpec(eval=ev, deriv=dv, m=1.0, c1=abs(a) + 1e-12, c1p=abs(a) + 1e-12,
-                    dim=dim, name="advection")
+                    name="advection")
 
 
-def bounded_flux(dim: int = 1) -> FluxSpec:
+def bounded_flux() -> FluxSpec:
     """f(u) = sqrt(1+u^2) - 1: nonlinear with |f'| <= 1, so m = 1."""
     def ev(u):
         u = np.asarray(u, dtype=float)
-        return np.stack([np.sqrt(1.0 + u**2) - 1.0] * dim)
+        return np.sqrt(1.0 + u**2) - 1.0
 
     def dv(u):
         u = np.asarray(u, dtype=float)
-        return np.stack([u / np.sqrt(1.0 + u**2)] * dim)
+        return u / np.sqrt(1.0 + u**2)
 
-    return FluxSpec(eval=ev, deriv=dv, m=1.0, c1=1.0, c1p=1.0, dim=dim,
-                    name="bounded")
+    return FluxSpec(eval=ev, deriv=dv, m=1.0, c1=1.0, c1p=1.0, name="bounded")
 
 
-def zero_flux(dim: int = 1) -> FluxSpec:
+def zero_flux() -> FluxSpec:
     """Fluxless transport, for pure diffusion / dispersion analytic runs."""
     def ev(u):
-        u = np.asarray(u, dtype=float)
-        return np.stack([np.zeros_like(u)] * dim)
+        return np.zeros_like(np.asarray(u, dtype=float))
 
-    return FluxSpec(eval=ev, deriv=ev, m=1.0, c1=1e-12, c1p=1e-12, dim=dim,
-                    name="zero")
+    return FluxSpec(eval=ev, deriv=ev, m=1.0, c1=1e-12, c1p=1e-12, name="zero")
 
 
-def linear_diffusion(dim: int = 1) -> DiffusionSpec:
+def linear_diffusion() -> DiffusionSpec:
     """b(l) = l: r = 1, exact sandwich constants 1, uniformly elliptic."""
     def ev(lam):
         return np.asarray(lam, dtype=float)
@@ -331,7 +318,7 @@ def linear_diffusion(dim: int = 1) -> DiffusionSpec:
                          spectral_bound=1.0, linear=True)
 
 
-def power_diffusion(r: float, dim: int = 1) -> DiffusionSpec:
+def power_diffusion(r: float) -> DiffusionSpec:
     """b(l) = |l|^(r-1) l: exact sandwich with c2 = c3 = 1.
 
     The Jacobian degenerates at l = 0 for r > 1, so no uniform ellipticity
@@ -341,7 +328,7 @@ def power_diffusion(r: float, dim: int = 1) -> DiffusionSpec:
         raise ValueError("power diffusion requires r >= 1")
 
     def ev(lam):
-        # axis 0 is the component axis, as everywhere else
+        # axis 0 is the gradient's component axis
         lam = np.asarray(lam, dtype=float)
         mag = np.sqrt(np.sum(lam**2, axis=0, keepdims=True))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -376,22 +363,21 @@ _FLUXES = {
 }
 
 
-def flux_preset(name: str, dim: int = 1, **kwargs) -> FluxSpec:
+def flux_preset(name: str, **kwargs) -> FluxSpec:
     if name not in _FLUXES:
         raise KeyError(f"unknown flux preset {name!r}; have {sorted(_FLUXES)}")
-    return _FLUXES[name](dim=dim, **kwargs)
+    return _FLUXES[name](**kwargs)
 
 
-def diffusion_preset(name: str, dim: int = 1) -> DiffusionSpec:
+def diffusion_preset(name: str) -> DiffusionSpec:
     if name == "linear":
-        return linear_diffusion(dim=dim)
+        return linear_diffusion()
     if name.startswith("power"):
-        return power_diffusion(float(name[5:]), dim=dim)
+        return power_diffusion(float(name[5:]))
     raise KeyError(f"unknown diffusion preset {name!r}")
 
 
-def tabulated_flux_from_csv(path, m: float, c1: float, c1p: float,
-                            dim: int = 1) -> FluxSpec:
+def tabulated_flux_from_csv(path, m: float, c1: float, c1p: float) -> FluxSpec:
     """Build a flux from a CSV of rows u, f(u), f'(u) by linear interpolation."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     u_tab, f_tab, fp_tab = data[:, 0], data[:, 1], data[:, 2]
@@ -399,12 +385,9 @@ def tabulated_flux_from_csv(path, m: float, c1: float, c1p: float,
     u_tab, f_tab, fp_tab = u_tab[order], f_tab[order], fp_tab[order]
 
     def ev(u):
-        u = np.asarray(u, dtype=float)
-        return np.stack([np.interp(u, u_tab, f_tab)] * dim)
+        return np.interp(np.asarray(u, dtype=float), u_tab, f_tab)
 
     def dv(u):
-        u = np.asarray(u, dtype=float)
-        return np.stack([np.interp(u, u_tab, fp_tab)] * dim)
+        return np.interp(np.asarray(u, dtype=float), u_tab, fp_tab)
 
-    return FluxSpec(eval=ev, deriv=dv, m=m, c1=c1, c1p=c1p, dim=dim,
-                    name="tabulated")
+    return FluxSpec(eval=ev, deriv=dv, m=m, c1=c1, c1p=c1p, name="tabulated")

@@ -36,7 +36,7 @@ class RiemannData:
         hi = max(self.u_left, self.u_right)
         if hi > lo:
             u = np.linspace(lo, hi, 65)
-            fp = np.asarray(self.flux.deriv(u))[0]
+            fp = np.asarray(self.flux.deriv(u))
             # sampled convexity: f' nondecreasing between the two states
             if np.any(np.diff(fp) < -1e-10):
                 raise ValueError("flux is not convex between the Riemann states")
@@ -47,11 +47,9 @@ def _eo_flux(flux: FluxSpec, lo: float, hi: float, n: int = _EO_PANELS):
     tabulated once by ``antiderivative``."""
     if flux.quadratic:
         return lambda a, b: 0.5 * np.maximum(a, 0.0) ** 2 + 0.5 * np.minimum(b, 0.0) ** 2
-    f0 = float(np.asarray(flux.eval(0.0))[0])
-    plus = antiderivative(lambda v: np.maximum(np.asarray(flux.deriv(v))[0], 0.0),
-                          lo, hi, n)
-    minus = antiderivative(lambda v: np.minimum(np.asarray(flux.deriv(v))[0], 0.0),
-                           lo, hi, n)
+    f0 = float(flux.eval(0.0))
+    plus = antiderivative(lambda v: np.maximum(flux.deriv(v), 0.0), lo, hi, n)
+    minus = antiderivative(lambda v: np.minimum(flux.deriv(v), 0.0), lo, hi, n)
     return lambda a, b: f0 + plus(a) + minus(b)
 
 
@@ -71,8 +69,8 @@ def reference_solve(u0: Field, flux: FluxSpec, t_end: float,
 
     Satisfies the discrete maximum principle exactly, so the output obeys
     min u0 <= u <= max u0 and contracts every L^p norm; one EO table over
-    that range serves every step.  In 2-d the flux differences are applied
-    dimension by dimension within one step.
+    that range serves every step.  In 2-d the scalar flux is differenced
+    along each axis within one step.
     """
     u = u0.values.copy()
     eo_flux = _eo_flux(flux, u.min(), u.max())

@@ -116,19 +116,20 @@ def _values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _symbols(grid: GridSpec, p: SolveParams) -> tuple:
-    """D1 per axis, and L = delta sum_j D3_j plus eps times the wide
-    Laplacian when the diffusion is declared linear."""
+    """D1 per axis, their sum (the divergence of a flux applied along every
+    axis), and L = delta sum_j D3_j plus eps times the wide Laplacian when
+    the diffusion is declared linear."""
     d1, lap, d3 = stencil_symbols(grid)
     L = p.delta * np.sum(d3, axis=0)
-    return d1, L + p.epsilon * lap if p.diffusion.linear else L
+    return d1, np.sum(d1, axis=0), L + p.epsilon * lap if p.diffusion.linear else L
 
 
 def _nonlinear(v: np.ndarray, u: np.ndarray, grid: GridSpec,
                p: SolveParams) -> np.ndarray:
     """Spectrum of the explicit terms at u = irfftn(v): -div f(u), plus
     eps div b(grad u) when the diffusion is not declared linear."""
-    d1 = _symbols(grid, p)[0]
-    out = -np.sum(d1 * _spectrum(np.asarray(p.flux.eval(u)), grid), axis=0)
+    d1, div, _ = _symbols(grid, p)
+    out = -div * _spectrum(np.asarray(p.flux.eval(u)), grid)
     if p.epsilon != 0.0 and not p.diffusion.linear:
         b = np.asarray(p.diffusion.eval(_values(d1 * v, grid)))
         out += p.epsilon * np.sum(d1 * _spectrum(b, grid), axis=0)
@@ -139,7 +140,7 @@ def rhs(u: Field, p: SolveParams) -> Field:
     """Semi-discrete right-hand side: -div f(u) + eps div b(grad u)
     + delta sum_j third-derivative along axis j."""
     v = _spectrum(u.values, u.grid)
-    out = _symbols(u.grid, p)[1] * v + _nonlinear(v, u.values, u.grid, p)
+    out = _symbols(u.grid, p)[2] * v + _nonlinear(v, u.values, u.grid, p)
     return Field(u.grid, _values(out, u.grid))
 
 
@@ -147,7 +148,7 @@ def rhs(u: Field, p: SolveParams) -> Field:
 def _etd_coefficients(grid: GridSpec, p: SolveParams, h: float) -> tuple:
     """exp(hL), exp(hL/2) and the ETDRK4 weights Q, f1, f2, f3, each a
     contour mean of its phi-function combination around h*L(k)."""
-    hL = h * _symbols(grid, p)[1]
+    hL = h * _symbols(grid, p)[2]
     acc = np.zeros((4,) + hL.shape, dtype=complex)
     m = 32   # points on the full unit circle: L is complex, so no half circle
     for r in np.exp(2j * np.pi * (np.arange(m) + 0.5) / m):

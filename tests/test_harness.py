@@ -2,6 +2,7 @@
 persistence, and summaries."""
 
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def test_scaling_law():
 
 def test_zero_flux_is_zero():
     u = np.linspace(-2, 2, 7)
-    for f in (zero_flux(), flux_preset("zero", dim=2)):
+    for f in (zero_flux(), flux_preset("zero")):
         assert np.all(f.eval(u) == 0.0)
         assert np.all(f.deriv(u) == 0.0)
 
@@ -79,6 +80,8 @@ def test_quadratic_entropy_pair():
     assert np.allclose(pair.eta_prime(u), u)
     assert np.allclose(pair.eta_second(u), 1.0)
     assert np.allclose(pair.eta_third(u), 0.0)
+    # q' = eta' f' = u^2 for Burgers
+    assert np.allclose(pair.q(u), u**3 / 3.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +232,38 @@ def test_cache_paths_follow_the_scheme_tags(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "SOLVER_SCHEME", "other-solver")
     assert harness._record_path(cfg, 0) != record
     assert harness._reference_path(cfg) == reference
+
+
+def _moved(value):
+    if isinstance(value, str):
+        return value + "_"
+    if isinstance(value, tuple):
+        return value + (value[0] if value else ("w", 0.1),)
+    return value + 1
+
+
+def test_every_config_field_moves_the_record_path(tmp_path):
+    # a field that can change a record must change its cache path; where
+    # the sweep runs and the other ladder entries must not
+    cfg = _tiny_config(tmp_path / "sweep")
+    record = harness._record_path(cfg, 0)
+    elsewhere = ("out_dir", "workers", "epsilons", "grid_ns", "delta_ladder")
+    for f in fields(SweepConfig):
+        moved = replace(cfg, **{f.name: _moved(getattr(cfg, f.name))})
+        same = harness._record_path(moved, 0).name == record.name
+        assert same == (f.name in elsewhere), f.name
+
+
+def test_record_path_ignores_other_ladder_entries(tmp_path):
+    cfg = SweepConfig(epsilons=(0.0, 0.0), grid_ns=(64, 64),
+                      delta_ladder=(1e-3, 5e-4), out_dir=str(tmp_path))
+    paths = [harness._record_path(cfg, i) for i in (0, 1)]
+    other = replace(cfg, delta_ladder=(1e-3, 2.5e-4), grid_ns=(64, 128))
+    assert harness._record_path(other, 0) == paths[0]
+    assert harness._record_path(other, 1) != paths[1]
+    # this entry's own values do count
+    assert harness._record_path(replace(cfg, delta_ladder=(2e-3, 5e-4)), 0) \
+        != paths[0]
 
 
 def test_reference_is_written_atomically(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddlab import model
 from ddlab.model import (
     advection_flux,
     antiderivative,
@@ -27,8 +28,8 @@ from ddlab.model import (
 def test_burgers_flux_values():
     f = burgers_flux()
     u = np.array([-2.0, 0.0, 3.0])
-    assert np.allclose(f.eval(u)[0], 0.5 * u**2)
-    assert np.allclose(f.deriv(u)[0], u)
+    assert np.allclose(f.eval(u), 0.5 * u**2)
+    assert np.allclose(f.deriv(u), u)
     assert f.m == 2.0
 
 
@@ -38,11 +39,21 @@ def test_growth_check_passes_presets():
         assert rep["holds"], flux.name
 
 
+@pytest.mark.parametrize("name", sorted(model._FLUXES))
+def test_flux_preset_is_one_scalar_function(name):
+    # f applies along every axis, so eval and deriv keep the input's shape
+    flux = flux_preset(name)
+    for u in (np.float64(0.3), np.linspace(-2, 2, 5),
+              np.linspace(-2, 2, 12).reshape(3, 4)):
+        assert np.shape(flux.eval(u)) == np.shape(u)
+        assert np.shape(flux.deriv(u)) == np.shape(u)
+
+
 def test_growth_check_catches_violation():
     # cubic flux declared with linear growth metadata
     f = burgers_flux()
-    bad = type(f)(eval=lambda u: np.stack([np.asarray(u) ** 3]),
-                  deriv=lambda u: np.stack([3.0 * np.asarray(u) ** 2]),
+    bad = type(f)(eval=lambda u: np.asarray(u) ** 3,
+                  deriv=lambda u: 3.0 * np.asarray(u) ** 2,
                   m=2.0, c1=1.0, c1p=1.0, name="cubic")
     rep = check_growth_H1(bad)
     assert not rep["holds"]
@@ -59,7 +70,7 @@ def test_coercivity_linear_diffusion():
 
 
 def test_coercivity_power_diffusion_2d():
-    diff = power_diffusion(2.0, dim=2)
+    diff = power_diffusion(2.0)
     rng = np.random.default_rng(3)
     samples = rng.standard_normal((40, 2))
     rep = check_coercivity_H2(diff, samples)
@@ -100,7 +111,7 @@ def test_entropy_pair_quadrature_matches_closed_form():
         flux=burgers_flux(),
     )
     u = np.array([-1.5, -0.3, 0.0, 0.7, 2.0])
-    assert np.allclose(pair.q(u)[0], 2.0 * u**3 / 3.0, atol=1e-10)
+    assert np.allclose(pair.q(u), 2.0 * u**3 / 3.0, atol=1e-10)
 
 
 def test_entropy_pair_rejects_nonconvex():
@@ -151,7 +162,7 @@ def test_power_diffusion_requires_r_ge_1():
 
 
 def test_power_diffusion_vectorized_matches_pointwise():
-    diff = power_diffusion(3.0, dim=2)
+    diff = power_diffusion(3.0)
     rng = np.random.default_rng(11)
     lam = rng.standard_normal((2, 5, 5))
     out = diff.eval(lam)
@@ -169,8 +180,8 @@ def test_tabulated_flux(tmp_path):
     np.savetxt(path, rows, delimiter=",", header="u,f,fp", comments="")
     flux = tabulated_flux_from_csv(path, m=2.0, c1=1.0, c1p=1.0)
     probe = np.array([-1.0, 0.25, 1.5])
-    assert np.allclose(flux.eval(probe)[0], 0.5 * probe**2, atol=1e-4)
-    assert np.allclose(flux.deriv(probe)[0], probe, atol=1e-12)
+    assert np.allclose(flux.eval(probe), 0.5 * probe**2, atol=1e-4)
+    assert np.allclose(flux.deriv(probe), probe, atol=1e-12)
 
 
 _finite = st.floats(-3.0, 3.0, allow_subnormal=False)
@@ -210,7 +221,7 @@ def test_kruzkov_entropy_flux_matches_closed_form(k, steps, probes):
         r = np.sqrt(w * w + rho * rho)
         return 0.5 * w * r - 0.5 * rho**2 * np.log(w + r) + k * r
 
-    assert np.allclose(pair.q(u)[0], F(u) - F(0.0), rtol=0.0, atol=1e-6)
+    assert np.allclose(pair.q(u), F(u) - F(0.0), rtol=0.0, atol=1e-6)
 
 
 def test_declared_structure_of_presets():

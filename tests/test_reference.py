@@ -60,7 +60,7 @@ def test_eo_flux_consistency_bounded(a):
     # F(a, a) = f(0) + int_0^a f' = f(a) on the tabulated path
     flux = bounded_flux()
     assert engquist_osher_flux(a, a, flux) == \
-        pytest.approx(float(flux.eval(a)[0]), abs=1e-8)
+        pytest.approx(float(flux.eval(a)), abs=1e-8)
 
 
 def test_reference_advection_is_explicit_upwind():
@@ -105,11 +105,27 @@ def test_reference_conserves_mass():
     assert np.sum(out.values) == pytest.approx(np.sum(u0.values), abs=1e-10)
 
 
+@pytest.mark.parametrize("flux", [burgers_flux(), bounded_flux()],
+                         ids=lambda f: f.name)
+def test_2d_reference_of_y_constant_data_matches_1d(flux):
+    # y-constant data has zero flux differences along y, and the 2-d step
+    # cfl dx / (2 max|f'|) equals the 1-d step at half the cfl
+    n = 64
+    x = GridSpec(n=n, length=2.0).axes()[0]
+    u = 1.2 * np.exp(-((x - 0.8) / 0.2) ** 2) - 0.6 * np.exp(-((x - 1.4) / 0.15) ** 2)
+    one = reference_solve(Field(GridSpec(n=n, length=2.0), u), flux, 0.3, cfl=0.2)
+    grid = GridSpec(n=n, length=2.0, dim=2)
+    rows = reference_solve(Field(grid, np.repeat(u[:, None], n, axis=1)), flux, 0.3)
+    cols = reference_solve(Field(grid, np.repeat(u[None, :], n, axis=0)), flux, 0.3)
+    assert np.max(np.abs(rows.values - one.values[:, None])) == 0.0
+    assert np.array_equal(cols.values, rows.values.T)
+
+
 def test_riemann_data_rejects_nonconvex_flux():
     base = burgers_flux()
     cubic = type(base)(
-        eval=lambda u: np.stack([np.asarray(u, dtype=float) ** 3]),
-        deriv=lambda u: np.stack([3.0 * np.asarray(u, dtype=float) ** 2]),
+        eval=lambda u: np.asarray(u, dtype=float) ** 3,
+        deriv=lambda u: 3.0 * np.asarray(u, dtype=float) ** 2,
         m=3.0, c1=1.0, c1p=3.0, name="cubic")
     # f' = 3u^2 decreases on the negative side
     with pytest.raises(ValueError, match="convex"):

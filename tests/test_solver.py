@@ -58,7 +58,7 @@ def test_rhs_1d_fast_path_matches_generic_operators():
     diff = linear_diffusion()
     eps, delta = 0.03, 2e-4
     p = _params(flux, diff, eps, delta)
-    fu = Field(g, flux.eval(u.values)[0])
+    fu = Field(g, flux.eval(u.values))
     grads = gradient(u)
     b = Field(g, diff.eval(np.stack([grads[0].values]))[0])
     expected = (-divergence([fu]).values
@@ -81,9 +81,7 @@ def _periodic_fields(draw):
        diff=st.sampled_from(("linear", "power2")),
        eps=st.floats(0.0, 0.5), delta=st.floats(-1e-2, 1e-2))
 def test_rhs_conserves_mass(u, flux, diff, eps, delta):
-    dim = u.grid.dim
-    p = _params(flux_preset(flux, dim=dim), diffusion_preset(diff, dim=dim),
-                eps, delta)
+    p = _params(flux_preset(flux), diffusion_preset(diff), eps, delta)
     r = rhs(u, p).values
     assert abs(np.sum(r)) <= 1e-12 * max(np.sum(np.abs(r)), 1e-300)
 
@@ -113,8 +111,7 @@ def test_stable_dt_min_of_explicit_terms():
     for dim in (1, 2):
         g = GridSpec(n=128, length=2.0, dim=dim)
         dx = g.dx
-        p = _params(burgers_flux(dim=dim), power_diffusion(2.0, dim=dim),
-                    eps, 1e-4)
+        p = _params(burgers_flux(), power_diffusion(2.0), eps, 1e-4)
         for grad_max in (0.01, 2.0, 30.0):
             diff_bound = dx**2 / (2 * dim * eps * 2.0 * grad_max)
             assert stable_dt(p, g, 1.0, grad_max) == \
@@ -282,7 +279,7 @@ def test_2d_solve_of_y_constant_data_matches_1d(eps):
     # y-constant data stays y-constant; the 2-d solve must repeat the 1-d
     # one step for step
     u0 = initial_preset("smoothed_riemann", uL=1.0, uR=0.0, w=0.05)
-    trajs = [solve(u0, _params(burgers_flux(dim=d), linear_diffusion(dim=d),
+    trajs = [solve(u0, _params(burgers_flux(), linear_diffusion(),
                                eps, 1e-4, t_end=0.1, sample_count=3),
                    GridSpec(n=64, length=2.0, dim=d)) for d in (1, 2)]
     assert trajs[0].params["steps"] == trajs[1].params["steps"] > 0
@@ -297,7 +294,7 @@ def test_2d_power2_step_of_y_constant_data_matches_1d():
     outs = []
     for d in (1, 2):
         g = GridSpec(n=64, length=2.0, dim=d)
-        p = _params(burgers_flux(dim=d), power_diffusion(2.0, dim=d), 0.02, 1e-4)
+        p = _params(burgers_flux(), power_diffusion(2.0), 0.02, 1e-4)
         outs.append(step_rk4(u0.build(g), 2e-4, p).values)
     assert np.max(np.abs(outs[1] - outs[0][:, None])) <= 1e-13
 
