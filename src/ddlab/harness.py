@@ -9,7 +9,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,6 @@ from . import diagnostics as diag
 from .grids import (
     Field,
     GridSpec,
-    Trajectory,
     lp_norm,
     read_snapshot_binary,
     write_snapshot_binary,
@@ -114,10 +113,9 @@ def _restrict_to(values: np.ndarray, n_coarse: int, dim: int) -> np.ndarray:
     return values.reshape(n_coarse, k, n_coarse, k).mean(axis=(1, 3))
 
 
-def compare_to_reference(run, ref: Field, p_list=(1, 2, np.inf)) -> dict:
-    """L^p distances at final time, after cell-averaging the finer field
-    down to the coarser grid."""
-    f = run.final() if isinstance(run, Trajectory) else run
+def compare_to_reference(f: Field, ref: Field, p_list=(1, 2, np.inf)) -> dict:
+    """L^p distances between two fields, after cell-averaging the finer
+    one down to the coarser grid."""
     if abs(f.grid.length - ref.grid.length) > 1e-12 * ref.grid.length or \
             f.grid.dim != ref.grid.dim:
         raise ValueError("domains do not match")
@@ -267,7 +265,8 @@ def ensure_reference(cfg: SweepConfig) -> Field:
     grid = GridSpec(n=cfg.ref_n, length=cfg.length, dim=cfg.dim)
     u0 = cfg.initial_data().build(grid)
     ref = reference_solve(u0, flux_preset(cfg.flux), cfg.t_end)
-    tmp = path.with_suffix(".tmp")
+    # per-process name: sweeps sharing an out_dir never share a tmp file
+    tmp = path.with_suffix(f".{os.getpid()}.tmp")
     write_snapshot_binary(ref, tmp)
     os.replace(tmp, path)
     return ref
@@ -302,22 +301,20 @@ def _entry(cfg: SweepConfig, idx: int) -> tuple:
     return grid, params
 
 
-def execute_run(cfg: SweepConfig, idx: int) -> RunRecord:
-    """Solve one ladder entry and evaluate its per-run diagnostics."""
+def execute_run(cfg: SweepConfig, idx: int) -> tuple:
+    """Solve one ladder entry and evaluate its per-run diagnostics.
+
+    Returns (record, final): the record's L1, L2 and Linf are NaN, for
+    ``run_sweep`` to fill in against the reference; final is the field at
+    t_end, or None after a blow-up.
+    """
     grid, params = _entry(cfg, idx)
     eps, delta = params.epsilon, params.delta
     flux, diffusion = params.flux, params.diffusion
     traj = solve(cfg.initial_data(), params, grid)
 
-    ref = ensure_reference(cfg)
-    if traj.blowup:
-        dists = {"L1": float("nan"), "L2": float("nan"), "Linf": float("nan")}
-    else:
-        dists = compare_to_reference(traj, ref)
-
-    mu1 = mu2 = mu3 = float("nan")
-    kru = float("nan")
-    young = float("nan")
+    nan = float("nan")
+    mu1 = mu2 = mu3 = kru = young = nan
     if not traj.blowup:
         theta = _run_theta(cfg)
         if "production" in cfg.diagnostics:
@@ -330,16 +327,16 @@ def execute_run(cfg: SweepConfig, idx: int) -> RunRecord:
             kru = max(0.0, val)
         if "young" in cfg.diagnostics:
             vals = diag.window_samples(traj, _run_window(cfg))
-            young = float(np.var(vals)) if vals.size else float("nan")
+            young = float(np.var(vals)) if vals.size else nan
 
-    return RunRecord(
+    record = RunRecord(
         epsilon=eps, delta=delta, gamma=cfg.gamma, N=grid.n, dx=grid.dx,
         dt_min=traj.params.get("dt_min", 0.0),
         steps=traj.params.get("steps", 0),
-        blowup=traj.blowup, taint=traj.taint,
-        L1=dists["L1"], L2=dists["L2"], Linf=dists["Linf"],
+        blowup=traj.blowup, taint=traj.taint, L1=nan, L2=nan, Linf=nan,
         mu1=mu1, mu2=mu2, mu3=mu3, kruzkov_pos=kru, young_var=young,
     )
+    return record, None if traj.blowup else traj.final()
 
 
 def _delta_at(cfg: SweepConfig, idx: int) -> float:
@@ -362,14 +359,17 @@ def _record_path(cfg: SweepConfig, idx: int) -> Path:
 def run_sweep(cfg: SweepConfig) -> list:
     """Run every ladder entry, persist records, and write the summary.
 
-    Already-completed records (matching manifest hash on disk) are reused.
-    Individual blow-ups are recorded and the sweep continues; if every run
-    fails, raises RuntimeError.
+    Already-completed records (matching manifest hash on disk) are reused,
+    and the reference is needed only when some entry is pending.  Pending
+    entries run finest grid (longest solve) first; a pool gets the
+    reference as its first task, so the sweep lasts about as long as its
+    longest task.  The distances to the reference are computed here from
+    each entry's final field.  Individual blow-ups are recorded and the
+    sweep continues; if every run fails, raises RuntimeError.
     """
     cfg.validate()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ensure_reference(cfg)
 
     pending = []
     records: dict = {}
@@ -381,18 +381,25 @@ def run_sweep(cfg: SweepConfig) -> list:
         else:
             pending.append(idx)
 
+    order = sorted(pending, key=lambda idx: -cfg.grid_ns[idx])
     run = functools.partial(execute_run, cfg)
-    if cfg.workers > 1 and len(pending) > 1:
+    if cfg.workers > 1 and len(order) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records.update(zip(pending, pool.map(run, pending)))
+            reference = pool.submit(ensure_reference, cfg)
+            results = list(pool.map(run, order))
+            ref = reference.result()
     else:
-        records.update(zip(pending, map(run, pending)))
+        ref = ensure_reference(cfg) if order else None
+        results = list(map(run, order))
 
-    for idx in pending:
+    for idx, (rec, final) in zip(order, results):
+        if final is not None:
+            rec = replace(rec, **compare_to_reference(final, ref))
+        records[idx] = rec
         path = _record_path(cfg, idx)
-        tmp = path.with_suffix(".tmp")
+        tmp = path.with_suffix(f".{os.getpid()}.tmp")
         with open(tmp, "w") as fh:
-            json.dump(asdict(records[idx]), fh, sort_keys=True, indent=2)
+            json.dump(asdict(rec), fh, sort_keys=True, indent=2)
         os.replace(tmp, path)
 
     ordered = [records[i] for i in range(len(cfg.epsilons))]

@@ -144,7 +144,8 @@ def rhs(u: Field, p: SolveParams) -> Field:
     return Field(u.grid, _values(out, u.grid))
 
 
-@functools.lru_cache(maxsize=1)
+# the nominal h plus the latest re-planned h: a re-plan keeps the nominal one
+@functools.lru_cache(maxsize=2)
 def _etd_coefficients(grid: GridSpec, p: SolveParams, h: float) -> tuple:
     """exp(hL), exp(hL/2) and the ETDRK4 weights Q, f1, f2, f3, each a
     contour mean of its phi-function combination around h*L(k)."""

@@ -1,7 +1,9 @@
 """Sweep harness: regime classification, reference comparison, record
 persistence, and summaries."""
 
+import functools
 import json
+from concurrent.futures import Future
 from dataclasses import fields, replace
 
 import numpy as np
@@ -272,3 +274,96 @@ def test_reference_is_written_atomically(tmp_path):
     assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == \
         [harness._reference_path(cfg).name]
     assert np.array_equal(harness.ensure_reference(cfg).values, ref.values)
+    # a pooled sweep builds the reference and the records in workers and
+    # leaves no temporary file behind
+    pooled = replace(cfg, workers=2, out_dir=str(tmp_path / "pooled"))
+    run_sweep(pooled)
+    assert harness._reference_path(pooled).exists()
+    assert not list((tmp_path / "pooled").glob("*.tmp"))
+
+
+def test_fully_cached_sweep_never_touches_the_reference(tmp_path):
+    cfg = _tiny_config(tmp_path / "sweep")
+    first = run_sweep(cfg)
+    harness._reference_path(cfg).unlink()
+    assert run_sweep(cfg) == first
+    assert not harness._reference_path(cfg).exists()
+
+
+@pytest.mark.parametrize("ladder", [
+    {},
+    {"epsilons": (0.0, 0.0), "grid_ns": (64, 128), "delta_ladder": (1e-3, 5e-4)},
+], ids=["tiny", "dispersive"])
+def test_pooled_sweep_matches_serial_byte_for_byte(tmp_path, ladder):
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        run_sweep(replace(_tiny_config(out), workers=workers, **ladder))
+        outputs.append([(out / name).read_bytes()
+                        for name in ("records.csv", "summary.json")])
+    assert outputs[0] == outputs[1]
+
+
+class _SyncPool:
+    """Runs ProcessPoolExecutor tasks in order, in this process, and logs
+    each submit or map as (function, arguments)."""
+
+    def __init__(self, log, max_workers):
+        self.log = log
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.log.append((fn, args))
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def map(self, fn, items):
+        items = list(items)
+        self.log.append((fn, items))
+        return map(fn, items)
+
+
+def test_pool_starts_the_reference_then_the_finest_entries(tmp_path,
+                                                           monkeypatch):
+    log, built = [], []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                        functools.partial(_SyncPool, log))
+    reference_solve = harness.reference_solve
+    monkeypatch.setattr(harness, "reference_solve",
+                        lambda *args: built.append(args) or reference_solve(*args))
+    cfg = replace(_tiny_config(tmp_path / "sweep"), workers=2,
+                  epsilons=(0.08, 0.04, 0.02), grid_ns=(64, 128, 64))
+    records = run_sweep(cfg)
+    (first, first_args), (run, order) = log
+    assert first is harness.ensure_reference and first_args == (cfg,)
+    assert run.func is harness.execute_run
+    # descending N; equal N keep their ladder order
+    assert order == [1, 0, 2]
+    assert len(built) == 1
+    assert all(np.isfinite(r.L1) for r in records)
+
+
+_execute_run = harness.execute_run
+
+
+def _coarsest_blows_up(cfg, idx):
+    """execute_run, with the coarsest entry reported as a blow-up."""
+    record, final = _execute_run(cfg, idx)
+    if cfg.grid_ns[idx] == min(cfg.grid_ns):
+        return replace(record, blowup=True), None
+    return record, final
+
+
+def test_pooled_blowup_keeps_nan_distances(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "execute_run", _coarsest_blows_up)
+    cfg = replace(_tiny_config(tmp_path / "sweep"), workers=2)
+    blown, kept = run_sweep(cfg)
+    assert blown.blowup and not kept.blowup
+    assert all(np.isnan(getattr(blown, col)) for col in ("L1", "L2", "Linf"))
+    assert all(np.isfinite(getattr(kept, col)) for col in ("L1", "L2", "Linf"))

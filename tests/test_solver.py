@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ddlab import solver
 from ddlab.grids import Field, GridSpec, laplacian, lp_norm
 from ddlab.model import DiffusionSpec, advection_flux, burgers_flux, \
     diffusion_preset, flux_preset, linear_diffusion, power_diffusion, zero_flux
@@ -254,6 +255,20 @@ def test_solve_blowup_flag_on_backward_diffusion():
     assert len(traj.fields) < 3   # partial trajectory
     # the time of the failing step is kept, after the last stored sample
     assert traj.times[-1] < traj.params["t_blowup"] <= 0.5
+
+
+def test_etd_coefficients_survive_a_replan():
+    # on the delta = 1e-3 dispersive ladder entry the oscillating max|u|
+    # re-splits sample intervals; a one-entry cache let each re-plan evict
+    # the nominal h, so the next interval rebuilt it (35 builds per solve)
+    g = GridSpec(n=512, length=2.0)
+    p = _params(burgers_flux(), linear_diffusion(), 0.0, 1e-3, t_end=0.5,
+                sample_count=65)
+    solver._etd_coefficients.cache_clear()
+    traj = solve(initial_preset("smoothed_riemann"), p, g)
+    info = solver._etd_coefficients.cache_info()
+    assert info.hits + info.misses == traj.params["steps"]
+    assert info.misses == 24
 
 
 def test_etd_step_local_error_is_fifth_order():
