@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: solve, sweep, diagnose, compare, classify.  Exit codes:
-0 success, 2 configuration or argument error, 3 numerical failure.  Any
+0 success, 2 configuration or argument error (a missing or unreadable
+config file or stored run included), 3 numerical failure.  Any
 other error, such as a ValueError raised inside a solve or a diagnostic,
 propagates as a bug.
 """
@@ -47,12 +48,12 @@ class ConfigError(Exception):
 
 @contextlib.contextmanager
 def _config_errors():
-    """Report a ValueError or LookupError raised while reading the
-    configuration or the arguments as a ConfigError; errors inside a run
-    propagate."""
+    """Report a ValueError, LookupError or OSError raised while reading the
+    configuration, the arguments or the input files as a ConfigError;
+    errors inside a run propagate."""
     try:
         yield
-    except (ValueError, LookupError) as exc:
+    except (ValueError, LookupError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -233,7 +234,8 @@ def _cmd_diagnose(args) -> int:
         traj = _load_trajectory(args.run)
         eps = float(traj.params.get("epsilon", 0.0))
         diffusion = diffusion_preset(traj.params.get("diffusion", "linear"))
-    t = args.t if args.t is not None else traj.t_final
+        t = traj.times[diag.sample_index(
+            traj, traj.t_final if args.t is None else args.t)]
     residual = diag.energy_balance_residual(traj, diffusion, eps, t)
     u0_l2 = lp_norm(traj.fields[0], 2)
     budget = diag.gradient_budget(traj, diffusion, eps, u0_l2)
@@ -285,9 +287,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    sections = parse_config(args.config) if args.config else {}
-    cfg = sweep_config_from_sections(sections, out_override=args.out)
     with _config_errors():
+        sections = parse_config(args.config) if args.config else {}
+        cfg = sweep_config_from_sections(sections, out_override=args.out)
         cfg.validate()
     records = run_sweep(cfg)
     out = Path(cfg.out_dir)

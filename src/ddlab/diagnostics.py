@@ -4,7 +4,12 @@ a-priori norm bounds, entropy-production decomposition, and oscillation
 
 All distributional pairings move derivatives onto an analytic test function;
 the only discrete derivative entering a pairing is grad u itself where it
-appears explicitly in the production terms.
+appears explicitly in the production terms.  A test function is a product
+X(x) T(t) of per-axis bumps, so every pairing is separable: the space
+factors are evaluated once on the grid's axes, T and its derivative become
+weights of the one time quadrature (``grids.spacetime_integral``), and each
+sample is read once, its gradient taken once and contracted with the space
+factors.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grids import Field, Trajectory, gradient, lp_norm, spacetime_integral
+from .grids import Field, Trajectory, _diff_centered, lp_norm, \
+    spacetime_integral
 from .model import DiffusionSpec, EntropyPair, FluxSpec, antiderivative, \
     kruzkov_entropy
 
@@ -36,6 +42,7 @@ __all__ = [
     "production_scaling_fit",
     "kruzkov_residual",
     "window_samples",
+    "sample_index",
     "young_histogram",
     "initial_trace_check",
     "bootstrap_bound",
@@ -61,45 +68,28 @@ def _bump(s, order: int = 0):
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Smooth compactly supported space-time bump, a product of
-    (1 - s^2)^4 factors in each scaled coordinate."""
+    """Smooth compactly supported space-time bump X(x) T(t): a product of
+    (1 - s^2)^4 factors in each scaled coordinate.  Pairings evaluate it
+    through its factors, ``space`` and ``time``."""
 
     center: tuple        # spatial center, one entry per axis
     t_center: float
     radius: tuple        # spatial radii, one entry per axis
     t_radius: float
-    nonneg: bool = True
 
-    def _space_factors(self, coords, order_axis: Optional[int] = None,
-                       order: int = 0):
-        prod = 1.0
-        for ax, x in enumerate(coords):
-            s = (x - self.center[ax]) / self.radius[ax]
-            m = order if ax == order_axis else 0
-            prod = prod * _bump(s, m) / self.radius[ax] ** m
-        return prod
+    def space(self, grid, axis: Optional[int] = None, order: int = 0) -> list:
+        """The per-axis factors of X on ``grid.axes()``, one 1-D array per
+        axis; the factor on ``axis`` is differentiated ``order`` times."""
+        factors = []
+        for ax, (x, c, r) in enumerate(zip(grid.axes(), self.center, self.radius)):
+            m = order if ax == axis else 0
+            factors.append(_bump((x - c) / r, m) / r**m)
+        return factors
 
-    def value(self, coords, t):
-        return self._space_factors(coords) * _bump((t - self.t_center) / self.t_radius)
-
-    def dt(self, coords, t):
-        st = (t - self.t_center) / self.t_radius
-        return self._space_factors(coords) * _bump(st, 1) / self.t_radius
-
-    def dx(self, coords, t, axis: int):
-        st = (t - self.t_center) / self.t_radius
-        return self._space_factors(coords, axis, 1) * _bump(st)
-
-    def dxx(self, coords, t, axis: int):
-        st = (t - self.t_center) / self.t_radius
-        return self._space_factors(coords, axis, 2) * _bump(st)
-
-    def dxxx_sum(self, coords, t):
-        st = (t - self.t_center) / self.t_radius
-        out = 0.0
-        for ax in range(len(self.center)):
-            out = out + self._space_factors(coords, ax, 3)
-        return out * _bump(st)
+    def time(self, times, order: int = 0) -> np.ndarray:
+        """T or its order-th derivative at each of ``times``."""
+        s = (np.asarray(times, dtype=float) - self.t_center) / self.t_radius
+        return _bump(s, order) / self.t_radius**order
 
     def supported_inside(self, grid, t_end: float) -> bool:
         for ax in range(len(self.center)):
@@ -126,40 +116,37 @@ def bump_over(center, t_center, radius, t_radius, dim: int = 1) -> TestFunction:
 # helpers
 
 
-def _restrict(traj: Trajectory, t: float) -> Trajectory:
-    """Sub-trajectory of samples with time <= t (t must be near a sample)."""
+def sample_index(traj: Trajectory, t: float) -> int:
+    """Index of the stored sample at time t, which must leave at least two
+    samples from t = 0 on."""
     times = np.asarray(traj.times)
     idx = np.where(times <= t + 1e-12 * max(t, 1.0))[0]
     if len(idx) < 2:
         raise ValueError(f"t={t} leaves fewer than two samples")
     if abs(times[idx[-1]] - t) > 1e-9 * max(t, 1.0):
         raise ValueError(f"t={t} is not a stored sample time")
-    sub = Trajectory(grid=traj.grid, params=traj.params,
-                     blowup=traj.blowup, taint=traj.taint)
-    for i in idx:
-        sub.append(traj.times[i], traj.fields[i])
-    return sub
+    return int(idx[-1])
 
 
-def _dissipation_density(f: Field, diff: DiffusionSpec) -> np.ndarray:
+def _grad(u: np.ndarray, dx: float) -> np.ndarray:
+    """Centered gradient of gridded values, one row per axis."""
+    return np.stack([_diff_centered(u, ax, dx) for ax in range(u.ndim)])
+
+
+def _pair(values: np.ndarray, factors: list):
+    """Cell sum of values times the product of per-axis factors."""
+    for x in reversed(factors):
+        values = values @ x
+    return values
+
+
+def _dissipation_density(grad: np.ndarray, diff: DiffusionSpec) -> np.ndarray:
     """Pointwise grad u . b(grad u)."""
-    lam = np.stack([g.values for g in gradient(f)])
-    b = np.asarray(diff.eval(lam))
-    return np.sum(lam * b, axis=0)
+    return np.sum(grad * np.asarray(diff.eval(grad)), axis=0)
 
 
-def _grad_mag(f: Field) -> np.ndarray:
-    lam = np.stack([g.values for g in gradient(f)])
-    return np.sqrt(np.sum(lam**2, axis=0))
-
-
-def _hessian_sq(f: Field) -> np.ndarray:
-    """|D^2 u|^2 from composed centered differences."""
-    out = np.zeros(f.grid.shape)
-    for gi in gradient(f):
-        for gij in gradient(gi):
-            out += gij.values**2
-    return out
+def _grad_mag(grad: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(grad**2, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +162,22 @@ def energy_balance_residual(traj: Trajectory, diff: DiffusionSpec,
     Vanishes under refinement; the dispersive term integrates away on the
     periodic box.
     """
-    sub = _restrict(traj, t)
-    dissipation = spacetime_integral(sub, lambda s, f: _dissipation_density(f, diff))
-    return (lp_norm(sub.final(), 2) ** 2
+    last = sample_index(traj, t)
+    dx = traj.grid.dx
+    dissipation = spacetime_integral(
+        traj, lambda u: np.sum(_dissipation_density(_grad(u, dx), diff)),
+        last=last)
+    return (lp_norm(traj.fields[last], 2) ** 2
             + 2.0 * eps * dissipation
-            - lp_norm(sub.fields[0], 2) ** 2)
+            - lp_norm(traj.fields[0], 2) ** 2)
 
 
 def gradient_budget(traj: Trajectory, diff: DiffusionSpec, eps: float,
                     u0_l2: float) -> dict:
     """Check eps int int |grad u|^(r+1) <= ||u0||_2^2 / (2 c2)."""
+    dx = traj.grid.dx
     lhs = eps * spacetime_integral(
-        traj, lambda s, f: _grad_mag(f) ** (diff.r + 1.0))
+        traj, lambda u: np.sum(_grad_mag(_grad(u, dx)) ** (diff.r + 1.0)))
     bound = u0_l2**2 / (2.0 * diff.c2)
     return {"lhs": lhs, "bound": bound, "holds": bool(lhs <= bound + 1e-2)}
 
@@ -212,28 +203,20 @@ def power_energy_identity(traj: Trajectory, alpha: float, diff: DiffusionSpec,
     vol_term = lambda f: np.abs(f.values) ** (a + 1.0) / (a + 1.0)
     lhs_mass = float(np.sum(vol_term(u_t))) * traj.grid.cell_volume
     rhs_mass = float(np.sum(vol_term(u_0))) * traj.grid.cell_volume
-    diss = spacetime_integral(
-        traj,
-        lambda s, f: np.abs(f.values) ** (a - 1.0) * _dissipation_density(f, diff),
-    )
+    dx = traj.grid.dx
 
-    if use_cubed:
-        def disp_density(s, f):
-            grads = gradient(f)
-            cubes = sum((g.values**3 for g in grads))
-            return np.sign(f.values) * np.abs(f.values) ** (a - 2.0) * cubes
-        dispersive = 0.5 * a * (a - 1.0) * delta * spacetime_integral(
-            traj, disp_density)
-    else:
-        def disp_density(s, f):
-            out = np.zeros(f.grid.shape)
-            for ax, g in enumerate(gradient(f)):
-                sq = Field(f.grid, g.values**2)
-                d_sq = gradient(sq)[ax]
-                out += d_sq.values
-            return np.abs(f.values) ** (a - 1.0) * out
-        dispersive = -0.5 * a * delta * spacetime_integral(traj, disp_density)
+    def sums(u):
+        grad = _grad(u, dx)
+        diss = np.abs(u) ** (a - 1.0) * _dissipation_density(grad, diff)
+        if use_cubed:
+            disp = np.sign(u) * np.abs(u) ** (a - 2.0) * np.sum(grad**3, axis=0)
+        else:
+            disp = np.abs(u) ** (a - 1.0) * sum(
+                _diff_centered(g**2, ax, dx) for ax, g in enumerate(grad))
+        return np.array([np.sum(diss), np.sum(disp)])
 
+    diss, disp = map(float, spacetime_integral(traj, sums))
+    dispersive = (0.5 * a * (a - 1.0) if use_cubed else -0.5 * a) * delta * disp
     lhs = lhs_mass + a * eps * diss
     rhs = rhs_mass + dispersive
     return {
@@ -330,24 +313,28 @@ def h_regularity_check(traj: Trajectory, eps: float, r: float,
         raise ValueError("requires r >= 1")
     w_grad = eps ** ((r + 3.0) / (r + 1.0))
     w_hess = eps ** (2.0 * (r + 2.0) / (r + 1.0))
-    grad_sq_max = max(
-        float(np.sum(_grad_mag(f) ** 2)) * traj.grid.cell_volume
-        for f in traj.fields
-    )
-    hess_int = spacetime_integral(traj, lambda s, f: _hessian_sq(f))
     p_mid = 2.0 + (r - 1.0) / r
-    lp_max = max(lp_norm(f, p_mid) ** p_mid for f in traj.fields)
-    mixed = eps * spacetime_integral(
-        traj,
-        lambda s, f: np.abs(f.values) ** ((r - 1.0) / r) * _grad_mag(f) ** (r + 1.0),
-    )
+    dx = traj.grid.dx
+    peaks = []     # cell sums of |grad u|^2 and |u|^p_mid, sample by sample
+
+    def sums(u):
+        grad = _grad(u, dx)
+        mag = _grad_mag(grad)
+        peaks.append((np.sum(mag**2), np.sum(np.abs(u) ** p_mid)))
+        hess = sum(np.sum(_grad(g, dx) ** 2) for g in grad)
+        return np.array([hess, np.sum(np.abs(u) ** ((r - 1.0) / r)
+                                      * mag ** (r + 1.0))])
+
+    # no time factor, so every sample is read and enters peaks
+    hess_int, mixed = map(float, spacetime_integral(traj, sums))
+    grad_sq_max, lp_max = map(float, np.max(peaks, axis=0) * traj.grid.cell_volume)
     lp_factor = 1.0 + abs(delta) ** ((r + 1.0) / r) * eps ** (-(r + 3.0) / r) \
         if eps > 0 else np.inf
     return {
         "grad_term": w_grad * grad_sq_max,
         "hessian_term": w_hess * hess_int,
         "lp_term": lp_max,
-        "mixed_term": mixed,
+        "mixed_term": eps * mixed,
         "lp_factor": lp_factor,
     }
 
@@ -363,24 +350,10 @@ class EntropyProductionReport:
     mu3: float
     epsilon: float
     delta: float
-    sign_checked: bool = True
 
     @property
     def total(self) -> float:
         return self.mu1 + self.mu2 + self.mu3
-
-
-def _eta_third(pair: EntropyPair):
-    if getattr(pair, "eta_third", None) is not None:
-        return pair.eta_third
-    h = 1e-5
-
-    def fd(u):
-        u = np.asarray(u, dtype=float)
-        return (np.asarray(pair.eta_second(u + h)) -
-                np.asarray(pair.eta_second(u - h))) / (2.0 * h)
-
-    return fd
 
 
 def entropy_production(traj: Trajectory, pair: EntropyPair, theta: TestFunction,
@@ -392,44 +365,28 @@ def entropy_production(traj: Trajectory, pair: EntropyPair, theta: TestFunction,
     mu2: -eps int int theta eta''(u) grad u . b(grad u)  (<= 0 for convex eta).
     mu3: the delta-terms with all derivatives of theta analytic.
     """
+    if pair.eta_third is None:
+        raise ValueError("entropy_production needs the pair's eta_third")
     grid = traj.grid
-    coords = grid.meshgrid()
-    eta3 = _eta_third(pair)
-    sign_checked = theta.nonneg
+    x0 = theta.space(grid)
+    x1 = [theta.space(grid, ax, 1) for ax in range(grid.dim)]
+    x2 = [theta.space(grid, ax, 2) for ax in range(grid.dim)]
 
-    def mu1_density(t, f):
-        lam = np.stack([g.values for g in gradient(f)])
-        b = np.asarray(diff.eval(lam))
-        etap = np.asarray(pair.eta_prime(f.values))
-        out = np.zeros(grid.shape)
-        for ax in range(grid.dim):
-            out -= etap * b[ax] * theta.dx(coords, t, ax)
-        return eps * out
+    def sums(u):
+        grad = _grad(u, grid.dx)
+        b = np.asarray(diff.eval(grad))
+        etap, etapp = pair.eta_prime(u), pair.eta_second(u)
+        mu1 = -sum(_pair(etap * b[ax], x1[ax]) for ax in range(grid.dim))
+        mu2 = -_pair(etapp * np.sum(grad * b, axis=0), x0)
+        mu3 = _pair(pair.eta_third(u) * np.sum(grad**3, axis=0), x0) + sum(
+            _pair(3.0 * etapp * du**2, x1[ax]) + _pair(2.0 * etap * du, x2[ax])
+            for ax, du in enumerate(grad))
+        return np.array([eps * mu1, eps * mu2, 0.5 * delta * mu3])
 
-    def mu2_density(t, f):
-        return -eps * theta.value(coords, t) * \
-            np.asarray(pair.eta_second(f.values)) * _dissipation_density(f, diff)
-
-    def mu3_density(t, f):
-        grads = [g.values for g in gradient(f)]
-        etap = np.asarray(pair.eta_prime(f.values))
-        etapp = np.asarray(pair.eta_second(f.values))
-        etappp = np.asarray(eta3(f.values))
-        th = theta.value(coords, t)
-        out = np.zeros(grid.shape)
-        for ax in range(grid.dim):
-            du = grads[ax]
-            out += etappp * du**3 * th
-            out += 3.0 * etapp * du**2 * theta.dx(coords, t, ax)
-            out += 2.0 * etap * du * theta.dxx(coords, t, ax)
-        return 0.5 * delta * out
-
-    mu1 = spacetime_integral(traj, mu1_density)
-    mu2 = spacetime_integral(traj, mu2_density)
-    mu3 = spacetime_integral(traj, mu3_density)
+    mu1, mu2, mu3 = map(float, spacetime_integral(traj, sums,
+                                                  theta.time(traj.times)))
     return EntropyProductionReport(mu1=mu1, mu2=mu2, mu3=mu3,
-                                   epsilon=eps, delta=delta,
-                                   sign_checked=sign_checked)
+                                   epsilon=eps, delta=delta)
 
 
 def loglog_fit(eps, values) -> Optional[dict]:
@@ -491,16 +448,16 @@ def kruzkov_residual(traj: Trajectory, flux: FluxSpec, k: float, rho: float,
     umax = max(float(np.max(f.values)) for f in traj.fields)
     q_fun = antiderivative(lambda v: eta_p(v) * np.asarray(flux.deriv(v)),
                            umin, umax, n=8192)
-    coords = traj.grid.meshgrid()
+    grid = traj.grid
+    x0 = theta.space(grid)
+    x1 = [theta.space(grid, ax, 1) for ax in range(grid.dim)]
 
-    def density(t, f):
-        out = -np.asarray(eta(f.values)) * theta.dt(coords, t)
-        q_vals = q_fun(f.values)
-        for ax in range(traj.grid.dim):
-            out -= q_vals * theta.dx(coords, t, ax)
-        return out
+    def sums(u):
+        q = q_fun(u)
+        return np.array([_pair(eta(u), x0), sum(_pair(q, x) for x in x1)])
 
-    return spacetime_integral(traj, density)
+    factor = -np.stack([theta.time(traj.times, 1), theta.time(traj.times)], axis=1)
+    return float(np.sum(spacetime_integral(traj, sums, factor)))
 
 
 @dataclass(frozen=True)
@@ -573,12 +530,11 @@ def initial_trace_check(traj: Trajectory, u0: Field, t_small: Sequence[float]):
 
     Must decrease toward zero as t -> 0 on convergent-regime runs.
     """
-    out = []
-    for t in t_small:
-        sub = _restrict(traj, t)
-        val = spacetime_integral(sub, lambda s, f: np.abs(f.values - u0.values))
-        out.append(val / t)
-    return out
+    def deviation(u):
+        return np.sum(np.abs(u - u0.values))
+
+    return [spacetime_integral(traj, deviation, last=sample_index(traj, t)) / t
+            for t in t_small]
 
 
 # ---------------------------------------------------------------------------

@@ -125,11 +125,6 @@ class Trajectory:
     def final(self) -> Field:
         return self.fields[-1]
 
-    def at_time(self, t: float) -> Field:
-        """Sample nearest in time to t."""
-        i = int(np.argmin(np.abs(np.asarray(self.times) - t)))
-        return self.fields[i]
-
 
 def _diff_centered(values: np.ndarray, axis: int, dx: float) -> np.ndarray:
     return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * dx)
@@ -196,21 +191,32 @@ def lp_norm(f: Field, p) -> float:
     return float((np.sum(np.abs(f.values) ** p) * f.grid.cell_volume) ** (1.0 / p))
 
 
-def spacetime_integral(traj: Trajectory, integrand) -> float:
-    """Trapezoid in time of the cell sums of integrand(t, field).
+def spacetime_integral(traj: Trajectory, integrand, factor=None,
+                       last=None):
+    """Trapezoid in time of factor(t) * integrand(u(t)), times the cell volume.
 
-    integrand maps (t, Field) to an array over grid cells (or a Field).
+    integrand maps a sample's values to their cell sum: a number, which
+    gives a float, or an array of numbers integrated side by side.  factor holds a time factor
+    per sample, with trailing axes broadcast against the integrand's
+    result; the trapezoid stops at sample index last (default: the final
+    sample), and a sample whose weight is zero is never read.
     """
-    if len(traj.times) < 2:
+    times = np.asarray(traj.times)
+    last = len(times) - 1 if last is None else last
+    if last < 1:
         raise ValueError("need at least two time samples")
-    vol = traj.grid.cell_volume
-    sums = []
-    for t, f in zip(traj.times, traj.fields):
-        g = integrand(t, f)
-        if isinstance(g, Field):
-            g = g.values
-        sums.append(float(np.sum(g)) * vol)
-    return float(np.trapezoid(sums, traj.times))
+    h = np.diff(times[:last + 1]) / 2.0
+    w = np.zeros(len(times))
+    w[:last] += h
+    w[1:last + 1] += h
+    if factor is not None:
+        factor = np.asarray(factor, dtype=float)
+        w = w.reshape(w.shape + (1,) * (factor.ndim - 1)) * factor
+    total = 0.0
+    for i in np.flatnonzero(np.any(w.reshape(len(w), -1), axis=1)):
+        total = total + w[i] * integrand(traj.fields[i].values)
+    total = total * traj.grid.cell_volume
+    return float(total) if np.ndim(total) == 0 else total
 
 
 # ---------------------------------------------------------------------------

@@ -361,7 +361,8 @@ def run_sweep(cfg: SweepConfig) -> list:
 
     Already-completed records (matching manifest hash on disk) are reused,
     and the reference is needed only when some entry is pending.  Pending
-    entries run finest grid (longest solve) first; a pool gets the
+    entries run finest grid (longest solve) first; a pool, used when at
+    least two tasks are pending (a reference not on disk is one), gets the
     reference as its first task, so the sweep lasts about as long as its
     longest task.  The distances to the reference are computed here from
     each entry's final field.  Individual blow-ups are recorded and the
@@ -383,7 +384,8 @@ def run_sweep(cfg: SweepConfig) -> list:
 
     order = sorted(pending, key=lambda idx: -cfg.grid_ns[idx])
     run = functools.partial(execute_run, cfg)
-    if cfg.workers > 1 and len(order) > 1:
+    tasks = len(order) + (bool(order) and not _reference_path(cfg).exists())
+    if cfg.workers > 1 and tasks > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             reference = pool.submit(ensure_reference, cfg)
             results = list(pool.map(run, order))

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from ddlab.cli import (
@@ -205,6 +206,7 @@ def test_main_diagnose_on_stored_run(tmp_path, capsys):
     lines = (out / "diagnostics.csv").read_text().splitlines()
     assert lines[0] == "diag,name,param,value,holds"
     assert any("balance_residual" in ln for ln in lines[1:])
+    assert all(np.isfinite(float(ln.split(",")[3])) for ln in lines[1:])
 
 
 def test_main_compare_identical_runs(tmp_path, capsys):
@@ -277,6 +279,28 @@ def test_main_sweep_unusable_config_is_a_config_error(tmp_path, capsys, text):
     assert main(["sweep", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_main_sweep_missing_config_is_a_config_error(tmp_path, capsys):
+    assert main(["sweep", "--config", str(tmp_path / "missing.ini")]) \
+        == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_main_diagnose_missing_run_is_a_config_error(tmp_path, capsys):
+    assert main(["diagnose", "--run", str(tmp_path / "missing")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_main_diagnose_at_a_time_between_samples_is_a_config_error(
+        tmp_path, capsys):
+    out = tmp_path / "run"
+    main(["solve", "--preset", "heat", "--epsilon", "0.1", "--N", "64",
+          "--T", "0.2", "--samples", "5", "--out", str(out)])
+    capsys.readouterr()
+    assert main(["diagnose", "--run", str(out), "--t", "0.123"]) == EXIT_CONFIG
+    assert "not a stored sample time" in capsys.readouterr().err
+    assert not (out / "diagnostics.csv").exists()
 
 
 def test_main_lets_an_error_inside_a_run_propagate(tmp_path, monkeypatch):

@@ -4,9 +4,9 @@ oscillation diagnostics."""
 import numpy as np
 import pytest
 
-from ddlab.grids import Field, GridSpec, Trajectory, lp_norm
-from ddlab.model import burgers_flux, diffusion_preset, linear_diffusion, \
-    zero_flux
+from ddlab.grids import Field, GridSpec, Trajectory, gradient, lp_norm
+from ddlab.model import antiderivative, burgers_flux, diffusion_preset, \
+    kruzkov_entropy, linear_diffusion, make_entropy_pair, zero_flux
 from ddlab.solver import SolveParams, initial_preset, solve
 from ddlab.harness import quadratic_entropy_pair
 from ddlab import diagnostics as diag
@@ -36,12 +36,14 @@ def burgers_run():
 
 def test_bump_compact_support_and_positivity():
     theta = diag.bump_over(1.0, 0.5, 0.3, 0.2)
-    x = np.linspace(0.0, 2.0, 101)
-    inside = theta.value([x], 0.5)
+    g = GridSpec(n=100, length=2.0)
+    x = g.axes()[0]
+    (inside,) = theta.space(g)
     assert np.all(inside >= 0.0)
     assert np.all(inside[(x < 0.7) | (x > 1.3)] == 0.0)
     assert inside[50] > 0.0
-    assert np.all(theta.value([x], 0.71) == 0.0)  # outside time support
+    assert theta.time([0.5])[0] > 0.0
+    assert theta.time([0.71])[0] == 0.0  # outside time support
 
 
 def test_bump_over_repeats_scalars_on_every_axis():
@@ -53,17 +55,19 @@ def test_bump_over_repeats_scalars_on_every_axis():
 
 def test_bump_derivatives_match_finite_differences():
     theta = diag.bump_over(1.0, 0.5, 0.3, 0.2)
-    x = np.array([0.85, 0.95, 1.1])
+    g = GridSpec(n=40, length=2.0)
+    at = [17, 19, 22]                # the nodes x = 0.85, 0.95, 1.1
     t = 0.45
     h = 1e-6
-    dt_fd = (theta.value([x], t + h) - theta.value([x], t - h)) / (2 * h)
-    assert np.allclose(theta.dt([x], t), dt_fd, atol=1e-5)
-    dx_fd = (theta.value([x + h], t) - theta.value([x - h], t)) / (2 * h)
-    assert np.allclose(theta.dx([x], t, 0), dx_fd, atol=1e-5)
-    dxx_fd = (theta.dx([x + h], t, 0) - theta.dx([x - h], t, 0)) / (2 * h)
-    assert np.allclose(theta.dxx([x], t, 0), dxx_fd, atol=1e-4)
-    d3_fd = (theta.dxx([x + h], t, 0) - theta.dxx([x - h], t, 0)) / (2 * h)
-    assert np.allclose(theta.dxxx_sum([x], t), d3_fd, atol=1e-3)
+    dt_fd = (theta.time([t + h]) - theta.time([t - h])) / (2 * h)
+    assert np.allclose(theta.time([t], 1), dt_fd, atol=1e-5)
+    # X at x + h and x - h is X centered at 1 - h and 1 + h, at x
+    ahead = diag.bump_over(1.0 - h, 0.5, 0.3, 0.2)
+    behind = diag.bump_over(1.0 + h, 0.5, 0.3, 0.2)
+    for order, atol in ((1, 1e-5), (2, 1e-4), (3, 1e-3)):
+        fd = (ahead.space(g, 0, order - 1)[0]
+              - behind.space(g, 0, order - 1)[0]) / (2 * h)
+        assert np.allclose(theta.space(g, 0, order)[0][at], fd[at], atol=atol)
 
 
 def test_bump_supported_inside():
@@ -186,7 +190,6 @@ def test_entropy_production_mu2_sign(burgers_run):
     rep = diag.entropy_production(burgers_run, pair, theta, 0.05, 0.05**2.5,
                                   linear_diffusion())
     assert rep.mu2 <= 1e-10
-    assert rep.sign_checked
     assert rep.total == pytest.approx(rep.mu1 + rep.mu2 + rep.mu3)
 
 
@@ -207,6 +210,117 @@ def test_production_scaling_fit_guards():
         diag.production_scaling_fit([mk(0.1), mk(0.05), mk(0.01)])
     with pytest.raises(ValueError, match="decade"):
         diag.production_scaling_fit([mk(0.1), mk(0.08), mk(0.06), mk(0.04)])
+
+
+# brute-force oracle: theta's closed form on the full space-time mesh
+
+
+def _closed_bump(s, order):
+    """(1 - s^2)^4 and its first two derivatives, written out."""
+    p = 1.0 - s**2
+    val = (p**4, -8.0 * s * p**3, p**2 * (56.0 * s**2 - 8.0))[order]
+    return np.where(np.abs(s) < 1.0, val, 0.0)
+
+
+def _theta_on_mesh(theta, grid, t, axis=None, order=0, t_order=0):
+    out = _closed_bump((t - theta.t_center) / theta.t_radius, t_order) \
+        / theta.t_radius**t_order
+    for ax, x in enumerate(grid.meshgrid()):
+        m = order if ax == axis else 0
+        out = out * _closed_bump((x - theta.center[ax]) / theta.radius[ax], m) \
+            / theta.radius[ax]**m
+    return out
+
+
+def _oracle_pairings(traj, pair, theta, eps, delta, diff, flux, k, rho):
+    """(mu1, mu2, mu3) and the Kruzkov pairing, evaluating theta and its
+    derivatives on every cell at every sample."""
+    grid = traj.grid
+    eta, eta_p, _ = kruzkov_entropy(k, rho)
+    q_fun = antiderivative(lambda v: eta_p(v) * np.asarray(flux.deriv(v)),
+                           min(np.min(f.values) for f in traj.fields),
+                           max(np.max(f.values) for f in traj.fields), n=8192)
+    rows = []
+    for t, f in zip(traj.times, traj.fields):
+        u = f.values
+        lam = np.stack([g.values for g in gradient(f)])
+        b = np.asarray(diff.eval(lam))
+        th = _theta_on_mesh(theta, grid, t)
+        th_x = [_theta_on_mesh(theta, grid, t, ax, 1) for ax in range(grid.dim)]
+        th_xx = [_theta_on_mesh(theta, grid, t, ax, 2) for ax in range(grid.dim)]
+        mu1 = -eps * sum(pair.eta_prime(u) * b[ax] * th_x[ax]
+                         for ax in range(grid.dim))
+        mu2 = -eps * th * pair.eta_second(u) * np.sum(lam * b, axis=0)
+        mu3 = 0.5 * delta * sum(
+            pair.eta_third(u) * du**3 * th
+            + 3.0 * pair.eta_second(u) * du**2 * th_x[ax]
+            + 2.0 * pair.eta_prime(u) * du * th_xx[ax]
+            for ax, du in enumerate(lam))
+        kru = -eta(u) * _theta_on_mesh(theta, grid, t, t_order=1) \
+            - q_fun(u) * sum(th_x)
+        rows.append([np.sum(d) * grid.cell_volume for d in (mu1, mu2, mu3, kru)])
+    return np.trapezoid(rows, traj.times, axis=0)
+
+
+def _smooth_run(dim, times, n=32):
+    g = GridSpec(n=n, length=2.0, dim=dim)
+    mesh = g.meshgrid()
+    traj = Trajectory(grid=g)
+    for t in times:
+        u = 0.5 + 0.4 * np.sin(np.pi * mesh[0] + t) \
+            + 0.2 * np.cos(3.0 * np.pi * mesh[-1] - 2.0 * t)
+        traj.append(t, Field(g, u))
+    return traj
+
+
+_QUARTIC = dict(eta=lambda u: u**4 / 12.0, eta_prime=lambda u: u**3 / 3.0,
+                eta_second=lambda u: u**2, eta_third=lambda u: 2.0 * u)
+
+
+@pytest.mark.parametrize("dim, theta, diffusion", [
+    (1, diag.bump_over(1.0, 0.25, 0.45, 0.2), "linear"),
+    (2, diag.bump_over((1.0, 0.9), 0.25, (0.45, 0.6), 0.2), "power2"),
+])
+def test_separable_pairings_match_the_full_mesh_oracle(dim, theta, diffusion):
+    traj = _smooth_run(dim, np.linspace(0.0, 0.5, 6))
+    flux, diff = burgers_flux(), diffusion_preset(diffusion)
+    pair = make_entropy_pair(flux=flux, **_QUARTIC)
+    eps, delta, k, rho = 0.05, 0.02, 0.5, traj.grid.dx
+    rep = diag.entropy_production(traj, pair, theta, eps, delta, diff)
+    kru = diag.kruzkov_residual(traj, flux, k, rho, theta)
+    expect = _oracle_pairings(traj, pair, theta, eps, delta, diff, flux, k, rho)
+    assert np.all(np.abs(expect) > 1e-6)
+    assert np.allclose([rep.mu1, rep.mu2, rep.mu3, kru], expect,
+                       rtol=1e-12, atol=0.0)
+
+
+def test_entropy_production_needs_eta_third():
+    traj = _smooth_run(1, np.linspace(0.0, 0.5, 3))
+    quartic = {k: v for k, v in _QUARTIC.items() if k != "eta_third"}
+    pair = make_entropy_pair(flux=burgers_flux(), **quartic)
+    with pytest.raises(ValueError, match="eta_third"):
+        diag.entropy_production(traj, pair, diag.bump_over(1.0, 0.25, 0.45, 0.2),
+                                0.05, 0.02, linear_diffusion())
+
+
+def test_pairings_evaluate_the_bump_once_per_factor(monkeypatch):
+    calls = []
+    bump = diag._bump
+    monkeypatch.setattr(diag, "_bump",
+                        lambda *args: calls.append(args) or bump(*args))
+    theta = diag.bump_over(1.0, 0.25, 0.45, 0.2)
+    pair = quadratic_entropy_pair(burgers_flux())
+    counts = []
+    for samples in (9, 65):
+        traj = _smooth_run(1, np.linspace(0.0, 0.5, samples))
+        calls.clear()
+        diag.entropy_production(traj, pair, theta, 0.05, 0.01,
+                                linear_diffusion())
+        production = len(calls)
+        calls.clear()
+        diag.kruzkov_residual(traj, burgers_flux(), 0.5, traj.grid.dx, theta)
+        counts.append((production, len(calls)))
+    assert counts[0] == counts[1]
 
 
 def test_kruzkov_residual_nonpositive_on_diffusive_run(burgers_run):

@@ -159,7 +159,6 @@ def test_trajectory_append_validation():
     with pytest.raises(ValueError):
         traj.append(0.25, f)    # strictly increasing
     assert traj.t_final == 0.25
-    assert traj.at_time(0.01) is traj.fields[0]
 
 
 def test_spacetime_integral_trapezoid():
@@ -167,8 +166,14 @@ def test_spacetime_integral_trapezoid():
     traj = Trajectory(grid=g)
     for t in np.linspace(0.0, 1.0, 9):
         traj.append(t, Field(g, np.full(16, t)))  # integrand sums to t
-    val = spacetime_integral(traj, lambda t, f: f.values)
-    assert val == pytest.approx(0.5, abs=1e-12)
+    assert spacetime_integral(traj, np.sum) == pytest.approx(0.5, abs=1e-12)
+    # stopped at sample 4 (t = 0.5), with a time factor zero at t = 0.25:
+    # the samples whose weight is zero are never read
+    read = []
+    val = spacetime_integral(traj, lambda u: read.append(u[0]) or np.sum(u),
+                             factor=np.array(traj.times) != 0.25, last=4)
+    assert val == pytest.approx(0.125 - 0.125 * 0.25, abs=1e-12)
+    assert read == [0.0, 0.125, 0.375, 0.5]
 
 
 def test_spacetime_integral_needs_two_samples():
@@ -176,7 +181,7 @@ def test_spacetime_integral_needs_two_samples():
     traj = Trajectory(grid=g)
     traj.append(0.0, Field(g, np.zeros(16)))
     with pytest.raises(ValueError):
-        spacetime_integral(traj, lambda t, f: f.values)
+        spacetime_integral(traj, np.sum)
 
 
 def test_snapshot_csv_roundtrip(tmp_path):

@@ -347,6 +347,15 @@ def test_pool_starts_the_reference_then_the_finest_entries(tmp_path,
     assert order == [1, 0, 2]
     assert len(built) == 1
     assert all(np.isfinite(r.L1) for r in records)
+    # one entry pending and no reference on disk: still two pool tasks
+    harness._record_path(cfg, 1).unlink()
+    harness._reference_path(cfg).unlink()
+    log.clear()
+    assert run_sweep(cfg) == records
+    (first, first_args), (run, order) = log
+    assert first is harness.ensure_reference and first_args == (cfg,)
+    assert run.func is harness.execute_run and order == [1]
+    assert len(built) == 2
 
 
 _execute_run = harness.execute_run
