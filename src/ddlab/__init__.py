@@ -15,7 +15,7 @@ from .model import (
 )
 from .solver import InitialData, SolveParams, solve
 from .reference import RiemannData, burgers_riemann_exact, engquist_osher_flux, \
-    reference_solve
+    lax_oleinik_reference, reference_solve
 from .harness import ScalingLaw, SweepConfig, classify_regime, \
     compare_to_reference, run_sweep
 

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grids import Field, Trajectory, _diff_centered, lp_norm, \
-    spacetime_integral
+    spacetime_integral, spacetime_weights
 from .model import DiffusionSpec, EntropyPair, FluxSpec, antiderivative, \
     kruzkov_entropy
 
@@ -444,10 +444,13 @@ def kruzkov_residual(traj: Trajectory, flux: FluxSpec, k: float, rho: float,
     dispersive runs.
     """
     eta, eta_p, _ = kruzkov_entropy(k, rho)
-    umin = min(float(np.min(f.values)) for f in traj.fields)
-    umax = max(float(np.max(f.values)) for f in traj.fields)
+    factor = -np.stack([theta.time(traj.times, 1), theta.time(traj.times)], axis=1)
+    # the q table spans the samples the time quadrature reads, and only them
+    read = [traj.fields[i].values for i in spacetime_weights(traj.times, factor)[1]]
     q_fun = antiderivative(lambda v: eta_p(v) * np.asarray(flux.deriv(v)),
-                           umin, umax, n=8192)
+                           min((float(np.min(u)) for u in read), default=0.0),
+                           max((float(np.max(u)) for u in read), default=0.0),
+                           n=8192)
     grid = traj.grid
     x0 = theta.space(grid)
     x1 = [theta.space(grid, ax, 1) for ax in range(grid.dim)]
@@ -456,7 +459,6 @@ def kruzkov_residual(traj: Trajectory, flux: FluxSpec, k: float, rho: float,
         q = q_fun(u)
         return np.array([_pair(eta(u), x0), sum(_pair(q, x) for x in x1)])
 
-    factor = -np.stack([theta.time(traj.times, 1), theta.time(traj.times)], axis=1)
     return float(np.sum(spacetime_integral(traj, sums, factor)))
 
 

@@ -31,7 +31,7 @@ from .model import (
     make_entropy_pair,
 )
 from .reference import SCHEME as REFERENCE_SCHEME
-from .reference import reference_solve
+from .reference import lax_oleinik_reference, reference_solve
 from .solver import SCHEME as SOLVER_SCHEME
 from .solver import InitialData, SolveParams, initial_preset, solve
 
@@ -257,14 +257,22 @@ def _reference_path(cfg: SweepConfig) -> Path:
 
 def ensure_reference(cfg: SweepConfig) -> Field:
     """Entropy-solution reference at the fine grid, cached on disk by a
-    content hash of the problem and the reference scheme."""
+    content hash of the problem and the reference scheme.
+
+    A flux declared quadratic in 1-d gets the exact Lax-Oleinik solution of
+    the gridded data; every other flux, and 2-d, the Engquist-Osher solve.
+    """
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     path = _reference_path(cfg)
     if path.exists():
         return read_snapshot_binary(path)
     grid = GridSpec(n=cfg.ref_n, length=cfg.length, dim=cfg.dim)
     u0 = cfg.initial_data().build(grid)
-    ref = reference_solve(u0, flux_preset(cfg.flux), cfg.t_end)
+    flux = flux_preset(cfg.flux)
+    if flux.quadratic and cfg.dim == 1:
+        ref = lax_oleinik_reference(u0, cfg.t_end)
+    else:
+        ref = reference_solve(u0, flux, cfg.t_end)
     # per-process name: sweeps sharing an out_dir never share a tmp file
     tmp = path.with_suffix(f".{os.getpid()}.tmp")
     write_snapshot_binary(ref, tmp)

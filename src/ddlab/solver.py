@@ -144,23 +144,29 @@ def rhs(u: Field, p: SolveParams) -> Field:
     return Field(u.grid, _values(out, u.grid))
 
 
+def _phi_combinations(z: np.ndarray) -> np.ndarray:
+    """The ETDRK4 phi-function combinations at z = hL: Q/h, f1/h, f2/h, f3/h."""
+    ez, z3 = np.exp(z), z**3
+    return np.stack([(np.exp(0.5 * z) - 1.0) / z,
+                     (-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z3,
+                     (2.0 + z + ez * (z - 2.0)) / z3,
+                     (-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3])
+
+
 # the nominal h plus the latest re-planned h: a re-plan keeps the nominal one
 @functools.lru_cache(maxsize=2)
 def _etd_coefficients(grid: GridSpec, p: SolveParams, h: float) -> tuple:
-    """exp(hL), exp(hL/2) and the ETDRK4 weights Q, f1, f2, f3, each a
-    contour mean of its phi-function combination around h*L(k)."""
+    """exp(hL), exp(hL/2) and the ETDRK4 weights Q, f1, f2, f3: closed form
+    where |hL| >= 1, and where it would cancel, the contour mean of the
+    same combinations on the unit circle around h*L(k)."""
     hL = h * _symbols(grid, p)[2]
-    acc = np.zeros((4,) + hL.shape, dtype=complex)
+    coef = np.empty((4,) + hL.shape, dtype=complex)
+    far = np.abs(hL) >= 1.0
+    coef[:, far] = _phi_combinations(hL[far])
     m = 32   # points on the full unit circle: L is complex, so no half circle
-    for r in np.exp(2j * np.pi * (np.arange(m) + 0.5) / m):
-        z = hL + r
-        ez = np.exp(z)
-        z3 = z**3
-        acc[0] += (np.exp(0.5 * z) - 1.0) / z
-        acc[1] += (-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z3
-        acc[2] += (2.0 + z + ez * (z - 2.0)) / z3
-        acc[3] += (-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3
-    return (np.exp(hL), np.exp(0.5 * hL), *(h / m * acc))
+    circle = np.exp(2j * np.pi * (np.arange(m) + 0.5) / m)
+    coef[:, ~far] = np.mean(_phi_combinations(hL[~far] + circle[:, None]), axis=1)
+    return (np.exp(hL), np.exp(0.5 * hL), *(h * coef))
 
 
 def _step_arr(v: np.ndarray, u: np.ndarray, h: float, grid: GridSpec,

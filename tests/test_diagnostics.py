@@ -330,6 +330,18 @@ def test_kruzkov_residual_nonpositive_on_diffusive_run(burgers_run):
     assert val <= 1e-6
 
 
+def test_kruzkov_residual_reads_only_samples_inside_the_time_support(burgers_run):
+    # the q table spans the samples the pairing reads: widening the range of
+    # the samples outside theta's time support [0.05, 0.45] changes nothing
+    theta = diag.bump_over(1.4, 0.25, 0.2, 0.2)
+    args = (burgers_flux(), 0.5, burgers_run.grid.dx, theta)
+    scaled = Trajectory(grid=burgers_run.grid)
+    for t, f in zip(burgers_run.times, burgers_run.fields):
+        scaled.append(t, f if 0.05 < t < 0.45 else f.with_values(3.0 * f.values - 1.0))
+    assert diag.kruzkov_residual(scaled, *args) == \
+        diag.kruzkov_residual(burgers_run, *args)
+
+
 # ---------------------------------------------------------------------------
 # oscillation diagnostics
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ddlab import harness
-from ddlab.grids import Field, GridSpec
+from ddlab.grids import Field, GridSpec, write_snapshot_binary
 from ddlab.harness import (
     RECORD_COLUMNS,
     RunRecord,
@@ -236,6 +236,52 @@ def test_cache_paths_follow_the_scheme_tags(tmp_path, monkeypatch):
     assert harness._reference_path(cfg) == reference
 
 
+def _fail_if_called(*args):
+    raise AssertionError("the Engquist-Osher solve was called")
+
+
+def test_burgers_1d_reference_is_exact_and_never_solves(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "reference_solve", _fail_if_called)
+    cfg = _tiny_config(tmp_path / "sweep")
+    ref = harness.ensure_reference(cfg)
+    u0 = cfg.initial_data().build(ref.grid)
+    assert np.array_equal(ref.values,
+                          harness.lax_oleinik_reference(u0, cfg.t_end).values)
+
+
+@pytest.mark.parametrize("change", [{"flux": "bounded"}, {"dim": 2, "ref_n": 32}],
+                         ids=["bounded", "burgers-2d"])
+def test_other_references_keep_the_engquist_osher_solve(tmp_path, monkeypatch,
+                                                        change):
+    built = []
+    solve_eo = harness.reference_solve
+    monkeypatch.setattr(harness, "reference_solve",
+                        lambda *args: built.append(args) or solve_eo(*args))
+    monkeypatch.setattr(harness, "lax_oleinik_reference", _fail_if_called)
+    cfg = replace(_tiny_config(tmp_path / "sweep"), **change)
+    ref = harness.ensure_reference(cfg)
+    assert len(built) == 1 and ref.grid.dim == cfg.dim
+
+
+def test_reference_cached_by_the_engquist_osher_tag_is_not_served(tmp_path,
+                                                                  monkeypatch):
+    # an EO reference and records cached before the exact path existed
+    cfg = _tiny_config(tmp_path / "sweep")
+    monkeypatch.setattr(harness, "REFERENCE_SCHEME",
+                        "engquist-osher-fv1/simpson-hermite-2048")
+    old_record, old_path = harness._record_path(cfg, 0), harness._reference_path(cfg)
+    monkeypatch.undo()
+    assert harness._record_path(cfg, 0) != old_record
+    u0 = cfg.initial_data().build(GridSpec(n=cfg.ref_n, length=cfg.length))
+    stale = harness.reference_solve(u0, burgers_flux(), cfg.t_end)
+    old_path.parent.mkdir(parents=True)
+    write_snapshot_binary(stale, old_path)
+    ref = harness.ensure_reference(cfg)
+    assert np.array_equal(ref.values,
+                          harness.lax_oleinik_reference(u0, cfg.t_end).values)
+    assert not np.array_equal(ref.values, stale.values)
+
+
 def _moved(value):
     if isinstance(value, str):
         return value + "_"
@@ -334,9 +380,10 @@ def test_pool_starts_the_reference_then_the_finest_entries(tmp_path,
     log, built = [], []
     monkeypatch.setattr(harness, "ProcessPoolExecutor",
                         functools.partial(_SyncPool, log))
-    reference_solve = harness.reference_solve
-    monkeypatch.setattr(harness, "reference_solve",
-                        lambda *args: built.append(args) or reference_solve(*args))
+    # a burgers 1-d reference is built by the exact Lax-Oleinik solution
+    exact = harness.lax_oleinik_reference
+    monkeypatch.setattr(harness, "lax_oleinik_reference",
+                        lambda *args: built.append(args) or exact(*args))
     cfg = replace(_tiny_config(tmp_path / "sweep"), workers=2,
                   epsilons=(0.08, 0.04, 0.02), grid_ns=(64, 128, 64))
     records = run_sweep(cfg)

@@ -1,4 +1,7 @@
-"""Entropy-solution oracle: EO flux, monotone scheme, exact Riemann."""
+"""Entropy-solution oracles: EO flux, monotone scheme, exact Lax-Oleinik
+reference, exact Riemann."""
+
+import math
 
 import numpy as np
 import pytest
@@ -11,8 +14,10 @@ from ddlab.reference import (
     RiemannData,
     burgers_riemann_exact,
     engquist_osher_flux,
+    lax_oleinik_reference,
     reference_solve,
 )
+from ddlab.solver import initial_preset
 
 
 def test_eo_flux_consistency():
@@ -167,3 +172,107 @@ def test_reference_shock_first_order_error():
     window = (x > 1.05) & (x < 1.35)
     err = np.sum(np.abs(out.values - exact)[window]) * grid.dx
     assert err <= 5.0 * grid.dx
+
+
+# ---------------------------------------------------------------------------
+# exact Lax-Oleinik reference
+
+
+def _brute_force_lax_oleinik(u, dx, t):
+    """Cell averages of min_y [(x-y)^2/(2t) + U0(y)], the minimum taken in
+    closed form over every cell within t max|u| of the period, and more."""
+    n = len(u)
+    m = math.ceil(t * np.max(np.abs(u)) / (n * dx)) + 1
+    y = (np.arange(-m * n, (m + 1) * n + 1) - 0.5) * dx
+    slope = np.tile(u, 2 * m + 1)
+    big_u = dx * (np.concatenate([[0.0], np.cumsum(slope)]) - m * np.sum(u))
+    x = (np.arange(n + 1) - 0.5)[:, None] * dx
+    ymin = np.clip(x - t * slope, y[:-1], y[1:])
+    v = np.min((x - ymin) ** 2 / (2 * t) + big_u[:-1] + slope * (ymin - y[:-1]),
+               axis=1)
+    return np.diff(v) / dx
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lax_oleinik_matches_the_minimum_over_every_cell(seed):
+    # the hull only narrows the search: random data, with and without ties
+    rng = np.random.default_rng(seed)
+    n = 64
+    u = rng.uniform(-1.0, 2.0, n) if seed % 2 else \
+        rng.integers(-2, 3, n).astype(float)
+    grid = GridSpec(n=n, length=2.0)
+    for t in (0.01, 0.3, 2.0):
+        out = lax_oleinik_reference(Field(grid, u), t).values
+        assert np.max(np.abs(out - _brute_force_lax_oleinik(u, grid.dx, t))) \
+            <= 1e-12
+
+
+@pytest.mark.parametrize("u_in,u_out", [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)])
+def test_lax_oleinik_cell_averages_of_shock_and_rarefaction(u_in, u_out):
+    # u_in on the cells 32..63, u_out outside: one shock and one fan,
+    # t = 8.5 dx puts every wave edge on a quarter of a cell, where the
+    # exact solution is linear between quarter points, so the midpoint rule
+    # on quarter cells integrates it exactly
+    n = 128
+    grid = GridSpec(n=n, length=2.0)
+    dx, t = grid.dx, 8.5 * grid.dx
+    u = np.where((np.arange(n) >= 32) & (np.arange(n) < 64), u_in, u_out)
+    out = lax_oleinik_reference(Field(grid, u), t).values
+    a, b = 31.5 * dx, 63.5 * dx
+    x = (np.arange(4 * n) + 0.5) * dx / 4 - 0.5 * dx
+    flux = burgers_flux()
+    exact = np.where(
+        x < 0.5 * (a + b),
+        burgers_riemann_exact(RiemannData(u_out, u_in, flux), (x - a) / t),
+        burgers_riemann_exact(RiemannData(u_in, u_out, flux), (x - b) / t))
+    assert np.max(np.abs(out - exact.reshape(n, 4).mean(axis=1))) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lax_oleinik_mass_and_maximum_principle(seed):
+    grid = GridSpec(n=256, length=2.0)
+    u0 = Field(grid, np.random.default_rng(seed).uniform(-1.5, 2.0, 256))
+    out = lax_oleinik_reference(u0, 0.4).values
+    assert abs(np.sum(out) - np.sum(u0.values)) * grid.dx <= 1e-12
+    assert out.min() >= u0.values.min() - 1e-12
+    assert out.max() <= u0.values.max() + 1e-12
+
+
+def test_lax_oleinik_commutes_with_a_shift_across_the_seam():
+    grid = GridSpec(n=256, length=2.0)
+    u0 = initial_preset("smoothed_riemann").build(grid)
+    out = lax_oleinik_reference(u0, 0.5).values
+    for k in (1, 37, 200):
+        shifted = lax_oleinik_reference(u0.with_values(np.roll(u0.values, k)), 0.5)
+        assert np.max(np.abs(shifted.values - np.roll(out, k))) <= 1e-12
+
+
+def test_lax_oleinik_oversampling_levels_agree():
+    # the same piecewise-constant data on s-times finer cells, averaged back
+    grid = GridSpec(n=512, length=2.0)
+    u0 = initial_preset("smoothed_riemann").build(grid)
+    out = lax_oleinik_reference(u0, 0.5).values
+    for s in (2, 4):
+        fine = Field(GridSpec(n=512 * s, length=2.0), np.repeat(u0.values, s))
+        got = lax_oleinik_reference(fine, 0.5).values.reshape(512, s).mean(axis=1)
+        assert np.max(np.abs(got - out)) <= 1e-12
+
+
+def test_lax_oleinik_is_one_dimensional():
+    grid = GridSpec(n=16, length=2.0, dim=2)
+    with pytest.raises(ValueError, match="1-d"):
+        lax_oleinik_reference(Field(grid, np.zeros(grid.shape)), 0.1)
+
+
+def test_eo_converges_to_the_exact_reference_at_first_order():
+    # the default problem: EO and the exact solution of the same gridded data
+    errs = {}
+    for n in (1024, 2048, 4096):
+        grid = GridSpec(n=n, length=2.0)
+        u0 = initial_preset("smoothed_riemann").build(grid)
+        diff = reference_solve(u0, burgers_flux(), 0.5).values - \
+            lax_oleinik_reference(u0, 0.5).values
+        errs[n] = float(np.sum(np.abs(diff)) * grid.dx)
+        assert errs[n] <= 2.0 * grid.dx
+    assert 0.85 <= np.log2(errs[1024] / errs[4096]) / 2 <= 1.15
+    assert np.log2(errs[2048] / errs[4096]) >= 0.9

@@ -271,6 +271,21 @@ def test_etd_coefficients_survive_a_replan():
     assert info.misses == 24
 
 
+def test_etd_coefficients_closed_form_matches_the_contour_mean():
+    # closed form where |hL| >= 1, contour mean below: the two agree, so
+    # the contour mean over every mode reproduces the coefficients
+    g = GridSpec(n=512, length=2.0)
+    p = _params(burgers_flux(), linear_diffusion(), 0.005, 1e-3)
+    h = 1e-3
+    hL = h * solver._symbols(g, p)[2]
+    assert 0 < np.sum(np.abs(hL) >= 1.0) < hL.size
+    circle = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
+    contour = h * np.mean(solver._phi_combinations(hL + circle[:, None]), axis=1)
+    solver._etd_coefficients.cache_clear()
+    for got, want in zip(solver._etd_coefficients(g, p, h)[2:], contour):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
 def test_etd_step_local_error_is_fifth_order():
     # flux, linear diffusion and dispersion together, with |h L| near 1:
     # the contour coefficients must give a one-step error ~ h^5, so halving
