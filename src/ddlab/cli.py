@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: solve, sweep, diagnose, compare, classify.  Exit codes:
-0 success, 2 configuration or argument error (a missing or unreadable
-config file or stored run included), 3 numerical failure.  Any
-other error, such as a ValueError raised inside a solve or a diagnostic,
-propagates as a bug.
+0 success, 2 configuration or argument error (a missing, unreadable or
+non-finite config file, stored run or snapshot included), 3 a blow-up: the
+solve blew up, or every run of the sweep did.  Any other error, such as a
+ValueError raised inside a solve or a diagnostic, propagates as a bug.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .grids import (
     write_snapshot_csv,
 )
 from .harness import (
+    SweepBlowUpError,
     SweepConfig,
     classify_regime,
     compare_to_reference,
@@ -48,12 +49,13 @@ class ConfigError(Exception):
 
 @contextlib.contextmanager
 def _config_errors():
-    """Report a ValueError, LookupError or OSError raised while reading the
-    configuration, the arguments or the input files as a ConfigError;
-    errors inside a run propagate."""
+    """Report a ValueError, LookupError, OSError or FloatingPointError (a
+    non-finite input value) raised while reading the configuration, the
+    arguments or the input files as a ConfigError; errors inside a run
+    propagate."""
     try:
         yield
-    except (ValueError, LookupError, OSError) as exc:
+    except (ValueError, LookupError, OSError, FloatingPointError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -163,13 +165,13 @@ def sweep_config_from_sections(sections: dict, out_override=None) -> SweepConfig
 # solve presets (whole-problem shortcuts for the CLI)
 
 _SOLVE_PRESETS = {
-    # name: (flux, diffusion, initial, initial kwargs)
-    "heat": ("zero", "linear", "sine", {}),
-    "airy": ("zero", "linear", "sine", {}),
+    # name: (flux, diffusion, initial, initial kwargs, default length)
+    "heat": ("zero", "linear", "sine", {}, 2.0 * np.pi),
+    "airy": ("zero", "linear", "sine", {}, 2.0 * np.pi),
     "burgers": ("burgers", "linear", "smoothed_riemann",
-                {"uL": 1.0, "uR": 0.0, "w": 0.02}),
-    "burgers_bump": ("burgers", "linear", "bump", {}),
-    "advection": ("advection", "linear", "sine", {}),
+                {"uL": 1.0, "uR": 0.0, "w": 0.02}, 2.0),
+    "burgers_bump": ("burgers", "linear", "bump", {}, 2.0),
+    "advection": ("advection", "linear", "sine", {}, 2.0 * np.pi),
 }
 
 
@@ -178,9 +180,9 @@ def _cmd_solve(args) -> int:
         print(f"unknown preset {args.preset!r}; have {sorted(_SOLVE_PRESETS)}",
               file=sys.stderr)
         return EXIT_CONFIG
-    flux_name, diff_name, init_name, init_kwargs = _SOLVE_PRESETS[args.preset]
-    length = args.L if args.L is not None else \
-        (2.0 * np.pi if init_name == "sine" else 2.0)
+    flux_name, diff_name, init_name, init_kwargs, default_length = \
+        _SOLVE_PRESETS[args.preset]
+    length = default_length if args.L is None else args.L
     with _config_errors():
         grid = GridSpec(n=args.N, length=length, dim=1)
         params = SolveParams(
@@ -298,7 +300,7 @@ def _cmd_sweep(args) -> int:
     blowups = sum(r.blowup for r in records)
     print(f"sweep complete: {len(records)} runs, {blowups} blow-ups; "
           f"records in {out / 'records.csv'}")
-    return EXIT_OK if blowups < len(records) else EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def _emit_plot_data(out: Path, records):
@@ -365,10 +367,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FloatingPointError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except RuntimeError as exc:
+    except SweepBlowUpError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

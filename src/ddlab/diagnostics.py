@@ -383,8 +383,9 @@ def entropy_production(traj: Trajectory, pair: EntropyPair, theta: TestFunction,
             for ax, du in enumerate(grad))
         return np.array([eps * mu1, eps * mu2, 0.5 * delta * mu3])
 
-    mu1, mu2, mu3 = map(float, spacetime_integral(traj, sums,
-                                                  theta.time(traj.times)))
+    # with no sample inside theta's time support the integral is the scalar 0
+    mu1, mu2, mu3 = map(float, np.broadcast_to(
+        spacetime_integral(traj, sums, theta.time(traj.times)), 3))
     return EntropyProductionReport(mu1=mu1, mu2=mu2, mu3=mu3,
                                    epsilon=eps, delta=delta)
 

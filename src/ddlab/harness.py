@@ -30,15 +30,14 @@ from .model import (
     flux_preset,
     make_entropy_pair,
 )
-from .reference import SCHEME as REFERENCE_SCHEME
 from .reference import lax_oleinik_reference, reference_solve
-from .solver import SCHEME as SOLVER_SCHEME
 from .solver import InitialData, SolveParams, initial_preset, solve
 
 __all__ = [
     "ScalingLaw",
     "SweepConfig",
     "RunRecord",
+    "SweepBlowUpError",
     "classify_regime",
     "run_sweep",
     "compare_to_reference",
@@ -54,7 +53,6 @@ def quadratic_entropy_pair(flux: FluxSpec) -> EntropyPair:
         eta_second=lambda u: np.ones_like(np.asarray(u, dtype=float)),
         flux=flux,
         eta_third=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-        kind="quadratic",
     )
 
 
@@ -101,16 +99,13 @@ def classify_regime(r: float, m: float, gamma: float, has_h3: bool = True) -> st
 # comparison to reference
 
 
-def _restrict_to(values: np.ndarray, n_coarse: int, dim: int) -> np.ndarray:
+def _restrict_to(values: np.ndarray, n_coarse: int) -> np.ndarray:
+    """Averages over blocks of k cells per axis, k = n_fine / n_coarse."""
     n_fine = values.shape[0]
-    if n_fine == n_coarse:
-        return values
     if n_fine % n_coarse != 0:
         raise ValueError(f"grids are incommensurate: {n_fine} vs {n_coarse}")
-    k = n_fine // n_coarse
-    if dim == 1:
-        return values.reshape(n_coarse, k).mean(axis=1)
-    return values.reshape(n_coarse, k, n_coarse, k).mean(axis=(1, 3))
+    blocks = values.reshape((n_coarse, n_fine // n_coarse) * values.ndim)
+    return blocks.mean(axis=tuple(range(1, 2 * values.ndim, 2)))
 
 
 def compare_to_reference(f: Field, ref: Field, p_list=(1, 2, np.inf)) -> dict:
@@ -120,8 +115,8 @@ def compare_to_reference(f: Field, ref: Field, p_list=(1, 2, np.inf)) -> dict:
             f.grid.dim != ref.grid.dim:
         raise ValueError("domains do not match")
     n = min(f.grid.n, ref.grid.n)
-    a = _restrict_to(f.values, n, f.grid.dim)
-    b = _restrict_to(ref.values, n, f.grid.dim)
+    a = _restrict_to(f.values, n)
+    b = _restrict_to(ref.values, n)
     grid = GridSpec(n=n, length=ref.grid.length, dim=ref.grid.dim)
     d = Field(grid, a - b)
     out = {}
@@ -187,6 +182,10 @@ class SweepConfig:
         """Raise ValueError or LookupError for a config no run can use."""
         if len(self.epsilons) != len(self.grid_ns):
             raise ValueError("epsilons and grid_ns ladders must pair up")
+        for n in self.grid_ns:
+            if max(n, self.ref_n) % min(n, self.ref_n):
+                raise ValueError(f"grids are incommensurate: {n} vs ref_n "
+                                 f"{self.ref_n}")
         for idx in range(len(self.epsilons)):
             self.initial_data().build(_entry(self, idx)[0])
 
@@ -250,14 +249,26 @@ def _hash_payload(payload: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+@functools.cache
+def _code_key() -> str:
+    """sha256 over numpy's version and the name and bytes of every module
+    of this package: part of every cache key, so an edit to any module, or
+    another numpy, never reads a record or reference computed before it."""
+    digest = hashlib.sha256(np.__version__.encode())
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        source = path.read_bytes()
+        digest.update(f"\0{path.name}\0{len(source)}\0".encode() + source)
+    return digest.hexdigest()
+
+
 def _reference_path(cfg: SweepConfig) -> Path:
-    payload = cfg.problem_key() | {"scheme": REFERENCE_SCHEME}
+    payload = cfg.problem_key() | {"code": _code_key()}
     return Path(cfg.out_dir) / f"reference_{_hash_payload(payload)}.ddl"
 
 
 def ensure_reference(cfg: SweepConfig) -> Field:
     """Entropy-solution reference at the fine grid, cached on disk by a
-    content hash of the problem and the reference scheme.
+    content hash of the problem and of the code that computes it.
 
     A flux declared quadratic in 1-d gets the exact Lax-Oleinik solution of
     the gridded data; every other flux, and 2-d, the Engquist-Osher solve.
@@ -354,27 +365,30 @@ def _delta_at(cfg: SweepConfig, idx: int) -> float:
 
 def _record_path(cfg: SweepConfig, idx: int) -> Path:
     """Every config field except where the sweep runs and the other ladder
-    entries, plus this entry's values and both schemes: the record holds
-    distances to the reference."""
+    entries, plus this entry's values and the code key."""
     payload = asdict(cfg)
     for name in ("out_dir", "workers", "epsilons", "grid_ns", "delta_ladder"):
         del payload[name]
     payload.update(epsilon=cfg.epsilons[idx], delta=_delta_at(cfg, idx),
-                   N=cfg.grid_ns[idx], scheme=[SOLVER_SCHEME, REFERENCE_SCHEME])
+                   N=cfg.grid_ns[idx], code=_code_key())
     return Path(cfg.out_dir) / f"run_{_hash_payload(payload)}.json"
+
+
+class SweepBlowUpError(RuntimeError):
+    """Every run of a sweep blew up, so there is nothing to summarize."""
 
 
 def run_sweep(cfg: SweepConfig) -> list:
     """Run every ladder entry, persist records, and write the summary.
 
-    Already-completed records (matching manifest hash on disk) are reused,
-    and the reference is needed only when some entry is pending.  Pending
-    entries run finest grid (longest solve) first; a pool, used when at
-    least two tasks are pending (a reference not on disk is one), gets the
-    reference as its first task, so the sweep lasts about as long as its
-    longest task.  The distances to the reference are computed here from
+    Records already on disk under an entry's key (its config values and the
+    code key) are reused, and the reference is needed only when some entry
+    is pending.  Pending entries run finest grid (longest solve) first; a
+    pool, used when at least two tasks are pending (a reference not on disk
+    is one), gets the reference as its first task, so the sweep lasts about
+    as long as its longest task.  The distances to the reference are computed here from
     each entry's final field.  Individual blow-ups are recorded and the
-    sweep continues; if every run fails, raises RuntimeError.
+    sweep continues; if every run blows up, raises SweepBlowUpError.
     """
     cfg.validate()
     out = Path(cfg.out_dir)
@@ -414,7 +428,7 @@ def run_sweep(cfg: SweepConfig) -> list:
 
     ordered = [records[i] for i in range(len(cfg.epsilons))]
     if all(r.blowup for r in ordered):
-        raise RuntimeError("every run in the sweep blew up")
+        raise SweepBlowUpError("every run in the sweep blew up")
 
     _write_records_csv(out / "records.csv", ordered)
     summary = summarize(cfg, ordered)

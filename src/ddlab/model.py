@@ -102,7 +102,6 @@ class EntropyPair:
     eta_second: Callable
     q: Callable
     eta_third: Callable | None = None
-    kind: str = "custom"
 
 
 def antiderivative(g, lo: float, hi: float, n: int):
@@ -137,7 +136,7 @@ def antiderivative(g, lo: float, hi: float, n: int):
 
 def make_entropy_pair(eta, eta_prime, eta_second, flux: FluxSpec,
                       u_range=(-2.0, 2.0), n_quad: int = 512,
-                      eta_third=None, kind: str = "custom") -> EntropyPair:
+                      eta_third=None) -> EntropyPair:
     """Build an entropy pair with q(u) = int_0^u eta'(v) f'(v) dv.
 
     The flux q is anchored at q(0)=0 and computed by ``antiderivative`` with
@@ -163,7 +162,7 @@ def make_entropy_pair(eta, eta_prime, eta_second, flux: FluxSpec,
                               np.asarray(flux.deriv(v)), lo, hi, n_quad)(u)
 
     return EntropyPair(eta=eta, eta_prime=eta_prime, eta_second=eta_second,
-                       q=q, eta_third=eta_third, kind=kind)
+                       q=q, eta_third=eta_third)
 
 
 def kruzkov_entropy(k: float, rho: float):

@@ -20,18 +20,12 @@ from .grids import Field
 from .model import FluxSpec, antiderivative
 
 __all__ = [
-    "SCHEME",
     "RiemannData",
     "engquist_osher_flux",
     "reference_solve",
     "lax_oleinik_reference",
     "burgers_riemann_exact",
 ]
-
-_EO_PANELS = 2048
-# names both reference paths, and the EO quadrature, in the cache key
-SCHEME = ("lax-oleinik-hull-exact(quadratic 1-d)"
-          f"+engquist-osher-fv1/simpson-hermite-{_EO_PANELS}")
 
 
 @dataclass(frozen=True)
@@ -51,7 +45,7 @@ class RiemannData:
                 raise ValueError("flux is not convex between the Riemann states")
 
 
-def _eo_halves(flux: FluxSpec, lo: float, hi: float, n: int = _EO_PANELS):
+def _eo_halves(flux: FluxSpec, lo: float, hi: float, n: int = 2048):
     """The halves of the EO flux F(a, b) = right(a) + left(b) for states in
     [lo, hi], its split integrals tabulated once by ``antiderivative``."""
     if flux.quadratic:

@@ -28,7 +28,6 @@ from .grids import (
 from .model import DiffusionSpec, FluxSpec
 
 __all__ = [
-    "SCHEME",
     "SolveParams",
     "InitialData",
     "BlowUpError",
@@ -38,9 +37,6 @@ __all__ = [
     "solve",
     "initial_preset",
 ]
-
-# names the integrator in trajectories and in the record cache key
-SCHEME = "centered-etdrk4"
 
 # blow-up detector: |u| exceeding this multiple of the initial sup norm
 BLOWUP_FACTOR = 1.0e6
@@ -254,7 +250,6 @@ def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
         "flux": p.flux.name,
         "diffusion": p.diffusion.name,
         "initial": u0.name,
-        "scheme": SCHEME,
     })
     traj.append(0.0, u)
 

@@ -1,18 +1,22 @@
 """Command-line front end: config parsing, subcommands, exit codes."""
 
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+from ddlab import cli, harness
 from ddlab.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     ConfigError,
     main,
     parse_config,
     sweep_config_from_sections,
 )
+from ddlab.model import DiffusionSpec
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +275,7 @@ def test_main_sweep_bad_config_exit_code(tmp_path, capsys):
     "[problem]\ndim = 3\n",
     "[sweep]\ncfl = 2.0\n",
     "[sweep]\nepsilons = 0.0\ngrids = 64\n",   # no delta_ladder entry
+    "[sweep]\nepsilons = 0.08\ngrids = 96\nref_n = 256\n",  # incommensurate
 ])
 def test_main_sweep_unusable_config_is_a_config_error(tmp_path, capsys, text):
     # found before any run starts, so it is not mistaken for a failed run
@@ -303,17 +308,81 @@ def test_main_diagnose_at_a_time_between_samples_is_a_config_error(
     assert not (out / "diagnostics.csv").exists()
 
 
-def test_main_lets_an_error_inside_a_run_propagate(tmp_path, monkeypatch):
-    # a ValueError from inside a solve or diagnostic is a bug, not a config
-    # error: it must not be reported as exit code 2
-    from ddlab import harness
+_SHORT_SWEEP = ("[problem]\nt_end = 0.05\n[sweep]\nepsilons = 0.08\n"
+                "grids = 64\nref_n = 64\n")
 
+
+@pytest.mark.parametrize("error", [ValueError, BrokenProcessPool])
+def test_main_lets_an_error_inside_a_run_propagate(tmp_path, monkeypatch,
+                                                   error):
+    # an error from inside a solve or diagnostic, or a pool that lost a
+    # worker, is a bug: it is neither a config error (exit 2) nor a blow-up
+    # (exit 3), though BrokenProcessPool is a RuntimeError
     def broken(cfg, idx):
-        raise ValueError("failure inside a run")
+        raise error("failure inside a run")
 
     monkeypatch.setattr(harness, "execute_run", broken)
-    cfg = tmp_path / "cfg.ini"
-    cfg.write_text("[problem]\nt_end = 0.05\n[sweep]\nepsilons = 0.08\n"
-                   "grids = 64\nref_n = 64\n")
-    with pytest.raises(ValueError, match="failure inside a run"):
+    cfg = _write(tmp_path, _SHORT_SWEEP)
+    with pytest.raises(error, match="failure inside a run"):
         main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+def test_main_sweep_with_no_sample_in_theta_records_zero_production(tmp_path):
+    # t_end = 0.05 ends where theta's time support begins
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, _SHORT_SWEEP)
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    with open(out / "records.csv") as fh:
+        header, row = (line.strip().split(",") for line in fh)
+    record = dict(zip(header, row))
+    assert [float(record[k]) for k in ("mu1", "mu2", "mu3")] == [0.0, 0.0, 0.0]
+
+
+def _backward_linear(name):
+    """b(l) = -l in place of every diffusion preset: every solve blows up."""
+    return DiffusionSpec(
+        eval=lambda lam: -np.asarray(lam, dtype=float),
+        jacobian=lambda lam: -np.eye(np.atleast_1d(lam).shape[0]),
+        r=1.0, c2=1.0, c3=1.0, name="backward")
+
+
+def test_main_solve_blowup_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "diffusion_preset", _backward_linear)
+    out = tmp_path / "run"
+    assert main(["solve", "--preset", "heat", "--epsilon", "40",
+                 "--N", "16", "--T", "0.5", "--samples", "3",
+                 "--out", str(out)]) == EXIT_NUMERICAL
+    assert "blew up" in capsys.readouterr().err
+    with open(out / "manifest.json") as fh:
+        assert json.load(fh)["blowup"]
+
+
+def test_main_sweep_where_every_run_blows_up_is_a_numerical_failure(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "diffusion_preset", _backward_linear)
+    cfg = _write(tmp_path, "[problem]\nflux = zero\nt_end = 0.2\n[sweep]\n"
+                 "epsilons = 1.0, 0.5\ngrids = 64, 64\nref_n = 64\n")
+    assert main(["sweep", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+    assert "every run in the sweep blew up" in capsys.readouterr().err
+
+
+def test_main_compare_on_a_nonfinite_snapshot_is_a_config_error(tmp_path,
+                                                                capsys):
+    snap = tmp_path / "snap.csv"
+    snap.write_text("x,u\n" + "".join(f"{i / 8!r},{'nan' if i == 3 else 0.0}\n"
+                                     for i in range(16)))
+    assert main(["compare", "--a", str(snap), "--b", str(snap)]) == EXIT_CONFIG
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_main_diagnose_on_snapshots_off_the_manifest_grid_is_a_config_error(
+        tmp_path, capsys):
+    out = tmp_path / "run"
+    main(["solve", "--preset", "heat", "--epsilon", "0.1", "--N", "64",
+          "--T", "0.2", "--samples", "5", "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    (out / "manifest.json").write_text(json.dumps(manifest | {"N": 128}))
+    assert main(["diagnose", "--run", str(out)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "diagnostics.csv").exists()

@@ -158,6 +158,8 @@ def test_trajectory_append_validation():
     traj.append(0.25, f)
     with pytest.raises(ValueError):
         traj.append(0.25, f)    # strictly increasing
+    with pytest.raises(ValueError):
+        traj.append(0.5, Field(GridSpec(n=32), np.zeros(32)))  # another grid
     assert traj.t_final == 0.25
 
 
@@ -193,6 +195,22 @@ def test_snapshot_csv_roundtrip(tmp_path):
     back = read_snapshot_csv(path, length=2.0)
     assert back.grid == g
     assert np.array_equal(back.values, f.values)
+
+
+def test_snapshot_csv_roundtrip_2d_infers_the_period(tmp_path):
+    g = GridSpec(n=16, length=1.5, dim=2)
+    f = Field(g, np.random.default_rng(0).standard_normal((16, 16)))
+    path = tmp_path / "snap.csv"
+    write_snapshot_csv(f, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x,y,u" and len(lines) == 1 + 16 * 16
+    assert lines[2] == f"0.0,{g.dx!r},{float(f.values[0, 1])!r}"  # x slowest
+    back = read_snapshot_csv(path)
+    assert back.grid == g
+    assert np.array_equal(back.values, f.values)
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ValueError, match="not square"):
+        read_snapshot_csv(path)
 
 
 def test_snapshot_binary_roundtrip(tmp_path):

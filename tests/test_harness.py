@@ -5,6 +5,7 @@ import functools
 import json
 from concurrent.futures import Future
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,17 +224,56 @@ def test_run_sweep_dispersive_ladder_uses_delta_ladder(tmp_path):
         assert json.load(fh)["theorem_tag"] == "dispersive"
 
 
-def test_cache_paths_follow_the_scheme_tags(tmp_path, monkeypatch):
-    # a record or reference computed by another scheme is never served
+def test_cache_paths_follow_the_code_key(tmp_path, monkeypatch):
+    # a record or reference computed by other code is never served
     cfg = _tiny_config(tmp_path / "sweep")
     record, reference = harness._record_path(cfg, 0), harness._reference_path(cfg)
-    monkeypatch.setattr(harness, "REFERENCE_SCHEME", "other-reference")
+    monkeypatch.setattr(harness, "_code_key", lambda: "other-code")
     assert harness._record_path(cfg, 0) != record
     assert harness._reference_path(cfg) != reference
-    monkeypatch.undo()
-    monkeypatch.setattr(harness, "SOLVER_SCHEME", "other-solver")
-    assert harness._record_path(cfg, 0) != record
-    assert harness._reference_path(cfg) == reference
+
+
+def test_code_key_covers_numpy_and_every_module(tmp_path, monkeypatch):
+    key = harness._code_key()
+    copy = tmp_path / "ddlab"
+    copy.mkdir()
+    for module in Path(harness.__file__).parent.glob("*.py"):
+        (copy / module.name).write_bytes(module.read_bytes())
+
+    def key_of(package_dir):
+        harness._code_key.cache_clear()
+        monkeypatch.setattr(harness, "__file__", str(package_dir / "harness.py"))
+        return harness._code_key()
+
+    try:
+        assert key_of(copy) == key          # names and bytes, not the place
+        with open(copy / "grids.py", "a") as fh:
+            fh.write("\n")
+        edited = key_of(copy)
+        assert edited != key
+        (copy / "extra.py").write_text("")
+        assert key_of(copy) not in (key, edited)
+        monkeypatch.setattr(np, "__version__", "0.0")
+        assert key_of(Path(harness.__file__).parent) != key
+    finally:
+        monkeypatch.undo()
+        harness._code_key.cache_clear()
+    assert harness._code_key() == key
+
+
+def test_records_cached_by_other_code_are_recomputed(tmp_path, monkeypatch):
+    # records that another version of the code left in the out_dir: the
+    # rerun writes the records.csv a fresh run writes
+    cfg = _tiny_config(tmp_path / "sweep")
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_code_key", lambda: "older-code")
+        run_sweep(cfg)
+    for path in (tmp_path / "sweep").glob("run_*.json"):
+        path.write_text(json.dumps(json.loads(path.read_text()) | {"mu1": 1.0}))
+    run_sweep(cfg)
+    run_sweep(replace(cfg, out_dir=str(tmp_path / "fresh")))
+    assert (tmp_path / "sweep" / "records.csv").read_bytes() == \
+        (tmp_path / "fresh" / "records.csv").read_bytes()
 
 
 def _fail_if_called(*args):
@@ -263,12 +303,11 @@ def test_other_references_keep_the_engquist_osher_solve(tmp_path, monkeypatch,
     assert len(built) == 1 and ref.grid.dim == cfg.dim
 
 
-def test_reference_cached_by_the_engquist_osher_tag_is_not_served(tmp_path,
-                                                                  monkeypatch):
-    # an EO reference and records cached before the exact path existed
+def test_reference_cached_under_another_code_key_is_not_served(tmp_path,
+                                                               monkeypatch):
+    # an EO reference and records cached by code older than the exact path
     cfg = _tiny_config(tmp_path / "sweep")
-    monkeypatch.setattr(harness, "REFERENCE_SCHEME",
-                        "engquist-osher-fv1/simpson-hermite-2048")
+    monkeypatch.setattr(harness, "_code_key", lambda: "engquist-osher-era")
     old_record, old_path = harness._record_path(cfg, 0), harness._reference_path(cfg)
     monkeypatch.undo()
     assert harness._record_path(cfg, 0) != old_record
