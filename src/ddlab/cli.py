@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 import typing
 from pathlib import Path
@@ -24,6 +23,7 @@ from .grids import (
     GridSpec,
     Trajectory,
     lp_norm,
+    read_manifest,
     read_snapshot_csv,
     write_manifest,
     write_snapshot_csv,
@@ -216,8 +216,7 @@ def _cmd_solve(args) -> int:
 
 def _load_trajectory(path) -> Trajectory:
     path = Path(path)
-    with open(path / "manifest.json") as fh:
-        manifest = json.load(fh)
+    manifest = read_manifest(path / "manifest.json")
     traj = Trajectory(
         grid=GridSpec(n=manifest["N"], length=manifest["length"], dim=1),
         params=manifest.get("params", {}),
@@ -261,10 +260,7 @@ def _final_field(path) -> Field:
     if not snaps:
         raise ConfigError(f"no snapshots under {path}")
     manifest = path / "manifest.json"
-    length = None
-    if manifest.exists():
-        with open(manifest) as fh:
-            length = json.load(fh).get("length")
+    length = read_manifest(manifest).get("length") if manifest.exists() else None
     return read_snapshot_csv(snaps[-1], length=length)
 
 

@@ -183,7 +183,7 @@ def gradient_budget(traj: Trajectory, diff: DiffusionSpec, eps: float,
 
 
 def power_energy_identity(traj: Trajectory, alpha: float, diff: DiffusionSpec,
-                          eps: float, delta: float, form: str = "auto") -> dict:
+                          eps: float, delta: float) -> dict:
     """Both sides of the |u|^(alpha+1) energy identity.
 
     lhs = int |u(t)|^(a+1)/(a+1) + a*eps int int |u|^(a-1) grad u . b(grad u)
@@ -193,9 +193,7 @@ def power_energy_identity(traj: Trajectory, alpha: float, diff: DiffusionSpec,
     """
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    use_cubed = alpha >= 2 if form == "auto" else form == "cubed"
-    if use_cubed and alpha < 2:
-        raise ValueError("the cubed-gradient dispersive form needs alpha >= 2")
+    use_cubed = alpha >= 2
 
     a = float(alpha)
     u_t = traj.final()

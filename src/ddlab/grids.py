@@ -185,7 +185,7 @@ def stencil_symbols(grid: GridSpec) -> tuple:
 
 def lp_norm(f: Field, p) -> float:
     """Discrete L^p norm: (sum |u|^p dx^d)^(1/p); p=inf gives max |u|."""
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         return float(np.max(np.abs(f.values)))
     p = float(p)
     if p < 1:

@@ -4,6 +4,7 @@ entropy-solution reference, record persistence, and sweep summaries.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -19,6 +20,7 @@ from .grids import (
     Field,
     GridSpec,
     lp_norm,
+    read_manifest,
     read_snapshot_binary,
     write_snapshot_binary,
     write_manifest,
@@ -121,7 +123,7 @@ def compare_to_reference(f: Field, ref: Field, p_list=(1, 2, np.inf)) -> dict:
     d = Field(grid, a - b)
     out = {}
     for p in p_list:
-        key = "Linf" if p == np.inf or p == "inf" else f"L{p:g}"
+        key = "Linf" if p == np.inf else f"L{p:g}"
         out[key] = lp_norm(d, p)
     return out
 
@@ -182,6 +184,14 @@ class SweepConfig:
         """Raise ValueError or LookupError for a config no run can use."""
         if len(self.epsilons) != len(self.grid_ns):
             raise ValueError("epsilons and grid_ns ladders must pair up")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        # the default enables every diagnostic there is
+        unknown = set(self.diagnostics) - set(SweepConfig.diagnostics)
+        if unknown:
+            raise ValueError(f"unknown diagnostics {sorted(unknown)}; have "
+                             f"{', '.join(SweepConfig.diagnostics)}")
+        GridSpec(n=self.ref_n, length=self.length, dim=self.dim)  # or raise
         for n in self.grid_ns:
             if max(n, self.ref_n) % min(n, self.ref_n):
                 raise ValueError(f"grids are incommensurate: {n} vs ref_n "
@@ -229,16 +239,9 @@ class RunRecord:
     young_var: float
 
     def csv_row(self) -> str:
-        vals = []
-        for col in RECORD_COLUMNS:
-            v = getattr(self, col)
-            if isinstance(v, bool):
-                vals.append(str(int(v)))
-            elif isinstance(v, (int, np.integer)):
-                vals.append(str(int(v)))
-            else:
-                vals.append(repr(float(v)))
-        return ",".join(vals)
+        vals = (getattr(self, col) for col in RECORD_COLUMNS)
+        return ",".join(str(int(v)) if isinstance(v, (int, np.integer))
+                        else repr(float(v)) for v in vals)
 
 
 RECORD_COLUMNS = [f.name for f in fields(RunRecord)]
@@ -291,16 +294,6 @@ def ensure_reference(cfg: SweepConfig) -> Field:
     return ref
 
 
-def _run_theta(cfg: SweepConfig) -> diag.TestFunction:
-    return diag.bump_over(cfg.theta_center, cfg.theta_t_center,
-                          cfg.theta_radius, cfg.theta_t_radius, dim=cfg.dim)
-
-
-def _kru_theta(cfg: SweepConfig) -> diag.TestFunction:
-    return diag.bump_over(cfg.kru_center, cfg.kru_t_center,
-                          cfg.kru_radius, cfg.kru_t_radius, dim=cfg.dim)
-
-
 def _run_window(cfg: SweepConfig) -> diag.Window:
     lo = cfg.window_center - cfg.window_halfwidth
     hi = cfg.window_center + cfg.window_halfwidth
@@ -335,14 +328,17 @@ def execute_run(cfg: SweepConfig, idx: int) -> tuple:
     nan = float("nan")
     mu1 = mu2 = mu3 = kru = young = nan
     if not traj.blowup:
-        theta = _run_theta(cfg)
         if "production" in cfg.diagnostics:
+            theta = diag.bump_over(cfg.theta_center, cfg.theta_t_center,
+                                   cfg.theta_radius, cfg.theta_t_radius,
+                                   dim=cfg.dim)
             pair = quadratic_entropy_pair(flux)
             rep = diag.entropy_production(traj, pair, theta, eps, delta, diffusion)
             mu1, mu2, mu3 = rep.mu1, rep.mu2, rep.mu3
         if "kruzkov" in cfg.diagnostics:
-            val = diag.kruzkov_residual(traj, flux, cfg.kruzkov_k, grid.dx,
-                                        _kru_theta(cfg))
+            theta = diag.bump_over(cfg.kru_center, cfg.kru_t_center,
+                                   cfg.kru_radius, cfg.kru_t_radius, dim=cfg.dim)
+            val = diag.kruzkov_residual(traj, flux, cfg.kruzkov_k, grid.dx, theta)
             kru = max(0.0, val)
         if "young" in cfg.diagnostics:
             vals = diag.window_samples(traj, _run_window(cfg))
@@ -383,12 +379,13 @@ def run_sweep(cfg: SweepConfig) -> list:
 
     Records already on disk under an entry's key (its config values and the
     code key) are reused, and the reference is needed only when some entry
-    is pending.  Pending entries run finest grid (longest solve) first; a
-    pool, used when at least two tasks are pending (a reference not on disk
-    is one), gets the reference as its first task, so the sweep lasts about
-    as long as its longest task.  The distances to the reference are computed here from
-    each entry's final field.  Individual blow-ups are recorded and the
-    sweep continues; if every run blows up, raises SweepBlowUpError.
+    is pending.  Pending entries run finest grid (longest solve) first,
+    through one map: with workers > 1, a pool of at most one process per
+    pending entry starts them all while this process builds the reference;
+    otherwise the reference is built first and the entries run here in
+    turn.  The distances to the reference are computed here from each
+    entry's final field.  Individual blow-ups are recorded and the sweep
+    continues; if every run blows up, raises SweepBlowUpError.
     """
     cfg.validate()
     out = Path(cfg.out_dir)
@@ -399,22 +396,19 @@ def run_sweep(cfg: SweepConfig) -> list:
     for idx in range(len(cfg.epsilons)):
         path = _record_path(cfg, idx)
         if path.exists():
-            with open(path) as fh:
-                records[idx] = RunRecord(**json.load(fh))
+            records[idx] = RunRecord(**read_manifest(path))
         else:
             pending.append(idx)
 
     order = sorted(pending, key=lambda idx: -cfg.grid_ns[idx])
     run = functools.partial(execute_run, cfg)
-    tasks = len(order) + (bool(order) and not _reference_path(cfg).exists())
-    if cfg.workers > 1 and tasks > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            reference = pool.submit(ensure_reference, cfg)
-            results = list(pool.map(run, order))
-            ref = reference.result()
-    else:
+    with (ProcessPoolExecutor(max_workers=min(cfg.workers, len(order)))
+          if cfg.workers > 1 and order else contextlib.nullcontext()) as pool:
+        # pool.map starts every entry at once; the builtin map is lazy, so
+        # serially the reference is built first
+        results = (pool.map if pool else map)(run, order)
         ref = ensure_reference(cfg) if order else None
-        results = list(map(run, order))
+        results = list(results)
 
     for idx, (rec, final) in zip(order, results):
         if final is not None:
@@ -422,8 +416,7 @@ def run_sweep(cfg: SweepConfig) -> list:
         records[idx] = rec
         path = _record_path(cfg, idx)
         tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        with open(tmp, "w") as fh:
-            json.dump(asdict(rec), fh, sort_keys=True, indent=2)
+        write_manifest(tmp, asdict(rec))
         os.replace(tmp, path)
 
     ordered = [records[i] for i in range(len(cfg.epsilons))]

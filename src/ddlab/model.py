@@ -362,10 +362,10 @@ _FLUXES = {
 }
 
 
-def flux_preset(name: str, **kwargs) -> FluxSpec:
+def flux_preset(name: str) -> FluxSpec:
     if name not in _FLUXES:
         raise KeyError(f"unknown flux preset {name!r}; have {sorted(_FLUXES)}")
-    return _FLUXES[name](**kwargs)
+    return _FLUXES[name]()
 
 
 def diffusion_preset(name: str) -> DiffusionSpec:

@@ -12,6 +12,7 @@ dt is limited only by convection and by nonlinear diffusion.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -324,54 +325,59 @@ def _bump_profile(s):
     return out
 
 
+def _bump(amplitude=1.0, radius_frac=0.25) -> InitialData:
+    def producer(grid: GridSpec) -> Field:
+        coords = grid.meshgrid()
+        c = grid.length / 2.0
+        vals = np.ones(grid.shape)
+        for x in coords:
+            vals = vals * _bump_profile((x - c) / (radius_frac * grid.length))
+        return Field(grid, amplitude * vals)
+
+    return InitialData(producer=producer, name="bump")
+
+
+def _smoothed_riemann(uL=1.0, uR=0.0, w=0.02, lo_frac=0.25,
+                      hi_frac=0.55) -> InitialData:
+    # plateau at uL between 25% and 55% of the box, uR outside; the right
+    # edge is the shock-forming transition, the left edge opens into a
+    # rarefaction
+    def producer(grid: GridSpec) -> Field:
+        x = grid.meshgrid()[0]
+        x1 = lo_frac * grid.length
+        x2 = hi_frac * grid.length
+        vals = uR + 0.5 * (uL - uR) * (
+            np.tanh((x - x1) / w) - np.tanh((x - x2) / w)
+        )
+        return Field(grid, vals)
+
+    # tanh tails are analytically nonzero everywhere; treat as analytic
+    # for the support check, the seam values are ~exp(-L/w)
+    return InitialData(producer=producer, name="smoothed_riemann", analytic=True)
+
+
+def _sine(k=1, amplitude=1.0) -> InitialData:
+    def producer(grid: GridSpec) -> Field:
+        coords = grid.meshgrid()
+        vals = amplitude * np.sin(2.0 * np.pi * k * coords[0] / grid.length)
+        return Field(grid, vals)
+
+    return InitialData(producer=producer, name="sine", analytic=True)
+
+
+_INITIALS = {"bump": _bump, "smoothed_riemann": _smoothed_riemann,
+             "sine": _sine}
+
+
 def initial_preset(name: str, **kwargs) -> InitialData:
-    """Named initial conditions: bump, smoothed_riemann(uL,uR,w), sine."""
-    if name == "bump":
-        amp = kwargs.get("amplitude", 1.0)
-        radius_frac = kwargs.get("radius_frac", 0.25)
-
-        def producer(grid: GridSpec) -> Field:
-            coords = grid.meshgrid()
-            c = grid.length / 2.0
-            vals = np.ones(grid.shape)
-            for x in coords:
-                vals = vals * _bump_profile((x - c) / (radius_frac * grid.length))
-            return Field(grid, amp * vals)
-
-        return InitialData(producer=producer, name="bump")
-
-    if name == "smoothed_riemann":
-        u_left = kwargs.get("uL", 1.0)
-        u_right = kwargs.get("uR", 0.0)
-        w = kwargs.get("w", 0.02)
-        # plateau at uL between 25% and 55% of the box, uR outside; the
-        # right edge is the shock-forming transition, the left edge opens
-        # into a rarefaction
-        lo_frac = kwargs.get("lo_frac", 0.25)
-        hi_frac = kwargs.get("hi_frac", 0.55)
-
-        def producer(grid: GridSpec) -> Field:
-            x = grid.meshgrid()[0]
-            x1 = lo_frac * grid.length
-            x2 = hi_frac * grid.length
-            vals = u_right + 0.5 * (u_left - u_right) * (
-                np.tanh((x - x1) / w) - np.tanh((x - x2) / w)
-            )
-            return Field(grid, vals)
-
-        # tanh tails are analytically nonzero everywhere; treat as analytic
-        # for the support check, the seam values are ~exp(-L/w)
-        return InitialData(producer=producer, name="smoothed_riemann", analytic=True)
-
-    if name == "sine":
-        k = kwargs.get("k", 1)
-        amp = kwargs.get("amplitude", 1.0)
-
-        def producer(grid: GridSpec) -> Field:
-            coords = grid.meshgrid()
-            vals = amp * np.sin(2.0 * np.pi * k * coords[0] / grid.length)
-            return Field(grid, vals)
-
-        return InitialData(producer=producer, name="sine", analytic=True)
-
-    raise KeyError(f"unknown initial preset {name!r}")
+    """Named initial conditions: bump, smoothed_riemann, sine.  A keyword
+    the preset does not take is a ValueError naming the ones it does."""
+    if name not in _INITIALS:
+        raise KeyError(f"unknown initial preset {name!r}")
+    make = _INITIALS[name]
+    params = inspect.signature(make).parameters
+    unknown = sorted(set(kwargs) - set(params))
+    if unknown:
+        raise ValueError(f"initial preset {name!r} takes {', '.join(params)}, "
+                         f"not {', '.join(unknown)}")
+    return make(**kwargs)

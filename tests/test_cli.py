@@ -276,6 +276,10 @@ def test_main_sweep_bad_config_exit_code(tmp_path, capsys):
     "[sweep]\ncfl = 2.0\n",
     "[sweep]\nepsilons = 0.0\ngrids = 64\n",   # no delta_ladder entry
     "[sweep]\nepsilons = 0.08\ngrids = 96\nref_n = 256\n",  # incommensurate
+    "[diagnostics]\nenabled = productoin, kruzkov\n",
+    "[sweep]\nref_n = 4\n",   # commensurate, but too coarse a grid
+    "[sweep]\nworkers = 0\n",
+    "[problem]\ninitial = bump\nuL = 5.0\nw = 0.3\n",  # the bump takes neither
 ])
 def test_main_sweep_unusable_config_is_a_config_error(tmp_path, capsys, text):
     # found before any run starts, so it is not mistaken for a failed run

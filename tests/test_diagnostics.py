@@ -122,9 +122,6 @@ def test_power_energy_identity_rejects_bad_alpha(burgers_run):
     with pytest.raises(ValueError):
         diag.power_energy_identity(burgers_run, 0.5, linear_diffusion(),
                                    0.05, 0.0)
-    with pytest.raises(ValueError):
-        diag.power_energy_identity(burgers_run, 1.5, linear_diffusion(),
-                                   0.05, 0.0, form="cubed")
 
 
 # ---------------------------------------------------------------------------

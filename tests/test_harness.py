@@ -3,7 +3,7 @@ persistence, and summaries."""
 
 import functools
 import json
-from concurrent.futures import Future
+import os
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -359,8 +359,8 @@ def test_reference_is_written_atomically(tmp_path):
     assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == \
         [harness._reference_path(cfg).name]
     assert np.array_equal(harness.ensure_reference(cfg).values, ref.values)
-    # a pooled sweep builds the reference and the records in workers and
-    # leaves no temporary file behind
+    # a pooled sweep builds the records in workers and the reference in
+    # this process, and leaves no temporary file behind
     pooled = replace(cfg, workers=2, out_dir=str(tmp_path / "pooled"))
     run_sweep(pooled)
     assert harness._reference_path(pooled).exists()
@@ -390,11 +390,12 @@ def test_pooled_sweep_matches_serial_byte_for_byte(tmp_path, ladder):
 
 
 class _SyncPool:
-    """Runs ProcessPoolExecutor tasks in order, in this process, and logs
-    each submit or map as (function, arguments)."""
+    """Stands in for ProcessPoolExecutor: logs its max_workers and each map
+    as (function, items), and runs the map in this process."""
 
     def __init__(self, log, max_workers):
         self.log = log
+        log.append(max_workers)
 
     def __enter__(self):
         return self
@@ -402,46 +403,55 @@ class _SyncPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        self.log.append((fn, args))
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
     def map(self, fn, items):
         items = list(items)
         self.log.append((fn, items))
         return map(fn, items)
 
 
-def test_pool_starts_the_reference_then_the_finest_entries(tmp_path,
-                                                           monkeypatch):
+def test_pool_maps_finest_first_while_this_process_builds_the_reference(
+        tmp_path, monkeypatch):
     log, built = [], []
     monkeypatch.setattr(harness, "ProcessPoolExecutor",
                         functools.partial(_SyncPool, log))
     # a burgers 1-d reference is built by the exact Lax-Oleinik solution
     exact = harness.lax_oleinik_reference
     monkeypatch.setattr(harness, "lax_oleinik_reference",
-                        lambda *args: built.append(args) or exact(*args))
+                        lambda *args: built.append(os.getpid()) or exact(*args))
     cfg = replace(_tiny_config(tmp_path / "sweep"), workers=2,
                   epsilons=(0.08, 0.04, 0.02), grid_ns=(64, 128, 64))
     records = run_sweep(cfg)
-    (first, first_args), (run, order) = log
-    assert first is harness.ensure_reference and first_args == (cfg,)
-    assert run.func is harness.execute_run
+    workers, (run, order) = log
+    assert workers == 2 and run.func is harness.execute_run
     # descending N; equal N keep their ladder order
     assert order == [1, 0, 2]
-    assert len(built) == 1
+    assert built == [os.getpid()]
     assert all(np.isfinite(r.L1) for r in records)
-    # one entry pending and no reference on disk: still two pool tasks
+    # one entry pending and no reference on disk: a pool of one runs it
+    # while this process builds the reference
     harness._record_path(cfg, 1).unlink()
     harness._reference_path(cfg).unlink()
     log.clear()
     assert run_sweep(cfg) == records
-    (first, first_args), (run, order) = log
-    assert first is harness.ensure_reference and first_args == (cfg,)
-    assert run.func is harness.execute_run and order == [1]
-    assert len(built) == 2
+    workers, (run, order) = log
+    assert workers == 1 and run.func is harness.execute_run and order == [1]
+    assert built == [os.getpid()] * 2
+
+
+def test_pool_has_no_more_processes_than_pending_entries(tmp_path,
+                                                         monkeypatch):
+    log = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                        functools.partial(_SyncPool, log))
+    cfg = replace(_tiny_config(tmp_path / "sweep"), workers=64)
+    run_sweep(cfg)
+    workers, (_, order) = log
+    assert workers == 2 and order == [1, 0]
+    # no pool when nothing is pending, or with one worker
+    log.clear()
+    run_sweep(cfg)
+    run_sweep(replace(cfg, workers=1, out_dir=str(tmp_path / "serial")))
+    assert log == []
 
 
 _execute_run = harness.execute_run

@@ -354,6 +354,12 @@ def test_initial_presets_exist():
         initial_preset("nope")
 
 
+def test_initial_preset_rejects_a_keyword_it_does_not_take():
+    with pytest.raises(ValueError,
+                       match="takes amplitude, radius_frac, not uL, w"):
+        initial_preset("bump", uL=5.0, w=0.3)
+
+
 def test_smoothed_riemann_profile():
     g = GridSpec(n=512, length=2.0)
     f = initial_preset("smoothed_riemann", uL=1.0, uR=0.0, w=0.02).build(g)
