@@ -16,7 +16,7 @@ from .model import (
 from .solver import InitialData, SolveParams, solve
 from .reference import RiemannData, burgers_riemann_exact, engquist_osher_flux, \
     lax_oleinik_reference, reference_solve
-from .harness import ScalingLaw, SweepConfig, classify_regime, \
-    compare_to_reference, run_sweep
+from .harness import SweepConfig, classify_regime, compare_to_reference, \
+    run_sweep
 
 __version__ = "0.1.0"

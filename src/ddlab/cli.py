@@ -155,10 +155,7 @@ def sweep_config_from_sections(sections: dict, out_override=None) -> SweepConfig
         kwargs["initial_args"] = tuple(initial_args)
     if out_override:
         kwargs["out_dir"] = str(out_override)
-    try:
-        return SweepConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc))
+    return SweepConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +253,14 @@ def _final_field(path) -> Field:
     path = Path(path)
     if path.is_file():
         return read_snapshot_csv(path)
-    snaps = sorted(path.glob("snapshot_*.csv"))
-    if not snaps:
+    # the largest index, not the last name: snapshot_10000 sorts before _9999
+    last = max(path.glob("snapshot_*.csv"), default=None,
+               key=lambda p: int(p.stem.removeprefix("snapshot_")))
+    if last is None:
         raise ConfigError(f"no snapshots under {path}")
     manifest = path / "manifest.json"
     length = read_manifest(manifest).get("length") if manifest.exists() else None
-    return read_snapshot_csv(snaps[-1], length=length)
+    return read_snapshot_csv(last, length=length)
 
 
 def _cmd_compare(args) -> int:
@@ -288,7 +287,6 @@ def _cmd_sweep(args) -> int:
     with _config_errors():
         sections = parse_config(args.config) if args.config else {}
         cfg = sweep_config_from_sections(sections, out_override=args.out)
-        cfg.validate()
     records = run_sweep(cfg)
     out = Path(cfg.out_dir)
     if args.plot_data:

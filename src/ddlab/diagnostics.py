@@ -390,14 +390,15 @@ def entropy_production(traj: Trajectory, pair: EntropyPair, theta: TestFunction,
 
 def loglog_fit(eps, values) -> Optional[dict]:
     """Least-squares slope of log|value| against log eps, with its 95%
-    half-width from three points on; None below two points.
+    half-width from three points on; None unless the kept points have at
+    least two distinct eps (no slope exists without spread in log eps).
 
     Values below 1e-14 in magnitude are numerically zero and excluded.
     """
     eps = np.asarray(eps, dtype=float)
     vals = np.abs(np.asarray(values, dtype=float))
     keep = np.isfinite(vals) & (vals > 1e-14) & (eps > 0)
-    if np.sum(keep) < 2:
+    if np.sum(keep) < 2 or np.min(eps[keep]) == np.max(eps[keep]):
         return None
     x = np.log(eps[keep])
     y = np.log(vals[keep])

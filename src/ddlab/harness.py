@@ -36,7 +36,6 @@ from .reference import lax_oleinik_reference, reference_solve
 from .solver import InitialData, SolveParams, initial_preset, solve
 
 __all__ = [
-    "ScalingLaw",
     "SweepConfig",
     "RunRecord",
     "SweepBlowUpError",
@@ -60,21 +59,6 @@ def quadratic_entropy_pair(flux: FluxSpec) -> EntropyPair:
 
 # ---------------------------------------------------------------------------
 # regime classification
-
-
-@dataclass(frozen=True)
-class ScalingLaw:
-    """Dispersion-diffusion coupling delta = coeff * eps^gamma."""
-
-    gamma: float
-    coeff: float = 1.0
-
-    def __post_init__(self):
-        if self.gamma <= 0 or self.coeff <= 0:
-            raise ValueError("gamma and coeff must be positive")
-
-    def delta(self, eps: float) -> float:
-        return self.coeff * eps**self.gamma
 
 
 def classify_regime(r: float, m: float, gamma: float, has_h3: bool = True) -> str:
@@ -138,6 +122,8 @@ class SweepConfig:
 
     epsilons and grid_ns are paired entry by entry (same length); eps=0
     entries run the pure dispersive regime with delta read from delta_ladder.
+    Construction raises ValueError or LookupError for a config no run can
+    use, so every instance can be swept.
     """
 
     # problem
@@ -180,10 +166,11 @@ class SweepConfig:
     # output
     out_dir: str = "sweep_out"
 
-    def validate(self):
-        """Raise ValueError or LookupError for a config no run can use."""
+    def __post_init__(self):
         if len(self.epsilons) != len(self.grid_ns):
             raise ValueError("epsilons and grid_ns ladders must pair up")
+        if self.gamma <= 0 or self.coeff <= 0:
+            raise ValueError("gamma and coeff must be positive")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         # the default enables every diagnostic there is
@@ -191,6 +178,18 @@ class SweepConfig:
         if unknown:
             raise ValueError(f"unknown diagnostics {sorted(unknown)}; have "
                              f"{', '.join(SweepConfig.diagnostics)}")
+        # a bump does not wrap around the periodic seam: one cut there
+        # breaks every pairing that integrates by parts in space
+        for name, c, r, t_r in (
+                ("production", self.theta_center, self.theta_radius,
+                 self.theta_t_radius),
+                ("kruzkov", self.kru_center, self.kru_radius, self.kru_t_radius)):
+            if name in self.diagnostics and \
+                    not (r > 0 and t_r > 0 and r <= c <= self.length - r):
+                raise ValueError(
+                    f"{name} bump: need radius, t_radius > 0 and radius <= "
+                    f"center <= length - radius; got center {c}, radius "
+                    f"{r}, t_radius {t_r}, length {self.length}")
         GridSpec(n=self.ref_n, length=self.length, dim=self.dim)  # or raise
         for n in self.grid_ns:
             if max(n, self.ref_n) % min(n, self.ref_n):
@@ -198,9 +197,6 @@ class SweepConfig:
                                  f"{self.ref_n}")
         for idx in range(len(self.epsilons)):
             self.initial_data().build(_entry(self, idx)[0])
-
-    def scaling(self) -> ScalingLaw:
-        return ScalingLaw(gamma=self.gamma, coeff=self.coeff)
 
     def initial_data(self) -> InitialData:
         return initial_preset(self.initial, **dict(self.initial_args))
@@ -356,7 +352,7 @@ def execute_run(cfg: SweepConfig, idx: int) -> tuple:
 
 def _delta_at(cfg: SweepConfig, idx: int) -> float:
     eps = cfg.epsilons[idx]
-    return cfg.scaling().delta(eps) if eps > 0 else cfg.delta_ladder[idx]
+    return cfg.coeff * eps**cfg.gamma if eps > 0 else cfg.delta_ladder[idx]
 
 
 def _record_path(cfg: SweepConfig, idx: int) -> Path:
@@ -377,7 +373,8 @@ class SweepBlowUpError(RuntimeError):
 def run_sweep(cfg: SweepConfig) -> list:
     """Run every ladder entry, persist records, and write the summary.
 
-    Records already on disk under an entry's key (its config values and the
+    cfg was checked when it was built, so nothing here rejects it.  Records
+    already on disk under an entry's key (its config values and the
     code key) are reused, and the reference is needed only when some entry
     is pending.  Pending entries run finest grid (longest solve) first,
     through one map: with workers > 1, a pool of at most one process per
@@ -387,7 +384,6 @@ def run_sweep(cfg: SweepConfig) -> list:
     entry's final field.  Individual blow-ups are recorded and the sweep
     continues; if every run blows up, raises SweepBlowUpError.
     """
-    cfg.validate()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

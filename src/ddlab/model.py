@@ -33,7 +33,6 @@ __all__ = [
     "power_diffusion",
     "flux_preset",
     "diffusion_preset",
-    "tabulated_flux_from_csv",
 ]
 
 
@@ -135,18 +134,16 @@ def antiderivative(g, lo: float, hi: float, n: int):
 
 
 def make_entropy_pair(eta, eta_prime, eta_second, flux: FluxSpec,
-                      u_range=(-2.0, 2.0), n_quad: int = 512,
-                      eta_third=None) -> EntropyPair:
+                      n_quad: int = 512, eta_third=None) -> EntropyPair:
     """Build an entropy pair with q(u) = int_0^u eta'(v) f'(v) dv.
 
     The flux q is anchored at q(0)=0 and computed by ``antiderivative`` with
     n_quad panels over the evaluated range.  Rejects eta that fails
-    convexity on the sampled range.
+    convexity on samples of [-2, 2].
     """
     if n_quad < 2:
         raise ValueError("n_quad must be >= 2")
-    lo, hi = u_range
-    samples = np.linspace(lo, hi, 257)
+    samples = np.linspace(-2.0, 2.0, 257)
     curv = np.asarray(eta_second(samples), dtype=float)
     bad = np.where(curv < -1e-12)[0]
     if bad.size:
@@ -374,19 +371,3 @@ def diffusion_preset(name: str) -> DiffusionSpec:
     if name.startswith("power"):
         return power_diffusion(float(name[5:]))
     raise KeyError(f"unknown diffusion preset {name!r}")
-
-
-def tabulated_flux_from_csv(path, m: float, c1: float, c1p: float) -> FluxSpec:
-    """Build a flux from a CSV of rows u, f(u), f'(u) by linear interpolation."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    u_tab, f_tab, fp_tab = data[:, 0], data[:, 1], data[:, 2]
-    order = np.argsort(u_tab)
-    u_tab, f_tab, fp_tab = u_tab[order], f_tab[order], fp_tab[order]
-
-    def ev(u):
-        return np.interp(np.asarray(u, dtype=float), u_tab, f_tab)
-
-    def dv(u):
-        return np.interp(np.asarray(u, dtype=float), u_tab, fp_tab)
-
-    return FluxSpec(eval=ev, deriv=dv, m=m, c1=c1, c1p=c1p, name="tabulated")

@@ -172,10 +172,9 @@ dir = somewhere
     assert cfg2.out_dir == "other"
 
 
-def test_sweep_config_bad_gamma_fails_at_scaling(tmp_path):
-    cfg = sweep_config_from_sections({"sweep": {"gamma": -1.0}})
-    with pytest.raises(ValueError):
-        cfg.scaling()
+def test_sweep_config_bad_gamma_fails_at_construction():
+    with pytest.raises(ValueError, match="gamma"):
+        sweep_config_from_sections({"sweep": {"gamma": -1.0}})
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +223,20 @@ def test_main_compare_identical_runs(tmp_path, capsys):
     dists = dict(ln.split() for ln in outlines)
     assert float(dists["L1"]) == 0.0
     assert float(dists["Linf"]) == 0.0
+
+
+def test_main_compare_reads_the_snapshot_with_the_largest_index(tmp_path,
+                                                                capsys):
+    # snapshot_10000 sorts before snapshot_9999 by name
+    run = tmp_path / "run"
+    run.mkdir()
+    for index, value in ((9999, 1.0), (10000, 0.0)):
+        (run / f"snapshot_{index}.csv").write_text(
+            "x,u\n" + "".join(f"{i / 4!r},{value!r}\n" for i in range(8)))
+    assert main(["compare", "--a", str(run),
+                 "--b", str(run / "snapshot_10000.csv")]) == EXIT_OK
+    dists = dict(ln.split() for ln in capsys.readouterr().out.splitlines())
+    assert float(dists["L1"]) == 0.0
 
 
 def test_main_classify(capsys):
@@ -280,14 +293,21 @@ def test_main_sweep_bad_config_exit_code(tmp_path, capsys):
     "[sweep]\nref_n = 4\n",   # commensurate, but too coarse a grid
     "[sweep]\nworkers = 0\n",
     "[problem]\ninitial = bump\nuL = 5.0\nw = 0.3\n",  # the bump takes neither
+    "[diagnostics]\ntheta_radius = 0.0\n",
+    "[diagnostics]\nkruzkov_center = 0.1\n",   # cut at the periodic seam
+    "[sweep]\nepsilons = 0.0\ngrids = 512\ndeltas = 1e-5\ngamma = 0.0\n",
 ])
 def test_main_sweep_unusable_config_is_a_config_error(tmp_path, capsys, text):
-    # found before any run starts, so it is not mistaken for a failed run
+    # found before any run starts, so it is not mistaken for a failed run;
+    # building the config from the file is what rejects it
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(text)
+    with pytest.raises((ValueError, LookupError)):
+        sweep_config_from_sections(parse_config(cfg))
     assert main(["sweep", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_sweep_missing_config_is_a_config_error(tmp_path, capsys):

@@ -209,6 +209,16 @@ def test_production_scaling_fit_guards():
         diag.production_scaling_fit([mk(0.1), mk(0.08), mk(0.06), mk(0.04)])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps", [(0.04, 0.04), (0.04, 0.04, 0.04)])
+def test_loglog_fit_needs_two_distinct_eps(eps):
+    # with no spread in log eps, two points give a slope fitted to nothing
+    # (and a RankWarning), three a singular covariance
+    assert diag.loglog_fit(eps, [0.3, 0.2, 0.1][:len(eps)]) is None
+    fit = diag.loglog_fit(eps + (0.02,), [0.3, 0.2, 0.1, 0.05][-len(eps) - 1:])
+    assert fit is not None and np.isfinite(fit["slope"])
+
+
 # brute-force oracle: theta's closed form on the full space-time mesh
 
 

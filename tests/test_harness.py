@@ -15,7 +15,6 @@ from ddlab.grids import Field, GridSpec, write_snapshot_binary
 from ddlab.harness import (
     RECORD_COLUMNS,
     RunRecord,
-    ScalingLaw,
     SweepConfig,
     classify_regime,
     compare_to_reference,
@@ -57,12 +56,13 @@ def test_classify_regime_rejects_negative_r():
 
 
 def test_scaling_law():
-    law = ScalingLaw(gamma=2.5, coeff=2.0)
-    assert law.delta(0.01) == pytest.approx(2.0 * 0.01**2.5)
-    with pytest.raises(ValueError):
-        ScalingLaw(gamma=0.0)
-    with pytest.raises(ValueError):
-        ScalingLaw(gamma=1.0, coeff=-1.0)
+    cfg = SweepConfig(epsilons=(0.01, 0.0), grid_ns=(512, 512), gamma=2.5,
+                      coeff=2.0, delta_ladder=(0.5, 1e-3))
+    assert [harness._delta_at(cfg, i) for i in (0, 1)] == [2.0 * 0.01**2.5, 1e-3]
+    # rejected even where every entry reads delta_ladder
+    for law in ({"gamma": 0.0}, {"gamma": 1.0, "coeff": -1.0}):
+        with pytest.raises(ValueError, match="gamma and coeff"):
+            replace(cfg, epsilons=(0.0, 0.0), **law)
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +206,23 @@ def test_run_sweep_reuses_records(tmp_path):
 
 
 def test_run_sweep_rejects_mismatched_ladders(tmp_path):
-    cfg = SweepConfig(epsilons=(0.1, 0.05), grid_ns=(64,),
-                      out_dir=str(tmp_path / "bad"))
+    # no such config exists to be swept: building it raises, and so does
+    # deriving it from a good one
     with pytest.raises(ValueError, match="ladder"):
-        run_sweep(cfg)
+        SweepConfig(epsilons=(0.1, 0.05), grid_ns=(64,),
+                    out_dir=str(tmp_path / "bad"))
+    with pytest.raises(ValueError, match="ladder"):
+        replace(_tiny_config(tmp_path / "bad"), grid_ns=(64,))
+    assert not (tmp_path / "bad").exists()
+
+
+def test_fixed_eps_sweep_writes_null_slopes(tmp_path):
+    # a grid-refinement ladder at one eps has no spread in log eps
+    cfg = replace(_tiny_config(tmp_path / "fixed"), epsilons=(0.08,) * 3,
+                  grid_ns=(64, 128, 256))
+    run_sweep(cfg)
+    with open(tmp_path / "fixed" / "summary.json") as fh:
+        assert json.load(fh)["slopes"] == {"L1": None, "mu1": None, "mu3": None}
 
 
 def test_run_sweep_dispersive_ladder_uses_delta_ladder(tmp_path):
@@ -321,12 +334,22 @@ def test_reference_cached_under_another_code_key_is_not_served(tmp_path,
     assert not np.array_equal(ref.values, stale.values)
 
 
-def _moved(value):
+# values of the tiny config's fields whose neighbour is named, not stepped
+_NEIGHBOURS = {"flux": "bounded", "diffusion": "power2", "initial": "bump",
+               "initial_args": (("w", 0.1),), "delta_ladder": (1e-3,),
+               "diagnostics": ("production", "kruzkov")}
+
+
+def _moved(name, value):
+    """A usable neighbour of the tiny config's value of field name: a tuple
+    moves its last entry, an int doubles, a float grows by 5%."""
+    if name in _NEIGHBOURS:
+        return _NEIGHBOURS[name]
     if isinstance(value, str):
         return value + "_"
     if isinstance(value, tuple):
-        return value + (value[0] if value else ("w", 0.1),)
-    return value + 1
+        return value[:-1] + (_moved(name, value[-1]),)
+    return 2 * value if isinstance(value, int) else 1.05 * value
 
 
 def test_every_config_field_moves_the_record_path(tmp_path):
@@ -336,7 +359,7 @@ def test_every_config_field_moves_the_record_path(tmp_path):
     record = harness._record_path(cfg, 0)
     elsewhere = ("out_dir", "workers", "epsilons", "grid_ns", "delta_ladder")
     for f in fields(SweepConfig):
-        moved = replace(cfg, **{f.name: _moved(getattr(cfg, f.name))})
+        moved = replace(cfg, **{f.name: _moved(f.name, getattr(cfg, f.name))})
         same = harness._record_path(moved, 0).name == record.name
         assert same == (f.name in elsewhere), f.name
 

@@ -20,7 +20,6 @@ from ddlab.model import (
     linear_diffusion,
     make_entropy_pair,
     power_diffusion,
-    tabulated_flux_from_csv,
     DiffusionSpec,
 )
 
@@ -171,17 +170,6 @@ def test_power_diffusion_vectorized_matches_pointwise():
             v = lam[:, i, j]
             assert np.allclose(out[:, i, j],
                                np.linalg.norm(v) ** 2 * v)
-
-
-def test_tabulated_flux(tmp_path):
-    u = np.linspace(-2, 2, 401)
-    path = tmp_path / "flux.csv"
-    rows = np.column_stack([u, 0.5 * u**2, u])
-    np.savetxt(path, rows, delimiter=",", header="u,f,fp", comments="")
-    flux = tabulated_flux_from_csv(path, m=2.0, c1=1.0, c1p=1.0)
-    probe = np.array([-1.0, 0.25, 1.5])
-    assert np.allclose(flux.eval(probe), 0.5 * probe**2, atol=1e-4)
-    assert np.allclose(flux.deriv(probe), probe, atol=1e-12)
 
 
 _finite = st.floats(-3.0, 3.0, allow_subnormal=False)

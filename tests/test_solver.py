@@ -49,8 +49,9 @@ def test_rhs_advection_of_sine():
     assert np.max(np.abs(rhs(u, p).values + np.cos(x))) < 1e-3
 
 
-def test_rhs_1d_fast_path_matches_generic_operators():
-    # nonlinear everything: compare against a hand-built operator composition
+def test_rhs_matches_hand_composed_grid_operators():
+    # convection, diffusion and dispersion at once, against divergence,
+    # gradient and third derivative composed by hand
     from ddlab.grids import divergence, gradient, third_derivative_axis
     g = GridSpec(n=128)
     x = g.axes()[0]
