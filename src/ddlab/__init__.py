@@ -1,20 +1,17 @@
 """ddlab: a numerical laboratory for diffusive-dispersive regularizations
 of scalar conservation laws on periodic boxes."""
 
-from .grids import Field, GridSpec, Trajectory, gradient, divergence, \
-    third_derivative_axis, lp_norm, spacetime_integral
+from .grids import Field, GridSpec, Trajectory, gradient, lp_norm, \
+    spacetime_integral
 from .model import (
     DiffusionSpec,
     EntropyPair,
     FluxSpec,
-    check_H3,
-    check_coercivity_H2,
-    check_growth_H1,
     kruzkov_entropy,
     make_entropy_pair,
 )
 from .solver import InitialData, SolveParams, solve
-from .reference import RiemannData, burgers_riemann_exact, engquist_osher_flux, \
+from .reference import RiemannData, burgers_riemann_exact, \
     lax_oleinik_reference, reference_solve
 from .harness import SweepConfig, classify_regime, compare_to_reference, \
     run_sweep

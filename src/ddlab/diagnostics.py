@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grids import Field, Trajectory, _diff_centered, lp_norm, \
+from .grids import Trajectory, _diff_centered, _grad, lp_norm, \
     spacetime_integral, spacetime_weights
 from .model import DiffusionSpec, EntropyPair, FluxSpec, antiderivative, \
     kruzkov_entropy
@@ -35,16 +35,13 @@ __all__ = [
     "gradient_budget",
     "power_energy_identity",
     "hn_bound",
-    "lp_bound_check",
     "h_regularity_check",
     "entropy_production",
     "loglog_fit",
-    "production_scaling_fit",
     "kruzkov_residual",
     "window_samples",
     "sample_index",
     "young_histogram",
-    "initial_trace_check",
     "bootstrap_bound",
 ]
 
@@ -91,14 +88,6 @@ class TestFunction:
         s = (np.asarray(times, dtype=float) - self.t_center) / self.t_radius
         return _bump(s, order) / self.t_radius**order
 
-    def supported_inside(self, grid, t_end: float) -> bool:
-        for ax in range(len(self.center)):
-            if self.center[ax] - self.radius[ax] < 0 or \
-               self.center[ax] + self.radius[ax] > grid.length:
-                return False
-        return 0 < self.t_center - self.t_radius and \
-            self.t_center + self.t_radius < t_end
-
 
 def bump_over(center, t_center, radius, t_radius, dim: int = 1) -> TestFunction:
     """Convenience constructor: a scalar center or radius is repeated on
@@ -126,11 +115,6 @@ def sample_index(traj: Trajectory, t: float) -> int:
     if abs(times[idx[-1]] - t) > 1e-9 * max(t, 1.0):
         raise ValueError(f"t={t} is not a stored sample time")
     return int(idx[-1])
-
-
-def _grad(u: np.ndarray, dx: float) -> np.ndarray:
-    """Centered gradient of gridded values, one row per axis."""
-    return np.stack([_diff_centered(u, ax, dx) for ax in range(u.ndim)])
 
 
 def _pair(values: np.ndarray, factors: list):
@@ -281,14 +265,6 @@ def hn_bound(p: HnBoundParams) -> float:
     return h_prev
 
 
-def lp_bound_check(traj: Trajectory, r: float, n: int, hn: float) -> dict:
-    """Compare max_t int |u(t)|^(n(r-1)+2) dx against the recursive bound."""
-    p = n * (r - 1.0) + 2.0
-    max_norm_power = max(lp_norm(f, p) ** p for f in traj.fields)
-    return {"max_norm_power": max_norm_power, "bound": hn,
-            "holds": bool(max_norm_power <= hn)}
-
-
 def bootstrap_bound(k: float, delta_ratio: float, theta: float, r: float) -> float:
     """Closed-form consequence of X <= K (1 + Delta X^(theta/(r+1))):
     X <= max{1, [K(1+Delta)]^((r+1)/(r+1-theta))}."""
@@ -346,12 +322,6 @@ class EntropyProductionReport:
     mu1: float
     mu2: float
     mu3: float
-    epsilon: float
-    delta: float
-
-    @property
-    def total(self) -> float:
-        return self.mu1 + self.mu2 + self.mu3
 
 
 def entropy_production(traj: Trajectory, pair: EntropyPair, theta: TestFunction,
@@ -384,8 +354,7 @@ def entropy_production(traj: Trajectory, pair: EntropyPair, theta: TestFunction,
     # with no sample inside theta's time support the integral is the scalar 0
     mu1, mu2, mu3 = map(float, np.broadcast_to(
         spacetime_integral(traj, sums, theta.time(traj.times)), 3))
-    return EntropyProductionReport(mu1=mu1, mu2=mu2, mu3=mu3,
-                                   epsilon=eps, delta=delta)
+    return EntropyProductionReport(mu1=mu1, mu2=mu2, mu3=mu3)
 
 
 def loglog_fit(eps, values) -> Optional[dict]:
@@ -407,26 +376,6 @@ def loglog_fit(eps, values) -> Optional[dict]:
     return {"slope": float(coef[0]),
             "ci95": float(2.0 * np.sqrt(cov[0, 0])) if np.isfinite(cov[0, 0])
             else None}
-
-
-def production_scaling_fit(reports: Sequence[EntropyProductionReport]) -> dict:
-    """``loglog_fit`` slopes of mu1 and mu3 across a sweep; nan where
-    fewer than two pairings are nonzero."""
-    eps = np.array([r.epsilon for r in reports], dtype=float)
-    if len(eps) < 4:
-        raise ValueError("need at least 4 sweep points")
-    # 0.9 decades admits the canonical 2x-halving ladder 0.04..0.005
-    if np.log10(np.max(eps) / np.min(eps)) < 0.9 - 1e-9:
-        raise ValueError("sweep must span close to a decade in eps")
-
-    def slope(values):
-        fit = loglog_fit(eps, values)
-        return fit["slope"] if fit else float("nan")
-
-    return {
-        "mu1_slope": slope([r.mu1 for r in reports]),
-        "mu3_slope": slope([r.mu3 for r in reports]),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -464,21 +413,30 @@ def kruzkov_residual(traj: Trajectory, flux: FluxSpec, k: float, rho: float,
 
 @dataclass(frozen=True)
 class Window:
-    """Axis-aligned space-time box for sample pooling."""
+    """Axis-aligned space-time box for sample pooling; both ends of every
+    interval are inside."""
 
     space: tuple   # ((lo, hi), ...) one pair per axis
     t: tuple       # (lo, hi)
+
+    def cells(self, grid) -> np.ndarray:
+        """Mask of the grid's cells whose centres lie in the window."""
+        coords = grid.meshgrid()
+        mask = np.ones(grid.shape, dtype=bool)
+        for ax, (lo, hi) in enumerate(self.space):
+            mask &= (coords[ax] >= lo) & (coords[ax] <= hi)
+        return mask
+
+    def samples(self, times) -> list:
+        """Indices of the times that lie in the window."""
+        return [i for i, t in enumerate(times) if self.t[0] <= t <= self.t[1]]
 
 
 def window_samples(traj: Trajectory, window: Window) -> np.ndarray:
     """Every value of u in the window's cells at the window's sample times,
     time by time; empty when the window holds no cell or no sample."""
-    coords = traj.grid.meshgrid()
-    mask = np.ones(traj.grid.shape, dtype=bool)
-    for ax, (lo, hi) in enumerate(window.space):
-        mask &= (coords[ax] >= lo) & (coords[ax] <= hi)
-    vals = [f.values[mask] for t, f in zip(traj.times, traj.fields)
-            if window.t[0] <= t <= window.t[1]]
+    mask = window.cells(traj.grid)
+    vals = [traj.fields[i].values[mask] for i in window.samples(traj.times)]
     return np.concatenate(vals) if vals else np.empty(0)
 
 
@@ -525,18 +483,6 @@ def young_histogram(runs: Sequence[Trajectory], window: Window,
         concentration_score=float(np.var(pooled)),
         n_samples=int(pooled.size),
     )
-
-
-def initial_trace_check(traj: Trajectory, u0: Field, t_small: Sequence[float]):
-    """Averaged initial-layer deviation (1/t) int_0^t int |u - u0| for each t.
-
-    Must decrease toward zero as t -> 0 on convergent-regime runs.
-    """
-    def deviation(u):
-        return np.sum(np.abs(u - u0.values))
-
-    return [spacetime_integral(traj, deviation, last=sample_index(traj, t)) / t
-            for t in t_small]
 
 
 # ---------------------------------------------------------------------------

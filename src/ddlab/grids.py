@@ -1,5 +1,5 @@
-"""Periodic uniform grids, finite-difference operators, their exact Fourier
-symbols, and discrete norms.
+"""Periodic uniform grids, the centered gradient, the exact Fourier symbols
+of the solver's stencils, and discrete norms.
 
 All stencils are centered, second order, and wrap periodically.  Fields are
 value types: every operator returns a new Field and never mutates its input.
@@ -18,9 +18,6 @@ __all__ = [
     "Field",
     "Trajectory",
     "gradient",
-    "divergence",
-    "third_derivative_axis",
-    "laplacian",
     "stencil_symbols",
     "lp_norm",
     "spacetime_integral",
@@ -132,43 +129,14 @@ def _diff_centered(values: np.ndarray, axis: int, dx: float) -> np.ndarray:
     return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * dx)
 
 
+def _grad(u: np.ndarray, dx: float) -> np.ndarray:
+    """Centered gradient of gridded values, one row per axis."""
+    return np.stack([_diff_centered(u, ax, dx) for ax in range(u.ndim)])
+
+
 def gradient(f: Field) -> list:
     """Centered gradient, one Field per axis, periodic wrap."""
-    dx = f.grid.dx
-    return [Field(f.grid, _diff_centered(f.values, ax, dx)) for ax in range(f.grid.dim)]
-
-
-def divergence(components: list) -> Field:
-    """Centered divergence of a vector of Fields sharing one grid."""
-    grid = components[0].grid
-    for c in components[1:]:
-        if c.grid != grid:
-            raise ValueError("divergence components must share a grid")
-    if len(components) != grid.dim:
-        raise ValueError(f"expected {grid.dim} components, got {len(components)}")
-    out = np.zeros(grid.shape)
-    for ax, c in enumerate(components):
-        out += _diff_centered(c.values, ax, grid.dx)
-    return Field(grid, out)
-
-
-def laplacian(f: Field) -> Field:
-    """divergence(gradient(u)): the wide 5-point stencil with spacing 2dx."""
-    return divergence(gradient(f))
-
-
-def third_derivative_axis(f: Field, axis: int = 0) -> Field:
-    """Centered third derivative along one axis:
-    (u_{i+2} - 2 u_{i+1} + 2 u_{i-1} - u_{i-2}) / (2 dx^3), second order."""
-    u = f.values
-    dx3 = f.grid.dx**3
-    out = (
-        np.roll(u, -2, axis=axis)
-        - 2.0 * np.roll(u, -1, axis=axis)
-        + 2.0 * np.roll(u, 1, axis=axis)
-        - np.roll(u, 2, axis=axis)
-    ) / (2.0 * dx3)
-    return Field(f.grid, out)
+    return [Field(f.grid, g) for g in _grad(f.values, f.grid.dx)]
 
 
 def stencil_symbols(grid: GridSpec) -> tuple:

@@ -190,6 +190,16 @@ class SweepConfig:
                     f"{name} bump: need radius, t_radius > 0 and radius <= "
                     f"center <= length - radius; got center {c}, radius "
                     f"{r}, t_radius {t_r}, length {self.length}")
+        # a window that reads no sample time, or no cell of some grid,
+        # would record young_var = nan
+        window = _run_window(self)
+        times = np.linspace(0.0, self.t_end, self.sample_count)
+        grids = [GridSpec(n=n, length=self.length, dim=self.dim)
+                 for n in self.grid_ns]
+        if "young" in self.diagnostics and not (
+                window.samples(times) and all(window.cells(g).any() for g in grids)):
+            raise ValueError(f"young window x {window.space[0]}, t {window.t} "
+                             f"holds no sample time or no cell of some grid")
         GridSpec(n=self.ref_n, length=self.length, dim=self.dim)  # or raise
         for n in self.grid_ns:
             if max(n, self.ref_n) % min(n, self.ref_n):
@@ -337,8 +347,7 @@ def execute_run(cfg: SweepConfig, idx: int) -> tuple:
             val = diag.kruzkov_residual(traj, flux, cfg.kruzkov_k, grid.dx, theta)
             kru = max(0.0, val)
         if "young" in cfg.diagnostics:
-            vals = diag.window_samples(traj, _run_window(cfg))
-            young = float(np.var(vals)) if vals.size else nan
+            young = float(np.var(diag.window_samples(traj, _run_window(cfg))))
 
     record = RunRecord(
         epsilon=eps, delta=delta, gamma=cfg.gamma, N=grid.n, dx=grid.dx,

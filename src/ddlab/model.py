@@ -1,5 +1,5 @@
-"""Continuous-problem definitions: fluxes, diffusions, entropy pairs,
-and sampling-based checks of the structural hypotheses (H1)-(H3).
+"""Continuous-problem definitions: fluxes, diffusions with their declared
+structure, entropy pairs, and the presets.
 
 All callables are vectorized over numpy arrays.  A flux is one scalar
 function f applied along every axis, so div f(u) = sum_j d_j f(u): its
@@ -22,9 +22,6 @@ __all__ = [
     "antiderivative",
     "make_entropy_pair",
     "kruzkov_entropy",
-    "check_growth_H1",
-    "check_coercivity_H2",
-    "check_H3",
     "burgers_flux",
     "advection_flux",
     "bounded_flux",
@@ -70,8 +67,8 @@ class DiffusionSpec:
     c2 |l|^(r+1) <= l . b(l) <= c3 |l|^(r+1); ``claims_h3`` marks uniform
     positive-definiteness of the Jacobian.  ``spectral_bound`` bounds the
     spectral radius of Db: a number when it holds for every gradient, a
-    function of max |grad u| otherwise, None to probe the Jacobian.
-    ``linear`` declares b(l) = l, which the solver integrates exactly.
+    function of max |grad u| otherwise; nothing probes the Jacobian in its
+    place.  ``linear`` declares b(l) = l, which the solver integrates exactly.
     """
 
     eval: Callable
@@ -79,10 +76,10 @@ class DiffusionSpec:
     r: float
     c2: float
     c3: float
+    spectral_bound: float | Callable
     claims_h3: bool = False
     h3_constant: float = 0.0
     name: str = "custom"
-    spectral_bound: float | Callable | None = None
     linear: bool = False
 
     def __post_init__(self):
@@ -183,72 +180,6 @@ def kruzkov_entropy(k: float, rho: float):
         return rho**2 / (w**2 + rho**2) ** 1.5
 
     return eta, eta_prime, eta_second
-
-
-# ---------------------------------------------------------------------------
-# hypothesis checks (sampling-based)
-
-
-def check_growth_H1(flux: FluxSpec, u_range=(-10.0, 10.0), n_samples: int = 256) -> dict:
-    """Check |f'(u)| <= c1 + c1p |u|^(m-1) on sampled u.
-
-    Returns {holds, worst_ratio, witness}.  For m < 1 the bound blows up at
-    u=0 and holds trivially there.
-    """
-    if n_samples < 16:
-        raise ValueError("need at least 16 samples")
-    u = np.linspace(u_range[0], u_range[1], n_samples)
-    mag = np.abs(np.asarray(flux.deriv(u)))
-    with np.errstate(divide="ignore"):
-        bound = flux.c1 + flux.c1p * np.abs(u) ** (flux.m - 1)
-    ratio = np.where(np.isinf(bound), 0.0, mag / bound)
-    i = int(np.argmax(ratio))
-    return {
-        "holds": bool(ratio[i] <= 1.0 + 1e-12),
-        "worst_ratio": float(ratio[i]),
-        "witness": float(u[i]),
-    }
-
-
-def check_coercivity_H2(diff: DiffusionSpec, lambda_samples) -> dict:
-    """Check c2 <= l.b(l)/|l|^(r+1) <= c3 on the sampled gradient vectors."""
-    worst_lower = np.inf
-    worst_upper = -np.inf
-    holds = True
-    for lam in lambda_samples:
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        mag = np.linalg.norm(lam)
-        if mag == 0.0:
-            continue
-        dot = float(np.dot(lam, np.atleast_1d(diff.eval(lam))))
-        if dot < 0:
-            return {"holds": False, "worst_lower": dot, "worst_upper": dot,
-                    "anti_dissipative": True}
-        ratio = dot / mag ** (diff.r + 1)
-        worst_lower = min(worst_lower, ratio)
-        worst_upper = max(worst_upper, ratio)
-        if ratio < diff.c2 - 1e-12 or ratio > diff.c3 + 1e-12:
-            holds = False
-    return {"holds": holds, "worst_lower": float(worst_lower),
-            "worst_upper": float(worst_upper), "anti_dissipative": False}
-
-
-def check_H3(diff: DiffusionSpec, lambda_samples, probe_vectors) -> dict:
-    """Probe uniform positive-definiteness of sym(Db) along unit vectors."""
-    min_proxy = np.inf
-    for lam in lambda_samples:
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        J = np.atleast_2d(diff.jacobian(lam))
-        S = 0.5 * (J + J.T)
-        for v in probe_vectors:
-            v = np.atleast_1d(np.asarray(v, dtype=float))
-            if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-                raise ValueError("probe vectors must be unit vectors")
-            min_proxy = min(min_proxy, float(v @ S @ v))
-    return {
-        "min_eigen_proxy": float(min_proxy),
-        "holds": bool(diff.claims_h3 and min_proxy >= diff.h3_constant - 1e-12),
-    }
 
 
 # ---------------------------------------------------------------------------

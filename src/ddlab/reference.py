@@ -21,7 +21,6 @@ from .model import FluxSpec, antiderivative
 
 __all__ = [
     "RiemannData",
-    "engquist_osher_flux",
     "reference_solve",
     "lax_oleinik_reference",
     "burgers_riemann_exact",
@@ -55,17 +54,6 @@ def _eo_halves(flux: FluxSpec, lo: float, hi: float, n: int = 2048):
     plus = antiderivative(lambda v: np.maximum(flux.deriv(v), 0.0), lo, hi, n)
     minus = antiderivative(lambda v: np.minimum(flux.deriv(v), 0.0), lo, hi, n)
     return (lambda a: f0 + plus(a)), minus
-
-
-def engquist_osher_flux(a, b, flux: FluxSpec):
-    """Monotone numerical flux
-    F(a, b) = f(0) + int_0^a max(f',0) + int_0^b min(f',0)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    states = np.concatenate([a.ravel(), b.ravel()])
-    right, left = _eo_halves(flux, states.min(), states.max())
-    out = right(a) + left(b)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def reference_solve(u0: Field, flux: FluxSpec, t_end: float,

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from ddlab import diagnostics as diag
-from ddlab.grids import Field, GridSpec, lp_norm
+from ddlab.grids import Field, GridSpec, lp_norm, read_manifest
 from ddlab.harness import SweepConfig, run_sweep
 from ddlab.model import burgers_flux, linear_diffusion, zero_flux
 from ddlab.reference import (
@@ -177,15 +177,14 @@ def test_entropy_production_signs_and_slopes(diffusive_sweep):
     cfg, records, _ = diffusive_sweep
     for r in records:
         assert r.mu2 <= 1e-10
-    reports = [
-        diag.EntropyProductionReport(mu1=r.mu1, mu2=r.mu2, mu3=r.mu3,
-                                     epsilon=r.epsilon, delta=r.delta)
-        for r in records
-    ]
-    fit = diag.production_scaling_fit(reports)
+    eps = [r.epsilon for r in records]
+    assert len(eps) >= 4
+    # 0.9 decades admits the canonical 2x-halving ladder 0.04..0.005
+    assert np.log10(max(eps) / min(eps)) >= 0.9 - 1e-9
+    slopes = read_manifest(f"{cfg.out_dir}/summary.json")["slopes"]
     r_diff = 1.0   # linear diffusion exponent
-    assert fit["mu1_slope"] >= 1.0 / (r_diff + 1.0) - 0.3
-    assert fit["mu3_slope"] >= cfg.gamma - 3.0 / (r_diff + 1.0) - 0.3
+    assert slopes["mu1"]["slope"] >= 1.0 / (r_diff + 1.0) - 0.3
+    assert slopes["mu3"]["slope"] >= cfg.gamma - 3.0 / (r_diff + 1.0) - 0.3
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,11 @@ def test_main_sweep_bad_config_exit_code(tmp_path, capsys):
     "[diagnostics]\ntheta_radius = 0.0\n",
     "[diagnostics]\nkruzkov_center = 0.1\n",   # cut at the periodic seam
     "[sweep]\nepsilons = 0.0\ngrids = 512\ndeltas = 1e-5\ngamma = 0.0\n",
+    # a window after the last sample time, and one off the box
+    "[problem]\nt_end = 0.2\n[sweep]\nepsilons = 0.08\ngrids = 64\n"
+    "ref_n = 64\n[diagnostics]\nenabled = young\nwindow_t_lo = 0.6\n"
+    "window_t_hi = 0.7\n",
+    "[diagnostics]\nwindow_center = 3.0\n",
 ])
 def test_main_sweep_unusable_config_is_a_config_error(tmp_path, capsys, text):
     # found before any run starts, so it is not mistaken for a failed run;
@@ -333,7 +338,7 @@ def test_main_diagnose_at_a_time_between_samples_is_a_config_error(
 
 
 _SHORT_SWEEP = ("[problem]\nt_end = 0.05\n[sweep]\nepsilons = 0.08\n"
-                "grids = 64\nref_n = 64\n")
+                "grids = 64\nref_n = 64\n[diagnostics]\nwindow_t_lo = 0.0\n")
 
 
 @pytest.mark.parametrize("error", [ValueError, BrokenProcessPool])
@@ -367,7 +372,7 @@ def _backward_linear(name):
     return DiffusionSpec(
         eval=lambda lam: -np.asarray(lam, dtype=float),
         jacobian=lambda lam: -np.eye(np.atleast_1d(lam).shape[0]),
-        r=1.0, c2=1.0, c3=1.0, name="backward")
+        r=1.0, c2=1.0, c3=1.0, spectral_bound=1.0, name="backward")
 
 
 def test_main_solve_blowup_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
@@ -385,7 +390,8 @@ def test_main_sweep_where_every_run_blows_up_is_a_numerical_failure(
         tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(harness, "diffusion_preset", _backward_linear)
     cfg = _write(tmp_path, "[problem]\nflux = zero\nt_end = 0.2\n[sweep]\n"
-                 "epsilons = 1.0, 0.5\ngrids = 64, 64\nref_n = 64\n")
+                 "epsilons = 1.0, 0.5\ngrids = 64, 64\nref_n = 64\n"
+                 "[diagnostics]\nwindow_t_lo = 0.0\n")
     assert main(["sweep", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
     assert "every run in the sweep blew up" in capsys.readouterr().err

@@ -10,20 +10,18 @@ from ddlab.grids import (
     Field,
     GridSpec,
     Trajectory,
-    divergence,
     gradient,
-    laplacian,
     lp_norm,
     read_manifest,
     read_snapshot_binary,
     read_snapshot_csv,
     spacetime_integral,
     stencil_symbols,
-    third_derivative_axis,
     write_manifest,
     write_snapshot_binary,
     write_snapshot_csv,
 )
+from oracles import divergence, laplacian, third_derivative_axis
 
 
 def test_gridspec_basic():

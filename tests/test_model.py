@@ -11,9 +11,6 @@ from ddlab.model import (
     antiderivative,
     bounded_flux,
     burgers_flux,
-    check_H3,
-    check_coercivity_H2,
-    check_growth_H1,
     diffusion_preset,
     flux_preset,
     kruzkov_entropy,
@@ -22,6 +19,7 @@ from ddlab.model import (
     power_diffusion,
     DiffusionSpec,
 )
+from oracles import check_H3, check_coercivity_H2, check_growth_H1
 
 
 def test_burgers_flux_values():
@@ -80,7 +78,7 @@ def test_coercivity_flags_anti_dissipative():
     diff = DiffusionSpec(
         eval=lambda lam: -np.asarray(lam, dtype=float),
         jacobian=lambda lam: -np.eye(np.atleast_1d(lam).shape[0]),
-        r=1.0, c2=1.0, c3=1.0, name="backward")
+        r=1.0, c2=1.0, c3=1.0, spectral_bound=1.0, name="backward")
     rep = check_coercivity_H2(diff, [np.array([1.0])])
     assert not rep["holds"]
     assert rep["anti_dissipative"]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ddlab import solver
-from ddlab.grids import Field, GridSpec, laplacian, lp_norm
+from ddlab.grids import Field, GridSpec, lp_norm
 from ddlab.model import DiffusionSpec, advection_flux, burgers_flux, \
     diffusion_preset, flux_preset, linear_diffusion, power_diffusion, zero_flux
 from ddlab.solver import (
@@ -18,6 +18,7 @@ from ddlab.solver import (
     stable_dt,
     step_rk4,
 )
+from oracles import laplacian
 
 
 def _params(flux, diff, eps, delta, t_end=1.0, **kw):
@@ -52,7 +53,8 @@ def test_rhs_advection_of_sine():
 def test_rhs_matches_hand_composed_grid_operators():
     # convection, diffusion and dispersion at once, against divergence,
     # gradient and third derivative composed by hand
-    from ddlab.grids import divergence, gradient, third_derivative_axis
+    from ddlab.grids import gradient
+    from oracles import divergence, third_derivative_axis
     g = GridSpec(n=128)
     x = g.axes()[0]
     u = Field(g, np.sin(2 * x) + 0.3 * np.cos(5 * x))
@@ -147,11 +149,12 @@ def test_etd_step_is_exact_for_heat_mode():
 
 
 def test_stable_dt_follows_declared_structure_not_name():
-    # a custom spec named "linear" with power-2 numerics is probed, not
-    # taken for the linear preset
+    # a custom spec named "linear" with power-2 numerics steps by its
+    # declared bound, not as the linear preset
     p2 = power_diffusion(2.0)
     named_linear = DiffusionSpec(eval=p2.eval, jacobian=p2.jacobian, r=2.0,
-                                 c2=1.0, c3=1.0, name="linear")
+                                 c2=1.0, c3=1.0, name="linear",
+                                 spectral_bound=p2.spectral_bound)
     g = GridSpec(n=128, length=2.0)
     dts = [stable_dt(_params(zero_flux(), d, 0.05, 0.0), g, 1.0, 30.0)
            for d in (named_linear, p2)]
@@ -246,7 +249,7 @@ def test_solve_blowup_flag_on_backward_diffusion():
     backward = DiffusionSpec(
         eval=lambda lam: -np.asarray(lam, dtype=float),
         jacobian=lambda lam: -np.eye(np.atleast_1d(lam).shape[0]),
-        r=1.0, c2=1.0, c3=1.0, name="backward")
+        r=1.0, c2=1.0, c3=1.0, spectral_bound=1.0, name="backward")
     g = GridSpec(n=64)
     u0 = initial_preset("sine", amplitude=1e-3)
     # growth e^(eps t) must clear the relative blow-up threshold of 1e6
