@@ -167,6 +167,14 @@ class SweepConfig:
     out_dir: str = "sweep_out"
 
     def __post_init__(self):
+        # a nan or inf would surface only inside the runs, as a blow-up
+        for f in fields(self):
+            value = getattr(self, f.name)
+            items = value if isinstance(value, tuple) else (value,)
+            if f.name == "initial_args":
+                items = [v for _, v in value]
+            if any(isinstance(v, float) and not np.isfinite(v) for v in items):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if len(self.epsilons) != len(self.grid_ns):
             raise ValueError("epsilons and grid_ns ladders must pair up")
         if self.gamma <= 0 or self.coeff <= 0:
@@ -272,12 +280,14 @@ def _code_key() -> str:
 
 def _reference_path(cfg: SweepConfig) -> Path:
     payload = cfg.problem_key() | {"code": _code_key()}
+    del payload["diffusion"]   # the entropy solution does not depend on it
     return Path(cfg.out_dir) / f"reference_{_hash_payload(payload)}.ddl"
 
 
 def ensure_reference(cfg: SweepConfig) -> Field:
     """Entropy-solution reference at the fine grid, cached on disk by a
-    content hash of the problem and of the code that computes it.
+    content hash of the problem less its diffusion and of the code that
+    computes it.
 
     A flux declared quadratic in 1-d gets the exact Lax-Oleinik solution of
     the gridded data; every other flux, and 2-d, the Engquist-Osher solve.

@@ -61,30 +61,29 @@ class FluxSpec:
 
 @dataclass(frozen=True)
 class DiffusionSpec:
-    """A diffusion lambda -> b(lambda) with Jacobian and coercivity metadata.
+    """A diffusion lambda -> b(lambda) with its declared structure.
 
     ``r``, ``c2``, ``c3`` declare the sandwich
-    c2 |l|^(r+1) <= l . b(l) <= c3 |l|^(r+1); ``claims_h3`` marks uniform
-    positive-definiteness of the Jacobian.  ``spectral_bound`` bounds the
-    spectral radius of Db: a number when it holds for every gradient, a
-    function of max |grad u| otherwise; nothing probes the Jacobian in its
-    place.  ``linear`` declares b(l) = l, which the solver integrates exactly.
+    c2 |l|^(r+1) <= l . b(l) <= c3 |l|^(r+1); ``claims_h3`` declares (H3),
+    uniform positive-definiteness of Db.  The regime classification reads
+    only r and claims_h3.  ``spectral_bound`` bounds the spectral radius of
+    Db: a number when it holds for every gradient, a function of
+    max |grad u| otherwise.  ``linear`` declares b(l) = l, which the solver
+    integrates exactly.
     """
 
     eval: Callable
-    jacobian: Callable
     r: float
     c2: float
     c3: float
     spectral_bound: float | Callable
     claims_h3: bool = False
-    h3_constant: float = 0.0
     name: str = "custom"
     linear: bool = False
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("exponent r must be >= 0")
+        if not 0 <= self.r < math.inf:
+            raise ValueError(f"exponent r must be finite and >= 0, got {self.r}")
         if self.c2 <= 0 or self.c3 < self.c2:
             raise ValueError("need 0 < c2 <= c3")
 
@@ -131,15 +130,13 @@ def antiderivative(g, lo: float, hi: float, n: int):
 
 
 def make_entropy_pair(eta, eta_prime, eta_second, flux: FluxSpec,
-                      n_quad: int = 512, eta_third=None) -> EntropyPair:
+                      eta_third=None) -> EntropyPair:
     """Build an entropy pair with q(u) = int_0^u eta'(v) f'(v) dv.
 
     The flux q is anchored at q(0)=0 and computed by ``antiderivative`` with
-    n_quad panels over the evaluated range.  Rejects eta that fails
-    convexity on samples of [-2, 2].
+    512 panels over the evaluated range.  Rejects eta that fails convexity
+    on samples of [-2, 2].
     """
-    if n_quad < 2:
-        raise ValueError("n_quad must be >= 2")
     samples = np.linspace(-2.0, 2.0, 257)
     curv = np.asarray(eta_second(samples), dtype=float)
     bad = np.where(curv < -1e-12)[0]
@@ -153,7 +150,7 @@ def make_entropy_pair(eta, eta_prime, eta_second, flux: FluxSpec,
         u = np.asarray(u, dtype=float)
         lo, hi = float(np.min(u, initial=0.0)), float(np.max(u, initial=0.0))
         return antiderivative(lambda v: np.asarray(eta_prime(v)) *
-                              np.asarray(flux.deriv(v)), lo, hi, n_quad)(u)
+                              np.asarray(flux.deriv(v)), lo, hi, 512)(u)
 
     return EntropyPair(eta=eta, eta_prime=eta_prime, eta_second=eta_second,
                        q=q, eta_third=eta_third)
@@ -236,23 +233,20 @@ def linear_diffusion() -> DiffusionSpec:
     def ev(lam):
         return np.asarray(lam, dtype=float)
 
-    def jac(lam):
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        return np.eye(lam.shape[0])
-
-    return DiffusionSpec(eval=ev, jacobian=jac, r=1.0, c2=1.0, c3=1.0,
-                         claims_h3=True, h3_constant=1.0, name="linear",
-                         spectral_bound=1.0, linear=True)
+    return DiffusionSpec(eval=ev, r=1.0, c2=1.0, c3=1.0, claims_h3=True,
+                         name="linear", spectral_bound=1.0, linear=True)
 
 
 def power_diffusion(r: float) -> DiffusionSpec:
     """b(l) = |l|^(r-1) l: exact sandwich with c2 = c3 = 1.
 
-    The Jacobian degenerates at l = 0 for r > 1, so no uniform ellipticity
-    is claimed there.
+    r = 1 is ``linear_diffusion``.  For r > 1 the Jacobian degenerates at
+    l = 0, so no uniform ellipticity is claimed.
     """
     if r < 1:
         raise ValueError("power diffusion requires r >= 1")
+    if r == 1:
+        return linear_diffusion()
 
     def ev(lam):
         # axis 0 is the gradient's component axis
@@ -262,24 +256,12 @@ def power_diffusion(r: float) -> DiffusionSpec:
             scale = np.where(mag > 0, mag ** (r - 1), 0.0)
         return scale * lam
 
-    def jac(lam):
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        d = lam.shape[0]
-        mag = np.linalg.norm(lam)
-        if mag == 0.0:
-            return np.zeros((d, d))
-        outer = np.outer(lam, lam)
-        return mag ** (r - 1) * np.eye(d) + (r - 1) * mag ** (r - 3) * outer
-
     def spectral_bound(grad_max):
         # largest Jacobian eigenvalue of |l|^(r-1) l is r |l|^(r-1)
         return max(r * max(grad_max, 1e-12) ** (r - 1.0), 1e-12)
 
-    return DiffusionSpec(eval=ev, jacobian=jac, r=float(r), c2=1.0, c3=1.0,
-                         claims_h3=(r == 1), h3_constant=1.0 if r == 1 else 0.0,
-                         name=f"power{r:g}",
-                         spectral_bound=1.0 if r == 1 else spectral_bound,
-                         linear=(r == 1))
+    return DiffusionSpec(eval=ev, r=float(r), c2=1.0, c3=1.0,
+                         name=f"power{r:g}", spectral_bound=spectral_bound)
 
 
 _FLUXES = {

@@ -64,6 +64,8 @@ class SolveParams:
     sample_count: int = 17
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.epsilon, self.delta, self.t_end))):
+            raise ValueError("epsilon, delta and t_end must be finite")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
         if self.t_end <= 0:
@@ -325,17 +327,14 @@ def _bump(amplitude=1.0, radius_frac=0.25) -> InitialData:
     return InitialData(producer=producer, name="bump")
 
 
-def _smoothed_riemann(uL=1.0, uR=0.0, w=0.02, lo_frac=0.25,
-                      hi_frac=0.55) -> InitialData:
+def _smoothed_riemann(uL=1.0, uR=0.0, w=0.02) -> InitialData:
     # plateau at uL between 25% and 55% of the box, uR outside; the right
     # edge is the shock-forming transition, the left edge opens into a
     # rarefaction
     def producer(grid: GridSpec) -> Field:
-        x = grid.meshgrid()[0]
-        x1 = lo_frac * grid.length
-        x2 = hi_frac * grid.length
+        x, L = grid.meshgrid()[0], grid.length
         vals = uR + 0.5 * (uL - uR) * (
-            np.tanh((x - x1) / w) - np.tanh((x - x2) / w)
+            np.tanh((x - 0.25 * L) / w) - np.tanh((x - 0.55 * L) / w)
         )
         return Field(grid, vals)
 
@@ -344,10 +343,10 @@ def _smoothed_riemann(uL=1.0, uR=0.0, w=0.02, lo_frac=0.25,
     return InitialData(producer=producer, name="smoothed_riemann", analytic=True)
 
 
-def _sine(k=1, amplitude=1.0) -> InitialData:
+def _sine(amplitude=1.0) -> InitialData:
     def producer(grid: GridSpec) -> Field:
         coords = grid.meshgrid()
-        vals = amplitude * np.sin(2.0 * np.pi * k * coords[0] / grid.length)
+        vals = amplitude * np.sin(2.0 * np.pi * coords[0] / grid.length)
         return Field(grid, vals)
 
     return InitialData(producer=producer, name="sine", analytic=True)

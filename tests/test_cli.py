@@ -195,6 +195,16 @@ def test_main_solve_writes_snapshots(tmp_path, capsys):
     assert not manifest["blowup"]
 
 
+@pytest.mark.parametrize("arg", [("--epsilon", "nan"), ("--delta", "inf"),
+                                 ("--T", "inf")])
+def test_main_solve_nonfinite_argument_is_a_config_error(tmp_path, capsys, arg):
+    out = tmp_path / "run"
+    assert main(["solve", "--preset", "burgers", "--epsilon", "0.05", "--N", "64",
+                 "--T", "0.1", *arg, "--out", str(out)]) == EXIT_CONFIG
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_solve_unknown_preset(tmp_path):
     assert main(["solve", "--preset", "nope",
                  "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -283,6 +293,10 @@ def test_main_sweep_bad_config_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# one ladder entry; a later line of the same section overrides epsilons
+_ONE_ENTRY = "[sweep]\nepsilons = 0.08\ngrids = 64\nref_n = 128\n"
+
+
 @pytest.mark.parametrize("text", [
     "[problem]\nflux = nope\n",
     "[problem]\ndim = 3\n",
@@ -301,6 +315,13 @@ def test_main_sweep_bad_config_exit_code(tmp_path, capsys):
     "ref_n = 64\n[diagnostics]\nenabled = young\nwindow_t_lo = 0.6\n"
     "window_t_hi = 0.7\n",
     "[diagnostics]\nwindow_center = 3.0\n",
+    # a nan or inf, which would otherwise surface only as blown-up runs
+    *(_ONE_ENTRY + line for line in (
+        "gamma = nan\n", "coeff = inf\n", "epsilons = inf\n",
+        "epsilons = nan\ndeltas = 1e-3\n", "epsilons = 0.0\ndeltas = nan\n",
+        "[problem]\ndiffusion = powernan\n",
+        "[problem]\ndiffusion = powerinf\n",
+        "[problem]\ndiffusion = power1e400\n")),
 ])
 def test_main_sweep_unusable_config_is_a_config_error(tmp_path, capsys, text):
     # found before any run starts, so it is not mistaken for a failed run;
@@ -371,7 +392,6 @@ def _backward_linear(name):
     """b(l) = -l in place of every diffusion preset: every solve blows up."""
     return DiffusionSpec(
         eval=lambda lam: -np.asarray(lam, dtype=float),
-        jacobian=lambda lam: -np.eye(np.atleast_1d(lam).shape[0]),
         r=1.0, c2=1.0, c3=1.0, spectral_bound=1.0, name="backward")
 
 

@@ -22,6 +22,7 @@ from ddlab.harness import (
     run_sweep,
 )
 from ddlab.model import burgers_flux, flux_preset, zero_flux
+from oracles import diagonal
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +106,19 @@ def test_compare_restricts_fine_to_coarse():
     assert out["L1"] == pytest.approx(0.5 * 2.0)
     assert out["L2"] == pytest.approx(0.5 * np.sqrt(2.0))
     assert out["Linf"] == pytest.approx(0.5)
+
+
+def test_compare_of_diagonal_fields_scales_the_1d_distances():
+    # each value of diagonal data fills n cells of size dx^2, so
+    # sum |d|^p dx^2 is L times its 1-d sum
+    g = GridSpec(n=64, length=2.0)
+    rng = np.random.default_rng(5)
+    a, b = (Field(g, rng.standard_normal(64)) for _ in range(2))
+    one = compare_to_reference(a, b)
+    two = compare_to_reference(diagonal(a), diagonal(b))
+    assert two["L1"] == pytest.approx(one["L1"] * g.length, rel=1e-13)
+    assert two["L2"] == pytest.approx(one["L2"] * np.sqrt(g.length), rel=1e-13)
+    assert two["Linf"] == one["Linf"]
 
 
 def test_compare_rejects_incommensurate():
@@ -374,6 +388,21 @@ def test_record_path_ignores_other_ladder_entries(tmp_path):
     # this entry's own values do count
     assert harness._record_path(replace(cfg, delta_ladder=(2e-3, 5e-4)), 0) \
         != paths[0]
+
+
+def test_sweeps_differing_only_in_diffusion_share_one_reference(tmp_path,
+                                                               monkeypatch):
+    # the entropy solution does not depend on the diffusion
+    cfg = _tiny_config(tmp_path / "sweep")
+    run_sweep(cfg)
+    monkeypatch.setattr(harness, "lax_oleinik_reference", _fail_if_called)
+    monkeypatch.setattr(harness, "reference_solve", _fail_if_called)
+    other = replace(cfg, diffusion="power2")
+    run_sweep(other)
+    assert [p.name for p in (tmp_path / "sweep").glob("reference_*")] == \
+        [harness._reference_path(other).name]
+    summary = json.loads((tmp_path / "sweep" / "summary.json").read_text())
+    assert summary["config"]["diffusion"] == "power2"
 
 
 def test_reference_is_written_atomically(tmp_path):

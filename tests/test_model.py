@@ -1,5 +1,7 @@
 """Flux/diffusion presets, entropy pairs, and hypothesis checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,7 +79,6 @@ def test_coercivity_power_diffusion_2d():
 def test_coercivity_flags_anti_dissipative():
     diff = DiffusionSpec(
         eval=lambda lam: -np.asarray(lam, dtype=float),
-        jacobian=lambda lam: -np.eye(np.atleast_1d(lam).shape[0]),
         r=1.0, c2=1.0, c3=1.0, spectral_bound=1.0, name="backward")
     rep = check_coercivity_H2(diff, [np.array([1.0])])
     assert not rep["holds"]
@@ -87,16 +88,20 @@ def test_coercivity_flags_anti_dissipative():
 def test_h3_linear_holds_power_degenerates():
     samples = [np.array([v]) for v in (-1.0, 0.5, 2.0)]
     probes = [np.array([1.0])]
-    assert check_H3(linear_diffusion(), samples, probes)["holds"]
-    rep = check_H3(power_diffusion(2.0), samples + [np.array([1e-8])], probes)
+    assert check_H3(linear_diffusion(), samples, probes, 1.0)["holds"]
+    degenerate = samples + [np.array([1e-8])]
+    rep = check_H3(power_diffusion(2.0), degenerate, probes, 0.5)
     # Jacobian collapses near the origin: no uniform lower bound
     assert not rep["holds"]
     assert rep["min_eigen_proxy"] < 0.5
+    # the check differences eval, so claiming (H3) does not make it hold
+    claimed = replace(power_diffusion(2.0), claims_h3=True)
+    assert not check_H3(claimed, degenerate, probes, 0.5)["holds"]
 
 
 def test_h3_rejects_non_unit_probe():
     with pytest.raises(ValueError):
-        check_H3(linear_diffusion(), [np.array([1.0])], [np.array([2.0])])
+        check_H3(linear_diffusion(), [np.array([1.0])], [np.array([2.0])], 1.0)
 
 
 def test_entropy_pair_quadrature_matches_closed_form():
@@ -118,16 +123,6 @@ def test_entropy_pair_rejects_nonconvex():
             eta_prime=lambda u: 3.0 * np.asarray(u) ** 2,
             eta_second=lambda u: 6.0 * np.asarray(u),
             flux=burgers_flux(),
-        )
-
-
-def test_entropy_pair_rejects_bad_quadrature():
-    with pytest.raises(ValueError):
-        make_entropy_pair(
-            eta=lambda u: np.asarray(u) ** 2,
-            eta_prime=lambda u: 2.0 * np.asarray(u),
-            eta_second=lambda u: np.full_like(np.asarray(u, dtype=float), 2.0),
-            flux=burgers_flux(), n_quad=1,
         )
 
 
@@ -200,7 +195,7 @@ def test_kruzkov_entropy_flux_matches_closed_form(k, steps, probes):
     u = np.array(probes)
     h = (max(u.max(), 0.0) - min(u.min(), 0.0)) / 512
     rho = max(steps * h, 1e-3)
-    pair = make_entropy_pair(*kruzkov_entropy(k, rho), burgers_flux(), n_quad=512)
+    pair = make_entropy_pair(*kruzkov_entropy(k, rho), burgers_flux())
 
     def F(v):
         w = v - k
@@ -216,6 +211,8 @@ def test_declared_structure_of_presets():
                    for name in ("advection", "bounded", "zero"))
     assert linear_diffusion().spectral_bound == 1.0
     assert power_diffusion(1.0).spectral_bound == 1.0
+    # b(l) = l has one definition
+    assert power_diffusion(1.0).name == "linear" and power_diffusion(1.0).claims_h3
     # r |l|^(r-1): the largest Jacobian eigenvalue of |l|^(r-1) l
     assert power_diffusion(3.0).spectral_bound(2.0) == pytest.approx(12.0)
     # b(l) = l is declared linear, so the solver integrates it exactly

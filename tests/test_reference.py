@@ -18,6 +18,7 @@ from ddlab.reference import (
     reference_solve,
 )
 from ddlab.solver import initial_preset
+from oracles import diagonal
 
 
 def engquist_osher_flux(a, b, flux):
@@ -283,3 +284,15 @@ def test_eo_converges_to_the_exact_reference_at_first_order():
         assert errs[n] <= 2.0 * grid.dx
     assert 0.85 <= np.log2(errs[1024] / errs[4096]) / 2 <= 1.15
     assert np.log2(errs[2048] / errs[4096]) >= 0.9
+
+
+@pytest.mark.parametrize("flux", [burgers_flux(), bounded_flux()],
+                         ids=["burgers", "bounded"])
+def test_2d_reference_of_diagonal_data_is_the_1d_reference_to_twice_the_time(
+        flux):
+    # the 2-d step is half the 1-d one and differences both axes, which
+    # carry the same update, so the two schemes agree bit for bit
+    g = GridSpec(n=128, length=2.0)
+    w = Field(g, 0.5 + 0.5 * np.sin(2.0 * np.pi * g.axes()[0] / g.length))
+    two = reference_solve(diagonal(w), flux, 0.15)
+    assert np.array_equal(two.values, diagonal(reference_solve(w, flux, 0.3)).values)
