@@ -11,8 +11,7 @@ from .model import (
     make_entropy_pair,
 )
 from .solver import InitialData, SolveParams, solve
-from .reference import RiemannData, burgers_riemann_exact, \
-    lax_oleinik_reference, reference_solve
+from .reference import lax_oleinik_reference, reference_solve
 from .harness import SweepConfig, classify_regime, compare_to_reference, \
     run_sweep
 

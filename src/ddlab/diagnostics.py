@@ -226,7 +226,6 @@ class HnBoundParams:
     u0_norms: Sequence[float]
     t: float
     delta_ratio: float
-    c: float = 1.0
 
     def __post_init__(self):
         if self.r < 2:
@@ -245,8 +244,9 @@ def hn_bound(p: HnBoundParams) -> float:
 
     H_0 is the squared L^2 norm of the data; each level wraps the previous
     one with the coupling factor (1 + delta_ratio * max{1, [...]^((r-2)/3)}).
+    The generic constant of the estimates is taken as 1.
     """
-    r, dr, t, c = p.r, p.delta_ratio, p.t, p.c
+    r, dr, t = p.r, p.delta_ratio, p.t
     e3 = 3.0 / (r + 1.0)
 
     h_prev = p.u0_norms[0] ** 2
@@ -260,7 +260,7 @@ def hn_bound(p: HnBoundParams) -> float:
             * (pk - 1.0) / (pk_prev - 1.0) ** e3
             * k * (r - 1.0) / 2.0
         )
-        ck = max(p.u0_norms[k] ** pk, combinatorial * (c * h_prev) ** e3)
+        ck = max(p.u0_norms[k] ** pk, combinatorial * h_prev ** e3)
         h_prev = ck * (1.0 + dr * max(1.0, (t * ck * (1.0 + dr)) ** ((r - 2.0) / 3.0)))
     return h_prev
 
@@ -442,20 +442,14 @@ def window_samples(traj: Trajectory, window: Window) -> np.ndarray:
 
 @dataclass(frozen=True)
 class YoungHistogram:
-    edges: np.ndarray
-    counts: np.ndarray
-    per_run: list          # (label, mean, var) per pooled run
     concentration_score: float
     n_samples: int
 
 
-def young_histogram(runs: Sequence[Trajectory], window: Window,
-                    bins: int = 32, pool_fraction: float = 0.5) -> YoungHistogram:
-    """Empirical one-point distribution of u pooled over a window.
-
-    Runs are ordered by (epsilon, delta) and only the finest ``pool_fraction``
-    tail contributes samples; the concentration score is the pooled variance,
-    which tends to zero exactly when the limit is deterministic.
+def young_histogram(runs: Sequence[Trajectory], window: Window) -> YoungHistogram:
+    """Variance of u over a window, pooled across the finest half of the
+    runs by (epsilon, delta).  On a strongly converging ladder it tends to
+    the limit's own variance over the window, not to zero.
     """
     if len(runs) < 3:
         raise ValueError("need at least 3 runs")
@@ -464,25 +458,15 @@ def young_histogram(runs: Sequence[Trajectory], window: Window,
         key=lambda tr: (tr.params.get("epsilon", 0.0), tr.params.get("delta", 0.0)),
         reverse=True,
     )
-    n_pool = max(1, int(math.ceil(len(ordered) * pool_fraction)))
     pooled = []
-    per_run = []
-    for tr in ordered[-n_pool:]:
+    for tr in ordered[-math.ceil(len(ordered) / 2):]:
         vals = window_samples(tr, window)
         if not vals.size:
             raise ValueError("window contains no grid cells or no time samples")
-        label = (tr.params.get("epsilon", 0.0), tr.params.get("delta", 0.0))
-        per_run.append((label, float(np.mean(vals)), float(np.var(vals))))
         pooled.append(vals)
     pooled = np.concatenate(pooled)
-    counts, edges = np.histogram(pooled, bins=bins)
-    return YoungHistogram(
-        edges=edges,
-        counts=counts,
-        per_run=per_run,
-        concentration_score=float(np.var(pooled)),
-        n_samples=int(pooled.size),
-    )
+    return YoungHistogram(concentration_score=float(np.var(pooled)),
+                          n_samples=int(pooled.size))
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,8 @@ class GridSpec:
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if self.n < 8:
             raise ValueError(f"need at least 8 points per axis, got {self.n}")
-        if self.length <= 0:
-            raise ValueError("period length must be positive")
+        if not 0 < self.length < np.inf:
+            raise ValueError(f"length must be positive and finite, got {self.length}")
 
     @property
     def dx(self) -> float:
@@ -88,9 +88,6 @@ class Field:
         if hasattr(self, "values") and name in ("grid", "values"):
             raise AttributeError("Field is immutable")
         object.__setattr__(self, name, value)
-
-    def with_values(self, values) -> "Field":
-        return Field(self.grid, values)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -156,8 +153,8 @@ def lp_norm(f: Field, p) -> float:
     if p == np.inf:
         return float(np.max(np.abs(f.values)))
     p = float(p)
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1, got {p}")
     return float((np.sum(np.abs(f.values) ** p) * f.grid.cell_volume) ** (1.0 / p))
 
 

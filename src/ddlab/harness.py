@@ -67,6 +67,8 @@ def classify_regime(r: float, m: float, gamma: float, has_h3: bool = True) -> st
     Strict exponent inequality gamma > threshold stands in for the
     asymptotic smallness condition on delta relative to eps.
     """
+    if not np.all(np.isfinite((r, m, gamma))):
+        raise ValueError(f"r, m and gamma must be finite, got {r}, {m}, {gamma}")
     if r < 0:
         raise ValueError("r must be >= 0")
     # quadratic-or-stronger diffusion: any m is admissible (the working
@@ -177,6 +179,12 @@ class SweepConfig:
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if len(self.epsilons) != len(self.grid_ns):
             raise ValueError("epsilons and grid_ns ladders must pair up")
+        if not self.epsilons:
+            raise ValueError("the ladder is empty: epsilons and grids hold no entry")
+        for idx, eps in enumerate(self.epsilons):
+            if not eps > 0 and idx >= len(self.delta_ladder):
+                raise ValueError(f"deltas: epsilons[{idx}] = 0 needs deltas[{idx}], "
+                                 f"but deltas has length {len(self.delta_ladder)}")
         if self.gamma <= 0 or self.coeff <= 0:
             raise ValueError("gamma and coeff must be positive")
         if self.workers < 1:

@@ -39,43 +39,38 @@ class FluxSpec:
     derivative and growth metadata.
 
     ``eval`` and ``deriv`` map an array of states to an array of the same
-    shape.  ``m``, ``c1``, ``c1p`` declare the growth bound
-    |f'(u)| <= c1 + c1p |u|^(m-1).  ``quadratic`` declares f(u) = u^2/2,
+    shape.  ``m`` declares the growth exponent of (H1),
+    |f'(u)| <= c (1 + |u|^(m-1)).  ``quadratic`` declares f(u) = u^2/2,
     which has closed-form oracles.
     """
 
     eval: Callable
     deriv: Callable
     m: float
-    c1: float
-    c1p: float
     name: str = "custom"
     quadratic: bool = False
 
     def __post_init__(self):
         if self.m < 0:
             raise ValueError("growth exponent m must be >= 0")
-        if self.c1 <= 0 or self.c1p <= 0:
-            raise ValueError("growth constants must be positive")
 
 
 @dataclass(frozen=True)
 class DiffusionSpec:
     """A diffusion lambda -> b(lambda) with its declared structure.
 
-    ``r``, ``c2``, ``c3`` declare the sandwich
-    c2 |l|^(r+1) <= l . b(l) <= c3 |l|^(r+1); ``claims_h3`` declares (H3),
-    uniform positive-definiteness of Db.  The regime classification reads
-    only r and claims_h3.  ``spectral_bound`` bounds the spectral radius of
-    Db: a number when it holds for every gradient, a function of
-    max |grad u| otherwise.  ``linear`` declares b(l) = l, which the solver
+    ``r`` and ``c2`` declare the coercivity of (H2),
+    l . b(l) >= c2 |l|^(r+1); ``claims_h3`` declares (H3), uniform
+    positive-definiteness of Db.  The regime classification reads only r
+    and claims_h3, the gradient budget only c2.  ``spectral_bound`` bounds
+    the spectral radius of Db: a number when it holds for every gradient, a
+    function of max |grad u| otherwise.  ``linear`` declares b(l) = l, which the solver
     integrates exactly.
     """
 
     eval: Callable
     r: float
     c2: float
-    c3: float
     spectral_bound: float | Callable
     claims_h3: bool = False
     name: str = "custom"
@@ -84,8 +79,8 @@ class DiffusionSpec:
     def __post_init__(self):
         if not 0 <= self.r < math.inf:
             raise ValueError(f"exponent r must be finite and >= 0, got {self.r}")
-        if self.c2 <= 0 or self.c3 < self.c2:
-            raise ValueError("need 0 < c2 <= c3")
+        if self.c2 <= 0:
+            raise ValueError("need c2 > 0")
 
 
 @dataclass(frozen=True)
@@ -191,8 +186,7 @@ def burgers_flux() -> FluxSpec:
     def dv(u):
         return np.asarray(u, dtype=float)
 
-    return FluxSpec(eval=ev, deriv=dv, m=2.0, c1=1.0, c1p=1.0,
-                    name="burgers", quadratic=True)
+    return FluxSpec(eval=ev, deriv=dv, m=2.0, name="burgers", quadratic=True)
 
 
 def advection_flux(a: float = 1.0) -> FluxSpec:
@@ -203,8 +197,7 @@ def advection_flux(a: float = 1.0) -> FluxSpec:
     def dv(u):
         return np.full_like(np.asarray(u, dtype=float), a)
 
-    return FluxSpec(eval=ev, deriv=dv, m=1.0, c1=abs(a) + 1e-12, c1p=abs(a) + 1e-12,
-                    name="advection")
+    return FluxSpec(eval=ev, deriv=dv, m=1.0, name="advection")
 
 
 def bounded_flux() -> FluxSpec:
@@ -217,7 +210,7 @@ def bounded_flux() -> FluxSpec:
         u = np.asarray(u, dtype=float)
         return u / np.sqrt(1.0 + u**2)
 
-    return FluxSpec(eval=ev, deriv=dv, m=1.0, c1=1.0, c1p=1.0, name="bounded")
+    return FluxSpec(eval=ev, deriv=dv, m=1.0, name="bounded")
 
 
 def zero_flux() -> FluxSpec:
@@ -225,20 +218,20 @@ def zero_flux() -> FluxSpec:
     def ev(u):
         return np.zeros_like(np.asarray(u, dtype=float))
 
-    return FluxSpec(eval=ev, deriv=ev, m=1.0, c1=1e-12, c1p=1e-12, name="zero")
+    return FluxSpec(eval=ev, deriv=ev, m=1.0, name="zero")
 
 
 def linear_diffusion() -> DiffusionSpec:
-    """b(l) = l: r = 1, exact sandwich constants 1, uniformly elliptic."""
+    """b(l) = l: r = 1, c2 = 1, uniformly elliptic."""
     def ev(lam):
         return np.asarray(lam, dtype=float)
 
-    return DiffusionSpec(eval=ev, r=1.0, c2=1.0, c3=1.0, claims_h3=True,
+    return DiffusionSpec(eval=ev, r=1.0, c2=1.0, claims_h3=True,
                          name="linear", spectral_bound=1.0, linear=True)
 
 
 def power_diffusion(r: float) -> DiffusionSpec:
-    """b(l) = |l|^(r-1) l: exact sandwich with c2 = c3 = 1.
+    """b(l) = |l|^(r-1) l: l . b(l) = |l|^(r+1), so c2 = 1.
 
     r = 1 is ``linear_diffusion``.  For r > 1 the Jacobian degenerates at
     l = 0, so no uniform ellipticity is claimed.
@@ -260,7 +253,7 @@ def power_diffusion(r: float) -> DiffusionSpec:
         # largest Jacobian eigenvalue of |l|^(r-1) l is r |l|^(r-1)
         return max(r * max(grad_max, 1e-12) ** (r - 1.0), 1e-12)
 
-    return DiffusionSpec(eval=ev, r=float(r), c2=1.0, c3=1.0,
+    return DiffusionSpec(eval=ev, r=float(r), c2=1.0,
                          name=f"power{r:g}", spectral_bound=spectral_bound)
 
 

@@ -4,15 +4,13 @@ For the quadratic flux f = u^2/2 in 1-d, ``lax_oleinik_reference`` is the
 exact entropy solution of the piecewise-constant data, from the
 Lax-Oleinik formula evaluated through a lower convex hull in linear time.
 Every other flux, and 2-d, use ``reference_solve``: a first-order monotone
-finite-volume scheme with the Engquist-Osher flux.  ``burgers_riemann_exact``
-is the exact Riemann solution for the quadratic flux.
+finite-volume scheme with the Engquist-Osher flux.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,28 +18,9 @@ from .grids import Field
 from .model import FluxSpec, antiderivative
 
 __all__ = [
-    "RiemannData",
     "reference_solve",
     "lax_oleinik_reference",
-    "burgers_riemann_exact",
 ]
-
-
-@dataclass(frozen=True)
-class RiemannData:
-    u_left: float
-    u_right: float
-    flux: FluxSpec
-
-    def __post_init__(self):
-        lo = min(self.u_left, self.u_right)
-        hi = max(self.u_left, self.u_right)
-        if hi > lo:
-            u = np.linspace(lo, hi, 65)
-            fp = np.asarray(self.flux.deriv(u))
-            # sampled convexity: f' nondecreasing between the two states
-            if np.any(np.diff(fp) < -1e-10):
-                raise ValueError("flux is not convex between the Riemann states")
 
 
 def _eo_halves(flux: FluxSpec, lo: float, hi: float, n: int = 2048):
@@ -145,18 +124,3 @@ def lax_oleinik_reference(u0: Field, t_end: float) -> Field:
                            + slope[j] * (ymin - y[j]), out=best)
     return Field(grid, np.diff(v) / dx)
 
-
-def burgers_riemann_exact(data: RiemannData, x_over_t):
-    """Self-similar entropy solution of the quadratic-flux Riemann problem."""
-    if not data.flux.quadratic:
-        raise ValueError("exact solution implemented for the quadratic flux only")
-    uL, uR = data.u_left, data.u_right
-    xi = np.asarray(x_over_t, dtype=float)
-    if uL == uR:
-        out = np.full(xi.shape, uL)
-    elif uL > uR:
-        s = 0.5 * (uL + uR)
-        out = np.where(xi < s, uL, uR)
-    else:
-        out = np.clip(xi, uL, uR)
-    return float(out[()]) if out.ndim == 0 else out

@@ -185,7 +185,7 @@ def _step_arr(v: np.ndarray, u: np.ndarray, h: float, grid: GridSpec,
 def step_rk4(u: Field, dt: float, p: SolveParams) -> Field:
     """One fourth-order ETDRK4 step of du/dt = rhs(u)."""
     v = _step_arr(_spectrum(u.values, u.grid), u.values, dt, u.grid, p)
-    return u.with_values(_values(v, u.grid))
+    return Field(u.grid, _values(v, u.grid))
 
 
 def stable_dt(p: SolveParams, grid: GridSpec, u_max: float, grad_max: float) -> float:

@@ -1,8 +1,9 @@
 """Test oracles: the centered divergence, wide Laplacian and third
 derivative written as stencils, which the tests compare against the Fourier
 symbols the solver applies; diagonal 2-d data, which reduces a 2-d run to a
-1-d one; and sampling checks of the presets' declared hypotheses
-(H1)-(H3)."""
+1-d one; the exact Riemann solution of the quadratic flux; and sampling
+checks of the presets' hypotheses (H1)-(H3), whose constants the caller
+states."""
 
 import numpy as np
 
@@ -56,7 +57,21 @@ def diagonal(w: Field) -> Field:
     return Field(GridSpec(n=n, length=w.grid.length, dim=2), w.values[index])
 
 
-def check_growth_H1(flux: FluxSpec, u_range=(-10.0, 10.0), n_samples: int = 256) -> dict:
+def burgers_riemann_exact(u_left: float, u_right: float, x_over_t):
+    """Self-similar entropy solution of the Riemann problem for f = u^2/2."""
+    xi = np.asarray(x_over_t, dtype=float)
+    if u_left == u_right:
+        out = np.full(xi.shape, u_left)
+    elif u_left > u_right:
+        s = 0.5 * (u_left + u_right)
+        out = np.where(xi < s, u_left, u_right)
+    else:
+        out = np.clip(xi, u_left, u_right)
+    return float(out[()]) if out.ndim == 0 else out
+
+
+def check_growth_H1(flux: FluxSpec, c1: float, c1p: float,
+                    u_range=(-10.0, 10.0), n_samples: int = 256) -> dict:
     """Check |f'(u)| <= c1 + c1p |u|^(m-1) on sampled u.
 
     Returns {holds, worst_ratio, witness}.  For m < 1 the bound blows up at
@@ -67,7 +82,7 @@ def check_growth_H1(flux: FluxSpec, u_range=(-10.0, 10.0), n_samples: int = 256)
     u = np.linspace(u_range[0], u_range[1], n_samples)
     mag = np.abs(np.asarray(flux.deriv(u)))
     with np.errstate(divide="ignore"):
-        bound = flux.c1 + flux.c1p * np.abs(u) ** (flux.m - 1)
+        bound = c1 + c1p * np.abs(u) ** (flux.m - 1)
     ratio = np.where(np.isinf(bound), 0.0, mag / bound)
     i = int(np.argmax(ratio))
     return {
@@ -77,8 +92,9 @@ def check_growth_H1(flux: FluxSpec, u_range=(-10.0, 10.0), n_samples: int = 256)
     }
 
 
-def check_coercivity_H2(diff: DiffusionSpec, lambda_samples) -> dict:
-    """Check c2 <= l.b(l)/|l|^(r+1) <= c3 on the sampled gradient vectors."""
+def check_coercivity_H2(diff: DiffusionSpec, lambda_samples, c3: float) -> dict:
+    """Check c2 <= l.b(l)/|l|^(r+1) <= c3 on the sampled gradient vectors,
+    with the declared ``diff.c2``."""
     worst_lower = np.inf
     worst_upper = -np.inf
     holds = True
@@ -94,7 +110,7 @@ def check_coercivity_H2(diff: DiffusionSpec, lambda_samples) -> dict:
         ratio = dot / mag ** (diff.r + 1)
         worst_lower = min(worst_lower, ratio)
         worst_upper = max(worst_upper, ratio)
-        if ratio < diff.c2 - 1e-12 or ratio > diff.c3 + 1e-12:
+        if ratio < diff.c2 - 1e-12 or ratio > c3 + 1e-12:
             holds = False
     return {"holds": holds, "worst_lower": float(worst_lower),
             "worst_upper": float(worst_upper), "anti_dissipative": False}

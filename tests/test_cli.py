@@ -2,6 +2,8 @@
 
 import json
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +174,17 @@ dir = somewhere
     assert cfg2.out_dir == "other"
 
 
+def test_readme_config_example_is_the_default_config(tmp_path):
+    # the README's example is the default config but for workers = 4 and
+    # the initial-data keys it spells out
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert readme.count("```ini\n") == 1
+    example = readme.split("```ini\n")[1].split("```")[0]
+    cfg = sweep_config_from_sections(parse_config(_write(tmp_path, example)))
+    assert cfg == replace(harness.SweepConfig(), workers=4, initial_args=(
+        ("uL", 1.0), ("uR", 0.0), ("w", 0.02)))
+
+
 def test_sweep_config_bad_gamma_fails_at_construction():
     with pytest.raises(ValueError, match="gamma"):
         sweep_config_from_sections({"sweep": {"gamma": -1.0}})
@@ -203,6 +216,29 @@ def test_main_solve_nonfinite_argument_is_a_config_error(tmp_path, capsys, arg):
                  "--T", "0.1", *arg, "--out", str(out)]) == EXIT_CONFIG
     assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--r", "nan", "--m", "1", "--gamma", "2.5"],
+    ["classify", "--r", "1", "--m", "inf", "--gamma", "2.5"],
+    ["classify", "--r", "1", "--m", "1", "--gamma", "nan"],
+    ["compare", "--a", "{run}", "--b", "{run}", "--p", "1,nan"],
+    ["diagnose", "--run", "{run}", "--t", "nan"],
+    ["solve", "--preset", "heat", "--N", "64", "--L", "nan", "--out", "{new}"],
+    ["solve", "--preset", "heat", "--N", "64", "--L", "inf", "--out", "{new}"],
+], ids=["classify-r", "classify-m", "classify-gamma", "compare-p",
+        "diagnose-t", "solve-L-nan", "solve-L-inf"])
+def test_main_nonfinite_number_is_a_config_error(tmp_path, capsys, argv):
+    run, new = tmp_path / "run", tmp_path / "new"
+    main(["solve", "--preset", "heat", "--epsilon", "0.1", "--N", "64",
+          "--T", "0.2", "--samples", "3", "--out", str(run)])
+    capsys.readouterr()
+    argv = [a.format(run=run, new=new) for a in argv]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err
+    assert not new.exists()
 
 
 def test_main_solve_unknown_preset(tmp_path):
@@ -336,6 +372,21 @@ def test_main_sweep_unusable_config_is_a_config_error(tmp_path, capsys, text):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[sweep]\nepsilons =\ngrids =\n", "the ladder is empty"),
+    ("[sweep]\nepsilons = 0.0, 0.0\ngrids = 64, 64\ndeltas = 1e-3\n",
+     "deltas: epsilons[1] = 0 needs deltas[1], but deltas has length 1"),
+], ids=["empty-ladder", "short-deltas"])
+def test_main_sweep_config_error_names_the_cause(tmp_path, capsys, text,
+                                                 message):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    assert main(["sweep", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_sweep_missing_config_is_a_config_error(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "missing.ini")]) \
         == EXIT_CONFIG
@@ -392,7 +443,7 @@ def _backward_linear(name):
     """b(l) = -l in place of every diffusion preset: every solve blows up."""
     return DiffusionSpec(
         eval=lambda lam: -np.asarray(lam, dtype=float),
-        r=1.0, c2=1.0, c3=1.0, spectral_bound=1.0, name="backward")
+        r=1.0, c2=1.0, spectral_bound=1.0, name="backward")
 
 
 def test_main_solve_blowup_is_a_numerical_failure(tmp_path, monkeypatch, capsys):

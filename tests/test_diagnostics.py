@@ -314,7 +314,7 @@ def test_kruzkov_residual_reads_only_samples_inside_the_time_support(burgers_run
     args = (burgers_flux(), 0.5, burgers_run.grid.dx, theta)
     scaled = Trajectory(grid=burgers_run.grid)
     for t, f in zip(burgers_run.times, burgers_run.fields):
-        scaled.append(t, f if 0.05 < t < 0.45 else f.with_values(3.0 * f.values - 1.0))
+        scaled.append(t, f if 0.05 < t < 0.45 else Field(f.grid, 3.0 * f.values - 1.0))
     assert diag.kruzkov_residual(scaled, *args) == \
         diag.kruzkov_residual(burgers_run, *args)
 
@@ -348,9 +348,20 @@ def test_young_histogram_oscillatory_limit():
     window = diag.Window(space=((0.5, 1.5),), t=(0.0, 0.5))
     hist = diag.young_histogram(runs, window)
     assert hist.concentration_score > 0.2
-    # pooled runs are the finest half of the ladder
-    assert len(hist.per_run) == 2
-    assert {lbl for lbl, _, _ in hist.per_run} == {(0.01, 0.01), (0.005, 0.005)}
+
+
+def test_young_histogram_pools_the_finest_half():
+    # one grid size per run, so the sample count names the pooled runs: of
+    # five runs given out of order, the three finest are pooled
+    runs = [_synthetic_run(e, lambda x, t: x, n=n)
+            for e, n in ((0.01, 64), (0.04, 16), (0.0025, 256), (0.02, 32),
+                         (0.005, 128))]
+    window = diag.Window(space=((0.5, 1.5),), t=(0.0, 0.5))
+    hist = diag.young_histogram(runs, window)
+    finest = [diag.window_samples(runs[i], window) for i in (0, 2, 4)]
+    assert hist.n_samples == sum(v.size for v in finest)
+    assert hist.concentration_score == pytest.approx(np.var(np.concatenate(finest)),
+                                                     rel=1e-12)
 
 
 def test_young_histogram_guards():

@@ -33,8 +33,11 @@ def test_burgers_flux_values():
 
 
 def test_growth_check_passes_presets():
-    for flux in (burgers_flux(), advection_flux(a=0.5), bounded_flux()):
-        rep = check_growth_H1(flux)
+    # |u| <= 1 + |u|, |a| <= |a| + |a|, |u| / sqrt(1 + u^2) <= 1 + 1
+    for flux, c1, c1p in ((burgers_flux(), 1.0, 1.0),
+                          (advection_flux(a=0.5), 0.5, 0.5),
+                          (bounded_flux(), 1.0, 1.0)):
+        rep = check_growth_H1(flux, c1, c1p)
         assert rep["holds"], flux.name
 
 
@@ -49,12 +52,12 @@ def test_flux_preset_is_one_scalar_function(name):
 
 
 def test_growth_check_catches_violation():
-    # cubic flux declared with linear growth metadata
+    # cubic flux declared with linear growth
     f = burgers_flux()
     bad = type(f)(eval=lambda u: np.asarray(u) ** 3,
                   deriv=lambda u: 3.0 * np.asarray(u) ** 2,
-                  m=2.0, c1=1.0, c1p=1.0, name="cubic")
-    rep = check_growth_H1(bad)
+                  m=2.0, name="cubic")
+    rep = check_growth_H1(bad, 1.0, 1.0)
     assert not rep["holds"]
     assert abs(rep["witness"]) > 1.0
 
@@ -62,7 +65,7 @@ def test_growth_check_catches_violation():
 def test_coercivity_linear_diffusion():
     diff = linear_diffusion()
     samples = [np.array([v]) for v in np.linspace(-3, 3, 21) if v != 0]
-    rep = check_coercivity_H2(diff, samples)
+    rep = check_coercivity_H2(diff, samples, 1.0)
     assert rep["holds"]
     assert rep["worst_lower"] == pytest.approx(1.0)
     assert rep["worst_upper"] == pytest.approx(1.0)
@@ -72,15 +75,15 @@ def test_coercivity_power_diffusion_2d():
     diff = power_diffusion(2.0)
     rng = np.random.default_rng(3)
     samples = rng.standard_normal((40, 2))
-    rep = check_coercivity_H2(diff, samples)
+    rep = check_coercivity_H2(diff, samples, 1.0)
     assert rep["holds"]
 
 
 def test_coercivity_flags_anti_dissipative():
     diff = DiffusionSpec(
         eval=lambda lam: -np.asarray(lam, dtype=float),
-        r=1.0, c2=1.0, c3=1.0, spectral_bound=1.0, name="backward")
-    rep = check_coercivity_H2(diff, [np.array([1.0])])
+        r=1.0, c2=1.0, spectral_bound=1.0, name="backward")
+    rep = check_coercivity_H2(diff, [np.array([1.0])], 1.0)
     assert not rep["holds"]
     assert rep["anti_dissipative"]
 

@@ -152,7 +152,7 @@ def test_stable_dt_follows_declared_structure_not_name():
     # a custom spec named "linear" with power-2 numerics steps by its
     # declared bound, not as the linear preset
     p2 = power_diffusion(2.0)
-    named_linear = DiffusionSpec(eval=p2.eval, r=2.0, c2=1.0, c3=1.0,
+    named_linear = DiffusionSpec(eval=p2.eval, r=2.0, c2=1.0,
                                  name="linear", spectral_bound=p2.spectral_bound)
     g = GridSpec(n=128, length=2.0)
     dts = [stable_dt(_params(zero_flux(), d, 0.05, 0.0), g, 1.0, 30.0)
@@ -247,7 +247,7 @@ def test_solve_hits_sample_times_exactly():
 def test_solve_blowup_flag_on_backward_diffusion():
     backward = DiffusionSpec(
         eval=lambda lam: -np.asarray(lam, dtype=float),
-        r=1.0, c2=1.0, c3=1.0, spectral_bound=1.0, name="backward")
+        r=1.0, c2=1.0, spectral_bound=1.0, name="backward")
     g = GridSpec(n=64)
     u0 = initial_preset("sine", amplitude=1e-3)
     # growth e^(eps t) must clear the relative blow-up threshold of 1e6
