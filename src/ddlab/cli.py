@@ -3,7 +3,8 @@
 Subcommands: solve, sweep, diagnose, compare, classify.  Exit codes:
 0 success, 2 configuration or argument error (a missing, unreadable or
 non-finite config file, stored run or snapshot included), 3 a blow-up: the
-solve blew up, or every run of the sweep did.  Any other error, such as a
+solve blew up, or every run of the sweep did (its records.csv and
+summary.json are written all the same).  Any other error, such as a
 ValueError raised inside a solve or a diagnostic, propagates as a bug.
 """
 
@@ -28,13 +29,8 @@ from .grids import (
     write_manifest,
     write_snapshot_csv,
 )
-from .harness import (
-    SweepBlowUpError,
-    SweepConfig,
-    classify_regime,
-    compare_to_reference,
-    run_sweep,
-)
+from .harness import SweepConfig, classify_regime, compare_to_reference, \
+    run_sweep
 from .model import diffusion_preset, flux_preset
 from .solver import SolveParams, initial_preset, solve
 
@@ -164,7 +160,6 @@ def sweep_config_from_sections(sections: dict, out_override=None) -> SweepConfig
 _SOLVE_PRESETS = {
     # name: (flux, diffusion, initial, initial kwargs, default length)
     "heat": ("zero", "linear", "sine", {}, 2.0 * np.pi),
-    "airy": ("zero", "linear", "sine", {}, 2.0 * np.pi),
     "burgers": ("burgers", "linear", "smoothed_riemann",
                 {"uL": 1.0, "uR": 0.0, "w": 0.02}, 2.0),
     "burgers_bump": ("burgers", "linear", "bump", {}, 2.0),
@@ -233,7 +228,7 @@ def _cmd_diagnose(args) -> int:
         eps = float(traj.params.get("epsilon", 0.0))
         diffusion = diffusion_preset(traj.params.get("diffusion", "linear"))
         t = traj.times[diag.sample_index(
-            traj, traj.t_final if args.t is None else args.t)]
+            traj, traj.times[-1] if args.t is None else args.t)]
     residual = diag.energy_balance_residual(traj, diffusion, eps, t)
     u0_l2 = lp_norm(traj.fields[0], 2)
     budget = diag.gradient_budget(traj, diffusion, eps, u0_l2)
@@ -288,23 +283,14 @@ def _cmd_sweep(args) -> int:
         sections = parse_config(args.config) if args.config else {}
         cfg = sweep_config_from_sections(sections, out_override=args.out)
     records = run_sweep(cfg)
-    out = Path(cfg.out_dir)
-    if args.plot_data:
-        _emit_plot_data(out, records)
+    if all(r.blowup for r in records):
+        print("numerical failure: every run in the sweep blew up",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
     blowups = sum(r.blowup for r in records)
     print(f"sweep complete: {len(records)} runs, {blowups} blow-ups; "
-          f"records in {out / 'records.csv'}")
+          f"records in {Path(cfg.out_dir) / 'records.csv'}")
     return EXIT_OK
-
-
-def _emit_plot_data(out: Path, records):
-    """Two-column (eps or delta, metric) files, gnuplot-ready."""
-    for metric in ("L1", "L2", "Linf", "mu1", "mu2", "mu3",
-                   "kruzkov_pos", "young_var"):
-        with open(out / f"plot_{metric}.dat", "w") as fh:
-            for rec in records:
-                x = rec.epsilon if rec.epsilon > 0 else rec.delta
-                fh.write(f"{x!r} {getattr(rec, metric)!r}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="run a parameter sweep from a config file")
     s.add_argument("--config", required=True)
     s.add_argument("--out", default=None)
-    s.add_argument("--plot-data", action="store_true")
     s.set_defaults(func=_cmd_sweep)
 
     s = sub.add_parser("diagnose", help="evaluate diagnostics on a stored run")
@@ -361,9 +346,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SweepBlowUpError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from .model import DiffusionSpec, EntropyPair, FluxSpec, antiderivative, \
 __all__ = [
     "TestFunction",
     "EntropyProductionReport",
-    "HnBoundParams",
     "YoungHistogram",
     "Window",
     "energy_balance_residual",
@@ -213,46 +212,30 @@ def power_energy_identity(traj: Trajectory, alpha: float, diff: DiffusionSpec,
 # a-priori L^p machinery
 
 
-@dataclass(frozen=True)
-class HnBoundParams:
-    """Inputs of the recursive a-priori L^p bound.
-
-    u0_norms[k] is the L^(k(r-1)+2) norm of the initial data, needed for
-    every level up to n.  delta_ratio is the coupling delta * eps^(-3/(r+1)).
-    """
-
-    r: float
-    n: int
-    u0_norms: Sequence[float]
-    t: float
-    delta_ratio: float
-
-    def __post_init__(self):
-        if self.r < 2:
-            raise ValueError("the recursion requires r >= 2")
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
-        if len(self.u0_norms) < self.n + 1:
-            raise ValueError(f"need {self.n + 1} initial norms, "
-                             f"got {len(self.u0_norms)}")
-        if any(v < 0 for v in self.u0_norms):
-            raise ValueError("norms must be nonnegative")
-
-
-def hn_bound(p: HnBoundParams) -> float:
+def hn_bound(r: float, n: int, u0_norms: Sequence[float], t: float,
+             delta_ratio: float) -> float:
     """Recursive bound H_n on the L^(n(r-1)+2) energy of the solution.
 
-    H_0 is the squared L^2 norm of the data; each level wraps the previous
-    one with the coupling factor (1 + delta_ratio * max{1, [...]^((r-2)/3)}).
-    The generic constant of the estimates is taken as 1.
+    u0_norms[k] is the L^(k(r-1)+2) norm of the initial data, needed for
+    every level up to n, and delta_ratio is the coupling
+    delta * eps^(-3/(r+1)).  H_0 is the squared L^2 norm of the data; each
+    level wraps the previous one with the coupling factor
+    (1 + delta_ratio * max{1, [...]^((r-2)/3)}).  The generic constant of
+    the estimates is taken as 1.
     """
-    r, dr, t = p.r, p.delta_ratio, p.t
+    if r < 2:
+        raise ValueError("the recursion requires r >= 2")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if len(u0_norms) < n + 1:
+        raise ValueError(f"need {n + 1} initial norms, got {len(u0_norms)}")
+    if any(v < 0 for v in u0_norms):
+        raise ValueError("norms must be nonnegative")
+    dr = delta_ratio
     e3 = 3.0 / (r + 1.0)
 
-    h_prev = p.u0_norms[0] ** 2
-    if p.n == 0:
-        return h_prev
-    for k in range(1, p.n + 1):
+    h_prev = u0_norms[0] ** 2
+    for k in range(1, n + 1):
         pk = k * (r - 1.0) + 2.0
         pk_prev = (k - 1) * (r - 1.0) + 2.0
         combinatorial = (
@@ -260,7 +243,7 @@ def hn_bound(p: HnBoundParams) -> float:
             * (pk - 1.0) / (pk_prev - 1.0) ** e3
             * k * (r - 1.0) / 2.0
         )
-        ck = max(p.u0_norms[k] ** pk, combinatorial * h_prev ** e3)
+        ck = max(u0_norms[k] ** pk, combinatorial * h_prev ** e3)
         h_prev = ck * (1.0 + dr * max(1.0, (t * ck * (1.0 + dr)) ** ((r - 2.0) / 3.0)))
     return h_prev
 

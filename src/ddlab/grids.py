@@ -7,6 +7,7 @@ value types: every operator returns a new Field and never mutates its input.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -114,10 +115,6 @@ class Trajectory:
         self.times.append(float(t))
         self.fields.append(f)
 
-    @property
-    def t_final(self) -> float:
-        return self.times[-1]
-
     def final(self) -> Field:
         return self.fields[-1]
 
@@ -211,7 +208,12 @@ def write_snapshot_csv(f: Field, path):
 
 def read_snapshot_csv(path, length=None) -> Field:
     """A snapshot from ``write_snapshot_csv``; without length, the period is
-    n times the step of the first coordinate."""
+    n times the step of the first coordinate.  Fewer than 8 data rows, the
+    fewest a grid has, is a ValueError that names their count."""
+    with open(path) as fh:
+        rows = sum(1 for _ in itertools.islice(fh, 1, 9))
+    if rows < 8:
+        raise ValueError(f"snapshot has {rows} data rows; a grid needs at least 8")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     dim = data.shape[1] - 1
     if dim not in (1, 2):

@@ -38,7 +38,6 @@ from .solver import InitialData, SolveParams, initial_preset, solve
 __all__ = [
     "SweepConfig",
     "RunRecord",
-    "SweepBlowUpError",
     "classify_regime",
     "run_sweep",
     "compare_to_reference",
@@ -393,10 +392,6 @@ def _record_path(cfg: SweepConfig, idx: int) -> Path:
     return Path(cfg.out_dir) / f"run_{_hash_payload(payload)}.json"
 
 
-class SweepBlowUpError(RuntimeError):
-    """Every run of a sweep blew up, so there is nothing to summarize."""
-
-
 def run_sweep(cfg: SweepConfig) -> list:
     """Run every ladder entry, persist records, and write the summary.
 
@@ -408,8 +403,9 @@ def run_sweep(cfg: SweepConfig) -> list:
     pending entry starts them all while this process builds the reference;
     otherwise the reference is built first and the entries run here in
     turn.  The distances to the reference are computed here from each
-    entry's final field.  Individual blow-ups are recorded and the sweep
-    continues; if every run blows up, raises SweepBlowUpError.
+    entry's final field.  A blow-up is recorded, with NaN distances, and
+    the sweep continues; records.csv and summary.json are written even
+    when every run blew up.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -443,9 +439,6 @@ def run_sweep(cfg: SweepConfig) -> list:
         os.replace(tmp, path)
 
     ordered = [records[i] for i in range(len(cfg.epsilons))]
-    if all(r.blowup for r in ordered):
-        raise SweepBlowUpError("every run in the sweep blew up")
-
     _write_records_csv(out / "records.csv", ordered)
     summary = summarize(cfg, ordered)
     write_manifest(out / "summary.json", summary)

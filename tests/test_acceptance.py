@@ -248,41 +248,35 @@ def test_hn_bound_properties():
     norms = [1.3, 1.1, 0.9, 1.2]
 
     # base case is the squared L2 norm of the data, exactly
-    p0 = diag.HnBoundParams(r=2.0, n=0, u0_norms=norms, t=1.0, delta_ratio=0.7)
-    assert abs(diag.hn_bound(p0) - 1.3**2) <= 1e-12
+    h0 = diag.hn_bound(r=2.0, n=0, u0_norms=norms, t=1.0, delta_ratio=0.7)
+    assert abs(h0 - 1.3**2) <= 1e-12
 
     # r = 2 closed form: every level multiplies C_k by exactly (1 + Delta)
     for n in (1, 2, 3):
-        pd = diag.HnBoundParams(r=2.0, n=n, u0_norms=norms, t=5.0,
-                                delta_ratio=0.7)
-        p0d = diag.HnBoundParams(r=2.0, n=n, u0_norms=norms, t=5.0,
-                                 delta_ratio=0.0)
+        hd = diag.hn_bound(r=2.0, n=n, u0_norms=norms, t=5.0, delta_ratio=0.7)
+        h0d = diag.hn_bound(r=2.0, n=n, u0_norms=norms, t=5.0,
+                            delta_ratio=0.0)
         # reconstruct C_n from the Delta = 0 collapse of the last level
-        h_prev_d = diag.hn_bound(
-            diag.HnBoundParams(r=2.0, n=n - 1, u0_norms=norms, t=5.0,
-                               delta_ratio=0.7))
+        h_prev_d = diag.hn_bound(r=2.0, n=n - 1, u0_norms=norms, t=5.0,
+                                 delta_ratio=0.7)
         e3 = 1.0
         pk = n + 2.0
         comb = pk / (pk - 1.0) ** e3 * (pk - 1.0) / (pk - 2.0) ** e3 * n / 2.0
         cn = max(norms[n] ** pk, comb * h_prev_d**e3)
-        assert abs(diag.hn_bound(pd) - cn * 1.7) <= 1e-12 * cn
+        assert abs(hd - cn * 1.7) <= 1e-12 * cn
         # Delta = 0 collapse: no coupling factor at the last level
-        assert diag.hn_bound(p0d) <= diag.hn_bound(pd)
+        assert h0d <= hd
 
     # monotonicity in Delta, t, and the initial norms
-    base = diag.HnBoundParams(r=3.0, n=2, u0_norms=norms, t=2.0,
-                              delta_ratio=0.5)
-    more_delta = diag.HnBoundParams(r=3.0, n=2, u0_norms=norms, t=2.0,
-                                    delta_ratio=1.0)
-    more_t = diag.HnBoundParams(r=3.0, n=2, u0_norms=norms, t=4.0,
-                                delta_ratio=0.5)
-    bigger = diag.HnBoundParams(r=3.0, n=2,
-                                u0_norms=[2 * v for v in norms], t=2.0,
-                                delta_ratio=0.5)
-    h = diag.hn_bound(base)
-    assert diag.hn_bound(more_delta) >= h - 1e-12
-    assert diag.hn_bound(more_t) >= h - 1e-12
-    assert diag.hn_bound(bigger) >= h - 1e-12
+    h = diag.hn_bound(r=3.0, n=2, u0_norms=norms, t=2.0, delta_ratio=0.5)
+    more_delta = diag.hn_bound(r=3.0, n=2, u0_norms=norms, t=2.0,
+                               delta_ratio=1.0)
+    more_t = diag.hn_bound(r=3.0, n=2, u0_norms=norms, t=4.0, delta_ratio=0.5)
+    bigger = diag.hn_bound(r=3.0, n=2, u0_norms=[2 * v for v in norms],
+                           t=2.0, delta_ratio=0.5)
+    assert more_delta >= h - 1e-12
+    assert more_t >= h - 1e-12
+    assert bigger >= h - 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Command-line front end: config parsing, subcommands, exit codes."""
 
 import json
+import re
+import shlex
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
@@ -285,6 +287,23 @@ def test_main_compare_reads_the_snapshot_with_the_largest_index(tmp_path,
     assert float(dists["L1"]) == 0.0
 
 
+@pytest.mark.parametrize("rows", [0, 1, 4])
+def test_main_compare_on_a_short_snapshot_is_a_config_error(tmp_path, capsys,
+                                                            rows):
+    # numpy would warn on a header-only file, and the suite fails on warnings
+    snap = tmp_path / "snap.csv"
+    snap.write_text("x,u\n" + "".join(f"{i / 8!r},0.0\n" for i in range(rows)))
+    assert main(["compare", "--a", str(snap), "--b", str(snap)]) == EXIT_CONFIG
+    assert f"snapshot has {rows} data rows" in capsys.readouterr().err
+
+
+def test_main_compare_on_a_directory_without_snapshots_is_a_config_error(
+        tmp_path, capsys):
+    assert main(["compare", "--a", str(tmp_path),
+                 "--b", str(tmp_path)]) == EXIT_CONFIG
+    assert "no snapshots under" in capsys.readouterr().err
+
+
 def test_main_classify(capsys):
     assert main(["classify", "--r", "2", "--m", "2", "--gamma", "1.5"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "thm31"
@@ -312,14 +331,10 @@ window_t_lo = 0.1
 window_t_hi = 0.2
 """)
     out = tmp_path / "sweep"
-    code = main(["sweep", "--config", str(cfg), "--out", str(out),
-                 "--plot-data"])
+    code = main(["sweep", "--config", str(cfg), "--out", str(out)])
     assert code == EXIT_OK
     assert (out / "records.csv").exists()
     assert (out / "summary.json").exists()
-    plot = (out / "plot_L1.dat").read_text().splitlines()
-    assert len(plot) == 2
-    assert float(plot[0].split()[0]) == 0.08
 
 
 def test_main_sweep_bad_config_exit_code(tmp_path, capsys):
@@ -463,9 +478,16 @@ def test_main_sweep_where_every_run_blows_up_is_a_numerical_failure(
     cfg = _write(tmp_path, "[problem]\nflux = zero\nt_end = 0.2\n[sweep]\n"
                  "epsilons = 1.0, 0.5\ngrids = 64, 64\nref_n = 64\n"
                  "[diagnostics]\nwindow_t_lo = 0.0\n")
+    out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg),
-                 "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+                 "--out", str(out)]) == EXIT_NUMERICAL
     assert "every run in the sweep blew up" in capsys.readouterr().err
+    # the records and the summary are written all the same
+    with open(out / "records.csv") as fh:
+        header, *rows = (line.strip().split(",") for line in fh)
+    assert len(rows) == 2
+    assert all(row[header.index("blowup")] == "1" for row in rows)
+    assert json.loads((out / "summary.json").read_text())["blowups"] == 2
 
 
 def test_main_compare_on_a_nonfinite_snapshot_is_a_config_error(tmp_path,
@@ -487,3 +509,14 @@ def test_main_diagnose_on_snapshots_off_the_manifest_grid_is_a_config_error(
     assert main(["diagnose", "--run", str(out)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not (out / "diagnostics.csv").exists()
+
+
+def test_every_readme_command_line_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = [ln for block in blocks for ln in block.splitlines()
+             if ln.startswith("ddlab ")]
+    assert len(lines) >= 5
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

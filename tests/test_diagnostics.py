@@ -122,24 +122,27 @@ def test_power_energy_identity_rejects_bad_alpha(burgers_run):
 
 
 def test_hn_bound_base_case():
-    p = diag.HnBoundParams(r=2.0, n=0, u0_norms=[1.7], t=1.0, delta_ratio=0.3)
-    assert diag.hn_bound(p) == pytest.approx(1.7**2, abs=1e-12)
+    h = diag.hn_bound(r=2.0, n=0, u0_norms=[1.7], t=1.0, delta_ratio=0.3)
+    assert h == pytest.approx(1.7**2, abs=1e-12)
 
 
 def test_hn_bound_zero_coupling_collapse():
     norms = [1.0, 1.2, 1.5]
-    p = diag.HnBoundParams(r=2.0, n=2, u0_norms=norms, t=2.0, delta_ratio=0.0)
-    p_dr = diag.HnBoundParams(r=2.0, n=2, u0_norms=norms, t=2.0,
-                              delta_ratio=0.5)
-    assert diag.hn_bound(p) < diag.hn_bound(p_dr)
+    h = diag.hn_bound(r=2.0, n=2, u0_norms=norms, t=2.0, delta_ratio=0.0)
+    h_dr = diag.hn_bound(r=2.0, n=2, u0_norms=norms, t=2.0, delta_ratio=0.5)
+    assert h < h_dr
 
 
 def test_hn_bound_validation():
     with pytest.raises(ValueError):
-        diag.HnBoundParams(r=1.0, n=1, u0_norms=[1.0, 1.0], t=1.0,
-                           delta_ratio=0.0)
+        diag.hn_bound(r=1.0, n=1, u0_norms=[1.0, 1.0], t=1.0, delta_ratio=0.0)
     with pytest.raises(ValueError):
-        diag.HnBoundParams(r=2.0, n=2, u0_norms=[1.0], t=1.0, delta_ratio=0.0)
+        diag.hn_bound(r=2.0, n=2, u0_norms=[1.0], t=1.0, delta_ratio=0.0)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        diag.hn_bound(r=2.0, n=-1, u0_norms=[1.0], t=1.0, delta_ratio=0.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        diag.hn_bound(r=2.0, n=1, u0_norms=[1.0, -0.5], t=1.0,
+                      delta_ratio=0.0)
 
 
 def test_bootstrap_bound_formula():
@@ -157,6 +160,8 @@ def test_h_regularity_check_keys(burgers_run):
         assert np.isfinite(rep[key]) and rep[key] >= 0.0
     rep0 = diag.h_regularity_check(burgers_run, 0.0, 1.0)
     assert rep0["lp_factor"] == np.inf
+    with pytest.raises(ValueError, match="requires r >= 1"):
+        diag.h_regularity_check(burgers_run, 0.05, 0.5)
 
 
 # ---------------------------------------------------------------------------

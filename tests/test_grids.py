@@ -158,7 +158,7 @@ def test_trajectory_append_validation():
         traj.append(0.25, f)    # strictly increasing
     with pytest.raises(ValueError):
         traj.append(0.5, Field(GridSpec(n=32), np.zeros(32)))  # another grid
-    assert traj.t_final == 0.25
+    assert traj.times[-1] == 0.25
 
 
 def test_spacetime_integral_trapezoid():
@@ -208,6 +208,13 @@ def test_snapshot_csv_roundtrip_2d_infers_the_period(tmp_path):
     assert np.array_equal(back.values, f.values)
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValueError, match="not square"):
+        read_snapshot_csv(path)
+
+
+def test_snapshot_csv_with_four_columns_is_rejected(tmp_path):
+    path = tmp_path / "snap.csv"
+    path.write_text("x,y,z,u\n" + "0.0,0.0,0.0,1.0\n" * 16)
+    with pytest.raises(ValueError, match="with 4 columns"):
         read_snapshot_csv(path)
 
 

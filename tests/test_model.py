@@ -20,6 +20,7 @@ from ddlab.model import (
     make_entropy_pair,
     power_diffusion,
     DiffusionSpec,
+    FluxSpec,
 )
 from oracles import check_H3, check_coercivity_H2, check_growth_H1
 
@@ -149,6 +150,16 @@ def test_presets_lookup():
         flux_preset("nope")
     with pytest.raises(KeyError):
         diffusion_preset("nope")
+
+
+def test_specs_reject_bad_declarations():
+    f = burgers_flux()
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        FluxSpec(eval=f.eval, deriv=f.deriv, m=-1.0)
+    b = linear_diffusion()
+    for c2 in (0.0, -1.0):
+        with pytest.raises(ValueError, match="c2 > 0"):
+            DiffusionSpec(eval=b.eval, r=1.0, c2=c2, spectral_bound=1.0)
 
 
 def test_power_diffusion_requires_r_ge_1():
