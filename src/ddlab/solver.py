@@ -5,8 +5,12 @@
 with centered second-order stencils in space, applied through their exact
 Fourier symbols, and ETDRK4 in time (Cox & Matthews 2002; Kassam &
 Trefethen 2005).  The linear part, delta times D3 plus eps times the wide
-Laplacian when the diffusion is declared linear, is integrated exactly, so
-dt is limited only by convection and by nonlinear diffusion.
+Laplacian when the diffusion is declared linear, is integrated exactly.
+Where that linear part damps the high modes (eps > 0, diffusion declared
+linear), the steps of each sample interval are chosen by step doubling
+against TOL (Hairer, Norsett & Wanner, Solving ODEs I, II.4), and the
+convective limit only caps how fine they get; elsewhere dt is limited by
+convection and by nonlinear diffusion.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ __all__ = [
 
 # blow-up detector: |u| exceeding this multiple of the initial sup norm
 BLOWUP_FACTOR = 1.0e6
+
+# time-error tolerance of step doubling, relative to the initial sup norm:
+# on the default ladder it moves every record by at most ~4e-7 relative
+TOL = 1.0e-6
 
 # sample points for bounding max |f'| over [-u_max, u_max]
 _FMAX_PROBE = np.linspace(-1.0, 1.0, 65)
@@ -144,8 +152,11 @@ def _phi_combinations(z: np.ndarray) -> np.ndarray:
                      (-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3])
 
 
-# the nominal h plus the latest re-planned h: a re-plan keeps the nominal one
-@functools.lru_cache(maxsize=2)
+# every h one solve uses, up to 32: width / n for the step counts n of step
+# doubling, and the nominal and the re-planned h.  solve empties it first:
+# no later solve of a sweep has the same (grid, params), so the sets of an
+# earlier solve would only hold memory
+@functools.lru_cache(maxsize=32)
 def _etd_coefficients(grid: GridSpec, p: SolveParams, h: float) -> tuple:
     """exp(hL), exp(hL/2) and the ETDRK4 weights Q, f1, f2, f3: closed form
     where |hL| >= 1, and where it would cancel, the contour mean of the
@@ -182,9 +193,11 @@ def step_rk4(u: Field, dt: float, p: SolveParams) -> Field:
 
 def stable_dt(p: SolveParams, grid: GridSpec, u_max: float, grad_max: float) -> float:
     """Step limit of the explicit terms: convection, and diffusion unless it
-    is declared linear.  Dispersion and linear diffusion are exact.  The
-    convective bound ignores dim, but 2-d stencils move diagonal data at
-    dim * f', so such data runs at twice the CFL that cfl_safety names."""
+    is declared linear.  Dispersion and linear diffusion are exact.  Where
+    linear diffusion damps the high modes, solve takes this limit as its
+    finest step, not as its step.  The convective bound ignores dim, but
+    2-d stencils move diagonal data at dim * f', so such data runs at twice
+    the CFL that cfl_safety names."""
     dx = grid.dx
     bounds = []
     us = u_max * _FMAX_PROBE
@@ -204,22 +217,48 @@ def _grad_max_arr(u: np.ndarray, grid: GridSpec) -> float:
     return float(np.sqrt(np.max(np.sum(_grad(u, grid.dx) ** 2, axis=0))))
 
 
+def _advance(v: np.ndarray, uv: np.ndarray, n: int, h: float, grid: GridSpec,
+             p: SolveParams, blowup_sup: float) -> tuple:
+    """n ETDRK4 steps of h from the spectrum v of uv, stopping after the
+    first step whose max |u| exceeds blowup_sup or is nan.  Returns the
+    spectrum, the values, their max |u| and the steps taken."""
+    for k in range(1, n + 1):
+        v = _step_arr(v, uv, h, grid, p)
+        uv = _values(v, grid)
+        u_max = float(np.max(np.abs(uv)))
+        if not u_max <= blowup_sup:
+            break
+    return v, uv, u_max, k
+
+
 def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
     """Integrate to t_end with ETDRK4, storing sample_count evenly spaced
-    snapshots.
+    snapshots.  Every sample time is hit exactly.
 
-    The linear part is exact, so the step is limited only by convection and
-    by a diffusion that is not declared linear.  Each sample interval is
-    split into equal steps under that limit; before every step the limit is
+    Each sample interval is planned as n0 = ceil(width / stable_dt) equal
+    steps from its start.  Where the linear part damps the high modes
+    (eps > 0, diffusion declared linear) and n0 > 2, that plan is only the
+    finest one: the interval is integrated from the same start with n and
+    with ceil(n/2) equal steps, and the n-step result is accepted when
+    their Richardson error estimate is under TOL times the initial sup
+    norm, or when n has reached n0; otherwise n doubles, capped at n0.  The
+    next interval starts from the accepted n, or from half of it when the
+    estimate was well under TOL.  params["steps"] counts the accepted steps,
+    params["trial_steps"] the coarse and rejected ones, and params["dt_min"]
+    is the smallest accepted step.
+
+    Elsewhere the plan's steps are taken: before every step the limit is
     re-evaluated from the current solution and, if it fell below the step,
-    the rest of the interval is split again.  Every sample time is hit
-    exactly.  Blow-up (a non-finite value, or max |u| beyond BLOWUP_FACTOR
-    times its initial value) returns a partial trajectory with the blowup
-    flag set and its time in params["t_blowup"]; support reaching the
-    periodic wrap sets the taint flag.
+    the rest of the interval is split again.
+
+    Blow-up (a non-finite value, or max |u| beyond BLOWUP_FACTOR times its
+    initial value) returns a partial trajectory with the blowup flag set
+    and its time in params["t_blowup"]; support reaching the periodic wrap
+    sets the taint flag.
     """
     u = u0.build(grid)
     u0_sup = u.max_abs()
+    _etd_coefficients.cache_clear()
     sample_times = np.linspace(0.0, p.t_end, p.sample_count)
     # planning every interval from the same width keeps h, and so the
     # cached ETD coefficients, bit-identical across intervals
@@ -238,6 +277,7 @@ def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
 
     t = 0.0
     steps = 0
+    trial_steps = 0
     dt_min = np.inf
     # data that already touches the seam (e.g. sine) is never flagged; the
     # flag marks compact support escaping through the wrap during the run
@@ -246,10 +286,39 @@ def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
     bound = p.diffusion.spectral_bound
     needs_grad = p.epsilon != 0.0 and callable(bound)
     blowup_sup = BLOWUP_FACTOR * max(u0_sup, 1e-300)
+    damped = p.epsilon > 0.0 and p.diffusion.linear
+    tol = TOL * u0_sup
+    n = 2   # steps of the next damped interval's fine trial
     uv = u.values
     v = _spectrum(uv, grid)
     u_max = u0_sup
     for target in sample_times[1:]:
+        n0 = math.ceil(width / stable_dt(p, grid, u_max, 0.0)) if damped else 1
+        if n0 > 2:   # a trial accepts two steps at the fewest
+            n = min(n, n0)
+            m = math.ceil(n / 2)
+            coarse = _advance(v, uv, m, width / m, grid, p, blowup_sup)
+            trial_steps += coarse[3]
+            while True:
+                h = width / n
+                fine = _advance(v, uv, n, h, grid, p, blowup_sup)
+                # Richardson: the n-step error of an order-4 scheme; a trial
+                # that blew up gives nan or a huge value, which never passes
+                err = np.max(np.abs(fine[1] - coarse[1])) / ((n / m) ** 4 - 1.0)
+                if err < tol or n == n0:
+                    break
+                trial_steps += fine[3]
+                coarse, m, n = fine, n, min(2 * n, n0)
+            v, uv, u_max, k = fine
+            steps += k
+            dt_min = min(dt_min, h)
+            t = target if k == n else t + k * h
+            if not u_max <= blowup_sup:
+                traj.blowup = True
+                traj.params["t_blowup"] = t
+                break
+            if err < tol / 32.0:   # the estimate at n/2 would be ~16x this
+                n = max(2, math.ceil(n / 2))
         left = 0   # steps left in the current plan of this interval
         while t < target:
             dt = stable_dt(p, grid, u_max,
@@ -280,6 +349,7 @@ def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
             wrap_guard = True
 
     traj.params["steps"] = steps
+    traj.params["trial_steps"] = trial_steps
     traj.params["dt_min"] = dt_min if np.isfinite(dt_min) else 0.0
     return traj
 

@@ -208,6 +208,10 @@ def test_main_solve_writes_snapshots(tmp_path, capsys):
         manifest = json.load(fh)
     assert manifest["N"] == 64
     assert not manifest["blowup"]
+    # the convective plan of two steps per sample interval is taken as it
+    # is: step doubling tries no fewer than two
+    assert manifest["params"]["steps"] == 8
+    assert manifest["params"]["trial_steps"] == 0
 
 
 @pytest.mark.parametrize("arg", [("--epsilon", "nan"), ("--delta", "inf"),

@@ -270,7 +270,66 @@ def test_etd_coefficients_survive_a_replan():
     traj = solve(initial_preset("smoothed_riemann"), p, g)
     info = solver._etd_coefficients.cache_info()
     assert info.hits + info.misses == traj.params["steps"]
-    assert info.misses == 24
+    # the cache holds the re-planned h as well: each distinct h is built once
+    assert info.misses == info.currsize == 12
+    # an undamped entry takes the convective plan's steps, with no trials
+    assert traj.params["steps"] == 409
+    assert traj.params["trial_steps"] == 0
+
+
+@pytest.fixture(scope="module")
+def damped_entry():
+    """The default ladder's first entry (eps = 0.04, N = 512), solved:
+    (params, grid, trajectory, ETD cache info after the solve)."""
+    g = GridSpec(n=512, length=2.0)
+    p = _params(burgers_flux(), linear_diffusion(), 0.04, 0.04**2.5,
+                t_end=0.5, sample_count=65)
+    traj = solve(initial_preset("smoothed_riemann"), p, g)
+    return p, g, traj, solver._etd_coefficients.cache_info()
+
+
+def test_damped_solve_matches_a_fine_fixed_step_solve(damped_entry):
+    # step doubling keeps each interval's estimated error under TOL, and
+    # viscous Burgers does not amplify errors in max norm.  Against ten
+    # fixed steps per sample interval the largest error, 4.4e-7, is at the
+    # first sample, on the steep initial data; accepting every first trial
+    # (two steps) instead errs by 2.0e-5 there
+    p, g, traj, _ = damped_entry
+    u = traj.fields[0]
+    h = traj.times[1] / 10
+    for f in traj.fields[1:]:
+        for _ in range(10):
+            u = step_rk4(u, h, p)
+        assert np.max(np.abs(f.values - u.values)) <= \
+            solver.TOL * traj.fields[0].max_abs()
+
+
+def test_damped_solve_takes_no_more_steps_than_the_convective_plan(damped_entry):
+    # the convective plan takes 331 steps here; step doubling accepts fewer,
+    # and every step it takes, accepted or trial, looks up one ETD set
+    _, _, traj, info = damped_entry
+    assert traj.params["steps"] <= 331
+    assert traj.params["trial_steps"] > 0
+    assert info.hits + info.misses == \
+        traj.params["steps"] + traj.params["trial_steps"]
+
+
+def test_damped_solve_builds_each_etd_level_once(damped_entry):
+    # no set is evicted and rebuilt: one build per distinct h = width / n
+    info = damped_entry[3]
+    assert 1 < info.misses == info.currsize
+
+
+def test_dense_sampled_damped_solve_takes_no_trial_steps():
+    # a sample interval under the convective limit (n0 == 1) is one step,
+    # as in the undamped loop: no trial could take fewer
+    g = GridSpec(n=64, length=2.0)
+    p = _params(burgers_flux(), linear_diffusion(), 0.05, 1e-4, t_end=0.1,
+                sample_count=17)
+    traj = solve(initial_preset("smoothed_riemann", w=0.05), p, g)
+    assert traj.params["steps"] == 16
+    assert traj.params["trial_steps"] == 0
+    assert traj.params["dt_min"] == traj.times[1]
 
 
 def test_etd_coefficients_closed_form_matches_the_contour_mean():
