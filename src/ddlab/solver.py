@@ -105,30 +105,37 @@ def _check_support(f: Field):
 
 
 def _spectrum(u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """rfftn over the trailing spatial axes; a leading axis holds components."""
-    return np.fft.rfftn(u, axes=tuple(range(-grid.dim, 0)))
+    """rfftn over the trailing spatial axes; a leading axis holds components.
+    Over one axis rfftn is rfft, called here without the n-d wrapper."""
+    if grid.dim == 1:
+        return np.fft.rfft(u)
+    return np.fft.rfftn(u, axes=(-2, -1))
 
 
 def _values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return np.fft.irfftn(v, s=grid.shape, axes=tuple(range(-grid.dim, 0)))
+    if grid.dim == 1:
+        return np.fft.irfft(v, grid.n)
+    return np.fft.irfftn(v, s=grid.shape, axes=(-2, -1))
 
 
 @functools.lru_cache(maxsize=1)
 def _symbols(grid: GridSpec, p: SolveParams) -> tuple:
-    """D1 per axis, their sum (the divergence of a flux applied along every
-    axis), and L = delta sum_j D3_j plus eps times the wide Laplacian when
-    the diffusion is declared linear."""
+    """D1 per axis, minus their sum (-div, the divergence of a flux applied
+    along every axis, stored negated because every stage applies -div), and
+    L = delta sum_j D3_j plus eps times the wide Laplacian when the
+    diffusion is declared linear."""
     d1, lap, d3 = stencil_symbols(grid)
     L = p.delta * np.sum(d3, axis=0)
-    return d1, np.sum(d1, axis=0), L + p.epsilon * lap if p.diffusion.linear else L
+    return d1, -np.sum(d1, axis=0), L + p.epsilon * lap if p.diffusion.linear else L
 
 
-def _nonlinear(v: np.ndarray, u: np.ndarray, grid: GridSpec,
-               p: SolveParams) -> np.ndarray:
+def _nonlinear(v: np.ndarray, u: np.ndarray, grid: GridSpec, p: SolveParams,
+               symbols: tuple) -> np.ndarray:
     """Spectrum of the explicit terms at u = irfftn(v): -div f(u), plus
-    eps div b(grad u) when the diffusion is not declared linear."""
-    d1, div, _ = _symbols(grid, p)
-    out = -div * _spectrum(np.asarray(p.flux.eval(u)), grid)
+    eps div b(grad u) when the diffusion is not declared linear.  symbols
+    is _symbols(grid, p)."""
+    d1, neg_div, _ = symbols
+    out = neg_div * _spectrum(np.asarray(p.flux.eval(u)), grid)
     if p.epsilon != 0.0 and not p.diffusion.linear:
         b = np.asarray(p.diffusion.eval(_values(d1 * v, grid)))
         out += p.epsilon * np.sum(d1 * _spectrum(b, grid), axis=0)
@@ -139,7 +146,8 @@ def rhs(u: Field, p: SolveParams) -> Field:
     """Semi-discrete right-hand side: -div f(u) + eps div b(grad u)
     + delta sum_j third-derivative along axis j."""
     v = _spectrum(u.values, u.grid)
-    out = _symbols(u.grid, p)[2] * v + _nonlinear(v, u.values, u.grid, p)
+    symbols = _symbols(u.grid, p)
+    out = symbols[2] * v + _nonlinear(v, u.values, u.grid, p, symbols)
     return Field(u.grid, _values(out, u.grid))
 
 
@@ -173,15 +181,18 @@ def _etd_coefficients(grid: GridSpec, p: SolveParams, h: float) -> tuple:
 
 def _step_arr(v: np.ndarray, u: np.ndarray, h: float, grid: GridSpec,
               p: SolveParams) -> np.ndarray:
-    """One ETDRK4 step of the spectrum v of u (Kassam-Trefethen stages)."""
+    """One ETDRK4 step of the spectrum v of u (Kassam-Trefethen stages).
+    The symbols and the coefficient set are looked up once per step."""
     E, E2, Q, f1, f2, f3 = _etd_coefficients(grid, p, h)
-    Nv = _nonlinear(v, u, grid, p)
-    a = E2 * v + Q * Nv
-    Na = _nonlinear(a, _values(a, grid), grid, p)
-    b = E2 * v + Q * Na
-    Nb = _nonlinear(b, _values(b, grid), grid, p)
+    symbols = _symbols(grid, p)
+    Nv = _nonlinear(v, u, grid, p, symbols)
+    E2v = E2 * v
+    a = E2v + Q * Nv
+    Na = _nonlinear(a, _values(a, grid), grid, p, symbols)
+    b = E2v + Q * Na
+    Nb = _nonlinear(b, _values(b, grid), grid, p, symbols)
     c = E2 * a + Q * (2.0 * Nb - Nv)
-    Nc = _nonlinear(c, _values(c, grid), grid, p)
+    Nc = _nonlinear(c, _values(c, grid), grid, p, symbols)
     return E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
 
 

@@ -1,13 +1,16 @@
 """Test oracles: the centered divergence, wide Laplacian and third
 derivative written as stencils, which the tests compare against the Fourier
 symbols the solver applies; diagonal 2-d data, which reduces a 2-d run to a
-1-d one; the exact Riemann solution of the quadratic flux; and sampling
-checks of the presets' hypotheses (H1)-(H3), whose constants the caller
-states."""
+1-d one; the exact Riemann solution of the quadratic flux; a literal
+Kassam-Trefethen ETDRK4 step, which the solver's step must match bit for
+bit; and sampling checks of the presets' hypotheses (H1)-(H3), whose
+constants the caller states."""
 
 import numpy as np
 
-from ddlab.grids import Field, GridSpec, _diff_centered, gradient
+from ddlab import solver
+from ddlab.grids import Field, GridSpec, _diff_centered, gradient, \
+    stencil_symbols
 from ddlab.model import DiffusionSpec, FluxSpec
 
 
@@ -68,6 +71,52 @@ def burgers_riemann_exact(u_left: float, u_right: float, x_over_t):
     else:
         out = np.clip(xi, u_left, u_right)
     return float(out[()]) if out.ndim == 0 else out
+
+
+def _kt_spectrum(u, grid):
+    return np.fft.rfftn(u, axes=tuple(range(-grid.dim, 0)))
+
+
+def _kt_values(v, grid):
+    return np.fft.irfftn(v, s=grid.shape, axes=tuple(range(-grid.dim, 0)))
+
+
+def _kt_symbols(grid, p):
+    """D1 per axis, their sum div, and the linear symbol L."""
+    d1, lap, d3 = stencil_symbols(grid)
+    L = p.delta * np.sum(d3, axis=0)
+    return d1, np.sum(d1, axis=0), L + p.epsilon * lap if p.diffusion.linear else L
+
+
+def _kt_nonlinear(v, u, grid, p):
+    d1, div, _ = _kt_symbols(grid, p)
+    out = -div * _kt_spectrum(np.asarray(p.flux.eval(u)), grid)
+    if p.epsilon != 0.0 and not p.diffusion.linear:
+        b = np.asarray(p.diffusion.eval(_kt_values(d1 * v, grid)))
+        out += p.epsilon * np.sum(d1 * _kt_spectrum(b, grid), axis=0)
+    return out
+
+
+def etdrk4_step(v, u, h, grid, p):
+    """One ETDRK4 step of the spectrum v of u, with the Kassam-Trefethen
+    stages written out literally: rfftn/irfftn over the spatial axes, the
+    symbols built at every stage, -div applied at every stage, and the
+    solver's coefficient set.  Takes the arguments of solver._step_arr."""
+    E, E2, Q, f1, f2, f3 = solver._etd_coefficients(grid, p, h)
+    Nv = _kt_nonlinear(v, u, grid, p)
+    a = E2 * v + Q * Nv
+    Na = _kt_nonlinear(a, _kt_values(a, grid), grid, p)
+    b = E2 * v + Q * Na
+    Nb = _kt_nonlinear(b, _kt_values(b, grid), grid, p)
+    c = E2 * a + Q * (2.0 * Nb - Nv)
+    Nc = _kt_nonlinear(c, _kt_values(c, grid), grid, p)
+    return E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
+
+
+def etdrk4_step_values(u: Field, h: float, p) -> np.ndarray:
+    """The values of u after one etdrk4_step of h."""
+    g = u.grid
+    return _kt_values(etdrk4_step(_kt_spectrum(u.values, g), u.values, h, g, p), g)
 
 
 def check_growth_H1(flux: FluxSpec, c1: float, c1p: float,

@@ -18,7 +18,7 @@ from ddlab.solver import (
     stable_dt,
     step_rk4,
 )
-from oracles import diagonal, laplacian
+from oracles import diagonal, etdrk4_step, etdrk4_step_values, laplacian
 
 
 def _params(flux, diff, eps, delta, t_end=1.0, **kw):
@@ -259,7 +259,7 @@ def test_solve_blowup_flag_on_backward_diffusion():
     assert traj.times[-1] < traj.params["t_blowup"] <= 0.5
 
 
-def test_etd_coefficients_survive_a_replan():
+def test_etd_coefficients_survive_a_replan(monkeypatch):
     # on the delta = 1e-3 dispersive ladder entry the oscillating max|u|
     # re-splits sample intervals; a one-entry cache let each re-plan evict
     # the nominal h, so the next interval rebuilt it (35 builds per solve)
@@ -275,6 +275,12 @@ def test_etd_coefficients_survive_a_replan():
     # an undamped entry takes the convective plan's steps, with no trials
     assert traj.params["steps"] == 409
     assert traj.params["trial_steps"] == 0
+    # the same plan driven by the literal Kassam-Trefethen step ends on the
+    # same bits
+    monkeypatch.setattr(solver, "_step_arr", etdrk4_step)
+    literal = solve(initial_preset("smoothed_riemann"), p, g)
+    assert literal.params["steps"] == 409
+    assert np.array_equal(literal.final().values, traj.final().values)
 
 
 @pytest.fixture(scope="module")
@@ -363,6 +369,38 @@ def test_etd_step_local_error_is_fifth_order():
         return np.max(np.abs(step_rk4(u, h, p).values - ref.values))
 
     assert one_step_error(0.1) / one_step_error(0.05) > 20.0
+
+
+@pytest.mark.parametrize("n, dim", [(512, 1), (255, 1), (32, 2)])
+@pytest.mark.parametrize("flux", [burgers_flux(), flux_preset("bounded")],
+                         ids=["burgers", "bounded"])
+@pytest.mark.parametrize("diff, eps, delta", [
+    (linear_diffusion(), 0.02, 1e-4),
+    (linear_diffusion(), 0.0, 1e-3),
+    (power_diffusion(2.0), 0.02, 1e-4),
+], ids=["linear", "dispersion", "power2"])
+def test_step_rk4_is_the_literal_kassam_trefethen_step(diff, eps, delta,
+                                                       flux, n, dim):
+    # odd n takes numpy's odd-length rfft path; 2-d takes rfftn
+    g = GridSpec(n=n, length=2.0, dim=dim)
+    u = initial_preset("smoothed_riemann" if dim == 1 else "bump").build(g)
+    p = _params(flux, diff, eps, delta)
+    h = stable_dt(p, g, u.max_abs(), solver._grad_max_arr(u.values, g))
+    assert np.array_equal(step_rk4(u, h, p).values,
+                          etdrk4_step_values(u, h, p))
+
+
+@pytest.mark.parametrize("n", [512, 255])
+def test_1d_transforms_are_rfftn_and_irfftn(n):
+    g = GridSpec(n=n, length=2.0)
+    u = np.random.default_rng(n).standard_normal((2, n))
+    v = np.fft.rfftn(u, axes=(-1,))
+    assert np.array_equal(solver._spectrum(u, g), v)
+    assert np.array_equal(solver._spectrum(u[0], g), v[0])
+    assert np.array_equal(solver._values(v, g),
+                          np.fft.irfftn(v, s=(n,), axes=(-1,)))
+    back = solver._values(solver._spectrum(u, g), g)
+    assert np.max(np.abs(back - u)) <= 1e-15 * np.max(np.abs(u))
 
 
 @pytest.mark.parametrize("eps", [0.02, 0.0])
