@@ -10,7 +10,8 @@ Where that linear part damps the high modes (eps > 0, diffusion declared
 linear), the steps of each sample interval are chosen by step doubling
 against TOL (Hairer, Norsett & Wanner, Solving ODEs I, II.4), and the
 convective limit only caps how fine they get; elsewhere dt is limited by
-convection and by nonlinear diffusion.
+convection and by nonlinear diffusion, re-evaluated after every step.
+Both controllers step through _advance, the one place where steps are taken.
 """
 
 from __future__ import annotations
@@ -160,10 +161,11 @@ def _phi_combinations(z: np.ndarray) -> np.ndarray:
                      (-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3])
 
 
-# every h one solve uses, up to 32: width / n for the step counts n of step
-# doubling, and the nominal and the re-planned h.  solve empties it first:
-# no later solve of a sweep has the same (grid, params), so the sets of an
-# earlier solve would only hold memory
+# the h of one solve: width / n of step doubling, and the plans and re-plans
+# of other intervals.  Per solve to t = 0.5: 12 distinct h on the dispersive
+# entry at N = 512, 3 on the damped N = 4096 entry, and 52, more than the 32
+# kept, on a power2 entry at N = 256.  solve empties it first: no later
+# solve of a sweep has the same (grid, params)
 @functools.lru_cache(maxsize=32)
 def _etd_coefficients(grid: GridSpec, p: SolveParams, h: float) -> tuple:
     """exp(hL), exp(hL/2) and the ETDRK4 weights Q, f1, f2, f3: closed form
@@ -228,18 +230,30 @@ def _grad_max_arr(u: np.ndarray, grid: GridSpec) -> float:
     return float(np.sqrt(np.max(np.sum(_grad(u, grid.dx) ** 2, axis=0))))
 
 
-def _advance(v: np.ndarray, uv: np.ndarray, n: int, h: float, grid: GridSpec,
-             p: SolveParams, blowup_sup: float) -> tuple:
-    """n ETDRK4 steps of h from the spectrum v of uv, stopping after the
-    first step whose max |u| exceeds blowup_sup or is nan.  Returns the
-    spectrum, the values, their max |u| and the steps taken."""
-    for k in range(1, n + 1):
+def _advance(v: np.ndarray, uv: np.ndarray, n: int, h: float, t: float,
+             target: float, grid: GridSpec, p: SolveParams, blowup_sup: float,
+             limit: Callable | None = None) -> tuple:
+    """n ETDRK4 steps of h from the spectrum v of uv at time t, the last on
+    target; stops after the first step whose max |u| exceeds blowup_sup or
+    is nan.  Where limit(uv, u_max), evaluated after every step but the
+    last, fell below h, the rest is split again into equal steps.  Returns
+    the spectrum, values, max |u|, steps taken, time and smallest h."""
+    k, h_min = 0, h
+    while n:
         v = _step_arr(v, uv, h, grid, p)
         uv = _values(v, grid)
         u_max = float(np.max(np.abs(uv)))
+        k, n = k + 1, n - 1
+        t = t + h if n else target
         if not u_max <= blowup_sup:
             break
-    return v, uv, u_max, k
+        if limit is not None and n:
+            dt = limit(uv, u_max)
+            if dt < h:
+                n = math.ceil((target - t) / dt)
+                h = (target - t) / n
+                h_min = min(h_min, h)
+    return v, uv, u_max, k, t, h_min
 
 
 def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
@@ -258,9 +272,9 @@ def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
     params["trial_steps"] the coarse and rejected ones, and params["dt_min"]
     is the smallest accepted step.
 
-    Elsewhere the plan's steps are taken: before every step the limit is
-    re-evaluated from the current solution and, if it fell below the step,
-    the rest of the interval is split again.
+    Elsewhere the plan's steps are taken: after every step the limit is
+    re-evaluated and, if it fell below the step, the rest of the interval
+    is split again.  _advance is the one place where steps are taken.
 
     Blow-up (a non-finite value, or max |u| beyond BLOWUP_FACTOR times its
     initial value) returns a partial trajectory with the blowup flag set
@@ -303,16 +317,21 @@ def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
     uv = u.values
     v = _spectrum(uv, grid)
     u_max = u0_sup
+
+    def limit(uv, u_max):
+        return stable_dt(p, grid, u_max,
+                         _grad_max_arr(uv, grid) if needs_grad else 0.0)
+
     for target in sample_times[1:]:
-        n0 = math.ceil(width / stable_dt(p, grid, u_max, 0.0)) if damped else 1
-        if n0 > 2:   # a trial accepts two steps at the fewest
+        n0 = math.ceil(width / limit(uv, u_max))
+        if damped and n0 > 2:   # a trial accepts two steps at the fewest
             n = min(n, n0)
             m = math.ceil(n / 2)
-            coarse = _advance(v, uv, m, width / m, grid, p, blowup_sup)
+            coarse = _advance(v, uv, m, width / m, t, target, grid, p, blowup_sup)
             trial_steps += coarse[3]
             while True:
-                h = width / n
-                fine = _advance(v, uv, n, h, grid, p, blowup_sup)
+                fine = _advance(v, uv, n, width / n, t, target, grid, p,
+                                blowup_sup)
                 # Richardson: the n-step error of an order-4 scheme; a trial
                 # that blew up gives nan or a huge value, which never passes
                 err = np.max(np.abs(fine[1] - coarse[1])) / ((n / m) ** 4 - 1.0)
@@ -320,38 +339,17 @@ def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
                     break
                 trial_steps += fine[3]
                 coarse, m, n = fine, n, min(2 * n, n0)
-            v, uv, u_max, k = fine
-            steps += k
-            dt_min = min(dt_min, h)
-            t = target if k == n else t + k * h
-            if not u_max <= blowup_sup:
-                traj.blowup = True
-                traj.params["t_blowup"] = t
-                break
             if err < tol / 32.0:   # the estimate at n/2 would be ~16x this
                 n = max(2, math.ceil(n / 2))
-        left = 0   # steps left in the current plan of this interval
-        while t < target:
-            dt = stable_dt(p, grid, u_max,
-                           _grad_max_arr(uv, grid) if needs_grad else 0.0)
-            if not left:
-                left = math.ceil(width / dt)
-                h = width / left
-            elif dt < h:
-                left = math.ceil((target - t) / dt)
-                h = (target - t) / left
-            v = _step_arr(v, uv, h, grid, p)
-            uv = _values(v, grid)
-            left -= 1
-            t = t + h if left else target
-            steps += 1
-            dt_min = min(dt_min, h)
-            u_max = float(np.max(np.abs(uv)))
-            if not u_max <= blowup_sup:   # also catches nan
-                traj.blowup = True
-                traj.params["t_blowup"] = t
-                break
-        if traj.blowup:
+        else:
+            fine = _advance(v, uv, n0, width / n0, t, target, grid, p,
+                            blowup_sup, limit)
+        v, uv, u_max, k, t, h_min = fine
+        steps += k
+        dt_min = min(dt_min, h_min)
+        if not u_max <= blowup_sup:   # also catches nan
+            traj.blowup = True
+            traj.params["t_blowup"] = t
             break
         u = Field(grid, uv)
         traj.append(target, u)
@@ -361,7 +359,7 @@ def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
 
     traj.params["steps"] = steps
     traj.params["trial_steps"] = trial_steps
-    traj.params["dt_min"] = dt_min if np.isfinite(dt_min) else 0.0
+    traj.params["dt_min"] = dt_min
     return traj
 
 

@@ -8,8 +8,9 @@ from hypothesis.extra import numpy as hnp
 
 from ddlab import solver
 from ddlab.grids import Field, GridSpec, lp_norm
-from ddlab.model import DiffusionSpec, advection_flux, burgers_flux, \
-    diffusion_preset, flux_preset, linear_diffusion, power_diffusion, zero_flux
+from ddlab.model import DiffusionSpec, FluxSpec, advection_flux, \
+    burgers_flux, diffusion_preset, flux_preset, linear_diffusion, \
+    power_diffusion, zero_flux
 from ddlab.solver import (
     SolveParams,
     initial_preset,
@@ -259,6 +260,22 @@ def test_solve_blowup_flag_on_backward_diffusion():
     assert traj.times[-1] < traj.params["t_blowup"] <= 0.5
 
 
+def test_solve_blowup_flag_on_a_damped_entry():
+    # a flux that understates its speed (f' declared 0) lets step doubling
+    # take steps far over the convective limit: every trial blows up, and so
+    # does the accepted plan at n0, inside the first sample interval
+    liar = FluxSpec(eval=lambda u: 20.0 * np.asarray(u) ** 2,
+                    deriv=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
+                    m=2.0, name="liar")
+    g = GridSpec(n=128, length=2.0)
+    p = _params(liar, linear_diffusion(), 1e-3, 0.0, t_end=0.5, sample_count=9)
+    traj = solve(initial_preset("smoothed_riemann"), p, g)
+    assert traj.blowup
+    assert len(traj.fields) == 1
+    assert traj.params["trial_steps"] > 0
+    assert 0.0 < traj.params["t_blowup"] <= 0.5 / 8
+
+
 def test_etd_coefficients_survive_a_replan(monkeypatch):
     # on the delta = 1e-3 dispersive ladder entry the oscillating max|u|
     # re-splits sample intervals; a one-entry cache let each re-plan evict
@@ -275,11 +292,20 @@ def test_etd_coefficients_survive_a_replan(monkeypatch):
     # an undamped entry takes the convective plan's steps, with no trials
     assert traj.params["steps"] == 409
     assert traj.params["trial_steps"] == 0
+    # a re-plan inside an interval set the smallest step: it is below the
+    # first interval's plan width / n0 = 0.0015625, and below every plan
+    # drawn from a stored sample
+    width = traj.times[1]
+    n0 = [np.ceil(width / stable_dt(p, g, f.max_abs(), 0.0))
+          for f in traj.fields[:-1]]
+    assert traj.params["dt_min"] < width / n0[0] == 0.0015625
+    assert traj.params["dt_min"] < width / max(n0)
     # the same plan driven by the literal Kassam-Trefethen step ends on the
     # same bits
     monkeypatch.setattr(solver, "_step_arr", etdrk4_step)
     literal = solve(initial_preset("smoothed_riemann"), p, g)
     assert literal.params["steps"] == 409
+    assert literal.params["dt_min"] == traj.params["dt_min"]
     assert np.array_equal(literal.final().values, traj.final().values)
 
 
