@@ -32,6 +32,9 @@ __all__ = [
     "diffusion_preset",
 ]
 
+# sample points of [-1, 1] at which max_speed probes f'
+_SPEED_PROBE = np.linspace(-1.0, 1.0, 65)
+
 
 @dataclass(frozen=True)
 class FluxSpec:
@@ -53,6 +56,10 @@ class FluxSpec:
     def __post_init__(self):
         if self.m < 0:
             raise ValueError("growth exponent m must be >= 0")
+
+    def max_speed(self, u_max: float) -> float:
+        """max |f'| over [-u_max, u_max], probed at 65 evenly spaced states."""
+        return float(np.max(np.abs(np.asarray(self.deriv(u_max * _SPEED_PROBE)))))
 
 
 @dataclass(frozen=True)

@@ -50,9 +50,6 @@ BLOWUP_FACTOR = 1.0e6
 # on the default ladder it moves every record by at most ~4e-7 relative
 TOL = 1.0e-6
 
-# sample points for bounding max |f'| over [-u_max, u_max]
-_FMAX_PROBE = np.linspace(-1.0, 1.0, 65)
-
 
 @dataclass(frozen=True)
 class SolveParams:
@@ -208,15 +205,13 @@ def stable_dt(p: SolveParams, grid: GridSpec, u_max: float, grad_max: float) -> 
     """Step limit of the explicit terms: convection, and diffusion unless it
     is declared linear.  Dispersion and linear diffusion are exact.  Where
     linear diffusion damps the high modes, solve takes this limit as its
-    finest step, not as its step.  The convective bound ignores dim, but
-    2-d stencils move diagonal data at dim * f', so such data runs at twice
-    the CFL that cfl_safety names."""
+    finest step, not as its step.  Convection is bounded by
+    dx / (dim max|f'|): the stencils move diagonal data at dim f'."""
     dx = grid.dx
     bounds = []
-    us = u_max * _FMAX_PROBE
-    fmax = float(np.max(np.abs(np.asarray(p.flux.deriv(us)))))
-    if fmax > 0:
-        bounds.append(dx / fmax)
+    speed = grid.dim * p.flux.max_speed(u_max)
+    if speed > 0:
+        bounds.append(dx / speed)
     if p.epsilon > 0 and not p.diffusion.linear:
         B = p.diffusion.spectral_bound
         B = B(grad_max) if callable(B) else B

@@ -77,11 +77,11 @@ def test_reference_advection_is_explicit_upwind():
     rng = np.random.default_rng(3)
     u0 = rng.uniform(-1.0, 1.0, 128)
     out = reference_solve(Field(grid, u0), advection_flux(a), t_end, cfl=cfl)
-    u, t = u0.copy(), 0.0
-    while t < t_end - 1e-14 * t_end:
-        dt = min(cfl * grid.dx / a, t_end - t)
+    # the steps are planned once: n equal steps of t_end / n
+    n = math.ceil(t_end * a / (cfl * grid.dx))
+    u, dt = u0.copy(), t_end / n
+    for _ in range(n):
         u = u - dt / grid.dx * (a * u - a * np.roll(u, 1))
-        t += dt
     assert np.max(np.abs(out.values - u)) <= 1e-12
 
 
@@ -102,6 +102,28 @@ def test_reference_discrete_maximum_principle():
     out = reference_solve(u0, burgers_flux(), 0.3)
     assert out.values.min() >= u0.values.min() - 1e-12
     assert out.values.max() <= u0.values.max() + 1e-12
+
+
+@pytest.mark.parametrize("flux", [burgers_flux(), bounded_flux()],
+                         ids=lambda f: f.name)
+def test_2d_reference_maximum_principle_and_mass(flux):
+    # the steps planned from u0's range stay valid only under this bound
+    grid = GridSpec(n=64, length=2.0, dim=2)
+    rng = np.random.default_rng(6)
+    u0 = Field(grid, rng.uniform(-1.5, 2.0, grid.shape))
+    out = reference_solve(u0, flux, 0.3)
+    assert out.values.min() >= u0.values.min() - 1e-12
+    assert out.values.max() <= u0.values.max() + 1e-12
+    assert np.sum(out.values) == pytest.approx(np.sum(u0.values), abs=1e-10)
+
+
+@pytest.mark.parametrize("t_end", [-0.3, 0.0, math.nan, math.inf])
+def test_references_reject_a_t_end_that_is_not_finite_and_positive(t_end):
+    u0 = initial_preset("smoothed_riemann").build(GridSpec(n=64, length=2.0))
+    with pytest.raises(ValueError, match="t_end"):
+        reference_solve(u0, burgers_flux(), t_end)
+    with pytest.raises(ValueError, match="t_end"):
+        lax_oleinik_reference(u0, t_end)
 
 
 def test_reference_conserves_mass():

@@ -95,6 +95,10 @@ def test_stable_dt_single_term_convection():
     g = GridSpec(n=200, length=2.0)  # dx = 0.01
     p = _params(burgers_flux(), linear_diffusion(), 0.0, 0.0, cfl_safety=0.5)
     assert stable_dt(p, g, u_max=1.0, grad_max=0.0) == pytest.approx(0.005)
+    # 2-d stencils move diagonal data at 2 f': the bound halves exactly
+    g2 = GridSpec(n=200, length=2.0, dim=2)
+    assert stable_dt(p, g2, u_max=1.0, grad_max=0.0) == \
+        0.5 * stable_dt(p, g, u_max=1.0, grad_max=0.0)
 
 
 def test_stable_dt_ignores_exact_linear_terms():
@@ -111,7 +115,7 @@ def test_stable_dt_ignores_exact_linear_terms():
 
 def test_stable_dt_min_of_explicit_terms():
     # power2 stays explicit: its bound dx^2 / (2 d eps B) with B = 2 max|grad u|
-    # competes with convection; delta never enters
+    # competes with convection dx / (d max|f'|); delta never enters
     eps = 0.05
     for dim in (1, 2):
         g = GridSpec(n=128, length=2.0, dim=dim)
@@ -120,9 +124,9 @@ def test_stable_dt_min_of_explicit_terms():
         for grad_max in (0.01, 2.0, 30.0):
             diff_bound = dx**2 / (2 * dim * eps * 2.0 * grad_max)
             assert stable_dt(p, g, 1.0, grad_max) == \
-                pytest.approx(0.4 * min(dx, diff_bound), rel=1e-12)
-        assert stable_dt(p, g, 1.0, 30.0) < 0.4 * dx   # diffusion binds
-        assert stable_dt(p, g, 1.0, 0.01) == pytest.approx(0.4 * dx)
+                pytest.approx(0.4 * min(dx / dim, diff_bound), rel=1e-12)
+        assert stable_dt(p, g, 1.0, 30.0) < 0.4 * dx / dim   # diffusion binds
+        assert stable_dt(p, g, 1.0, 0.01) == pytest.approx(0.4 * dx / dim)
 
 
 def _sine_mode_step(eps, delta, old_limit):
@@ -431,12 +435,15 @@ def test_1d_transforms_are_rfftn_and_irfftn(n):
 
 @pytest.mark.parametrize("eps", [0.02, 0.0])
 def test_2d_solve_of_y_constant_data_matches_1d(eps):
-    # y-constant data stays y-constant; the 2-d solve must repeat the 1-d
-    # one step for step
+    # y-constant data stays y-constant; the 2-d convective bound
+    # dx / (2 max|f'|) at cfl 0.4 is the 1-d one at cfl 0.2, so the 2-d
+    # solve must repeat the 1-d one step for step
     u0 = initial_preset("smoothed_riemann", uL=1.0, uR=0.0, w=0.05)
     trajs = [solve(u0, _params(burgers_flux(), linear_diffusion(),
-                               eps, 1e-4, t_end=0.1, sample_count=3),
-                   GridSpec(n=64, length=2.0, dim=d)) for d in (1, 2)]
+                               eps, 1e-4, t_end=0.1, sample_count=3,
+                               cfl_safety=cfl),
+                   GridSpec(n=64, length=2.0, dim=d))
+             for d, cfl in ((1, 0.2), (2, 0.4))]
     assert trajs[0].params["steps"] == trajs[1].params["steps"] > 0
     for f1, f2 in zip(trajs[0].fields, trajs[1].fields):
         assert np.max(np.abs(f2.values - f1.values[:, None])) <= 1e-13
@@ -509,19 +516,20 @@ def test_params_validation():
 @pytest.mark.parametrize("eps", [0.01, 0.0], ids=["diffusive", "dispersive"])
 def test_2d_solve_of_diagonal_data_is_the_1d_solve_to_twice_the_time(eps):
     # the y-stencils do not vanish on diagonal data, so this couples both
-    # axes; at twice the cfl the 1-d solve to 2T takes the 2-d solve's steps
+    # axes; the 2-d convective bound dx / (2 max|f'|) is half the 1-d one,
+    # so at one cfl the 1-d solve to 2T takes the 2-d solve's steps
     g = GridSpec(n=128, length=2.0)
     w = Field(g, 0.5 + 0.5 * np.sin(2.0 * np.pi * g.axes()[0] / g.length))
     runs = []
-    for data, t_end, cfl in ((w, 0.3, 0.8), (diagonal(w), 0.15, 0.4)):
+    for data, t_end in ((w, 0.3), (diagonal(w), 0.15)):
         p = _params(burgers_flux(), linear_diffusion(), eps, 1e-4, t_end=t_end,
-                    cfl_safety=cfl, sample_count=4)
+                    sample_count=4)
         u0 = solver.InitialData(producer=lambda grid, f=data: f, analytic=True)
         runs.append(solve(u0, p, data.grid))
     one, two = runs
     assert not one.blowup and not two.blowup
     assert two.params["steps"] == one.params["steps"]
     assert np.array_equal(2.0 * np.array(two.times), one.times)
-    # measured 4.4e-16 (diffusive) and 7.8e-16 (dispersive): rounding only
+    # measured 4.4e-16 (diffusive) and 5.6e-16 (dispersive): rounding only
     for f1, f2 in zip(one.fields, two.fields):
         assert np.max(np.abs(f2.values - diagonal(f1).values)) <= 1e-14
