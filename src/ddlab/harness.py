@@ -296,8 +296,9 @@ def ensure_reference(cfg: SweepConfig) -> Field:
     content hash of the problem less its diffusion and of the code that
     computes it.
 
-    A flux declared quadratic in 1-d gets the exact Lax-Oleinik solution of
-    the gridded data; every other flux, and 2-d, the Engquist-Osher solve.
+    A flux declared quadratic gets the exact Lax-Oleinik solution of the
+    gridded data, every other flux the Engquist-Osher solve; both are 1-d,
+    and in 2-d run on each diagonal of the grid.
     """
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     path = _reference_path(cfg)
@@ -306,15 +307,30 @@ def ensure_reference(cfg: SweepConfig) -> Field:
     grid = GridSpec(n=cfg.ref_n, length=cfg.length, dim=cfg.dim)
     u0 = cfg.initial_data().build(grid)
     flux = flux_preset(cfg.flux)
-    if flux.quadratic and cfg.dim == 1:
-        ref = lax_oleinik_reference(u0, cfg.t_end)
+    if flux.quadratic:
+        ref = _per_line(u0, lax_oleinik_reference, cfg.t_end)
     else:
-        ref = reference_solve(u0, flux, cfg.t_end)
+        ref = _per_line(u0, reference_solve, flux, cfg.t_end)
     # per-process name: sweeps sharing an out_dir never share a tmp file
     tmp = path.with_suffix(f".{os.getpid()}.tmp")
     write_snapshot_binary(ref, tmp)
     os.replace(tmp, path)
     return ref
+
+
+def _per_line(u0: Field, oracle, *args) -> Field:
+    """``oracle(u0, *args)`` of a 1-d oracle; in 2-d, the oracle run on each
+    diagonal, along which u_t + f(u)_x + f(u)_y = u_t + f(u)_s, s = (x + y)/2.
+    Line d, the cells (k + d mod n, k) for k = 0 ... n-1, closes after n cells
+    spaced dx in s, so the oracle reads it as a 1-d grid of n cells and length L."""
+    if u0.grid.dim == 1:
+        return oracle(u0, *args)
+    k = np.arange(u0.grid.n)
+    cells = ((k[:, None] + k) % len(k), k)
+    line = GridSpec(n=len(k), length=u0.grid.length)
+    out = np.empty(u0.grid.shape)
+    out[cells] = [oracle(Field(line, v), *args).values for v in u0.values[cells]]
+    return Field(u0.grid, out)
 
 
 def _run_window(cfg: SweepConfig) -> diag.Window:

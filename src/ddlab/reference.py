@@ -1,10 +1,11 @@
-"""Entropy-solution oracles.
+"""Entropy-solution oracles, 1-d; ``harness.ensure_reference`` runs them on
+each diagonal in 2-d.
 
-For the quadratic flux f = u^2/2 in 1-d, ``lax_oleinik_reference`` is the
-exact entropy solution of the piecewise-constant data, from the
-Lax-Oleinik formula evaluated through a lower convex hull in linear time.
-Every other flux, and 2-d, use ``reference_solve``: a first-order monotone
-finite-volume scheme with the Engquist-Osher flux.
+For the quadratic flux f = u^2/2, ``lax_oleinik_reference`` is the exact
+entropy solution of the piecewise-constant data, from the Lax-Oleinik
+formula evaluated through a lower convex hull in linear time.  Every other
+flux uses ``reference_solve``: a first-order monotone finite-volume scheme
+with the Engquist-Osher flux.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ __all__ = [
     "lax_oleinik_reference",
 ]
 
+CFL = 0.4
+
 
 def _eo_halves(flux: FluxSpec, lo: float, hi: float, n: int = 2048):
     """The halves of the EO flux F(a, b) = right(a) + left(b) for states in
@@ -35,36 +38,29 @@ def _eo_halves(flux: FluxSpec, lo: float, hi: float, n: int = 2048):
     return (lambda a: f0 + plus(a)), minus
 
 
-def reference_solve(u0: Field, flux: FluxSpec, t_end: float,
-                    cfl: float = 0.4) -> Field:
-    """First-order finite-volume evolution with the EO flux, periodic.
+def reference_solve(u0: Field, flux: FluxSpec, t_end: float) -> Field:
+    """First-order finite-volume evolution with the EO flux, 1-d, periodic.
 
     Satisfies the discrete maximum principle exactly, so the output obeys
     min u0 <= u <= max u0 and contracts every L^p norm; one EO table over
     that range, and n equal steps planned from it by stable_dt's convective
-    bound, serve the whole run.  In 2-d the scalar flux is differenced
-    along each axis within one step; each half of the EO flux is evaluated
-    once per step and shifted along every axis.
+    bound at ``CFL``, serve the whole run.
     """
-    _check_t_end(t_end)
-    u = u0.values.copy()
+    _check(u0, t_end)
+    u, dx = u0.values, u0.grid.dx
     right, left = _eo_halves(flux, u.min(), u.max())
-    grid = u0.grid
-    dx = grid.dx
-    speed = grid.dim * flux.max_speed(float(np.max(np.abs(u))))
-    n = max(1, math.ceil(t_end * speed / (cfl * dx)))
+    speed = flux.max_speed(float(np.max(np.abs(u))))
+    n = max(1, math.ceil(t_end * speed / (CFL * dx)))
     dt = t_end / n
     for _ in range(n):
-        upd = np.zeros(grid.shape)
-        right_u, left_u = right(u), left(u)
-        for ax in range(grid.dim):
-            flux_right = right_u + np.roll(left_u, -1, axis=ax)
-            upd -= dt / dx * (flux_right - np.roll(flux_right, 1, axis=ax))
-        u = u + upd
-    return Field(grid, u)
+        flux_right = right(u) + np.roll(left(u), -1)
+        u = u - dt / dx * (flux_right - np.roll(flux_right, 1))
+    return Field(u0.grid, u)
 
 
-def _check_t_end(t_end: float):
+def _check(u0: Field, t_end: float):
+    if u0.grid.dim != 1:
+        raise ValueError("the references are 1-d")
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
 
@@ -87,10 +83,8 @@ def lax_oleinik_reference(u0: Field, t_end: float) -> Field:
     evaluated at that minimiser, so no x^2/(2t) cancellation reaches the
     differences.
     """
-    _check_t_end(t_end)
+    _check(u0, t_end)
     grid = u0.grid
-    if grid.dim != 1:
-        raise ValueError("the Lax-Oleinik reference is 1-d")
     u, n, dx, t = u0.values, grid.n, grid.dx, float(t_end)
     k = np.arange(math.floor(-t * u.max() / dx) - 1,
                   n + math.ceil(-t * u.min() / dx) + 2)

@@ -307,27 +307,38 @@ def _fail_if_called(*args):
     raise AssertionError("the Engquist-Osher solve was called")
 
 
-def test_burgers_1d_reference_is_exact_and_never_solves(tmp_path, monkeypatch):
+_2D = {"dim": 2, "ref_n": 32}
+
+
+@pytest.mark.parametrize("change", [{}, _2D], ids=["1d", "2d"])
+def test_burgers_reference_is_exact_and_never_solves(tmp_path, monkeypatch,
+                                                     change):
+    # in 2-d, the exact 1-d solution of each diagonal read as a line
     monkeypatch.setattr(harness, "reference_solve", _fail_if_called)
-    cfg = _tiny_config(tmp_path / "sweep")
+    cfg = replace(_tiny_config(tmp_path / "sweep"), **change)
     ref = harness.ensure_reference(cfg)
     u0 = cfg.initial_data().build(ref.grid)
-    assert np.array_equal(ref.values,
-                          harness.lax_oleinik_reference(u0, cfg.t_end).values)
+    line = GridSpec(n=cfg.ref_n, length=cfg.length)
+    k = np.arange(cfg.ref_n)   # diagonal d: the cells (k + d mod n, k)
+    cells = [((k + d) % len(k), k) for d in k] if cfg.dim == 2 else [slice(None)]
+    for c in cells:
+        exact = harness.lax_oleinik_reference(Field(line, u0.values[c]), cfg.t_end)
+        assert np.array_equal(ref.values[c], exact.values)
 
 
-@pytest.mark.parametrize("change", [{"flux": "bounded"}, {"dim": 2, "ref_n": 32}],
-                         ids=["bounded", "burgers-2d"])
-def test_other_references_keep_the_engquist_osher_solve(tmp_path, monkeypatch,
-                                                        change):
+@pytest.mark.parametrize("change", [{}, _2D], ids=["1d", "2d"])
+def test_bounded_reference_solves_engquist_osher_once_per_line(
+        tmp_path, monkeypatch, change):
     built = []
     solve_eo = harness.reference_solve
     monkeypatch.setattr(harness, "reference_solve",
                         lambda *args: built.append(args) or solve_eo(*args))
     monkeypatch.setattr(harness, "lax_oleinik_reference", _fail_if_called)
-    cfg = replace(_tiny_config(tmp_path / "sweep"), **change)
+    cfg = replace(_tiny_config(tmp_path / "sweep"), flux="bounded", **change)
     ref = harness.ensure_reference(cfg)
-    assert len(built) == 1 and ref.grid.dim == cfg.dim
+    assert ref.grid.dim == cfg.dim
+    assert len(built) == (1 if cfg.dim == 1 else cfg.ref_n)
+    assert all(args[0].grid.dim == 1 for args in built)
 
 
 def test_reference_cached_under_another_code_key_is_not_served(tmp_path,

@@ -1,5 +1,5 @@
 """Entropy-solution oracles: EO flux, monotone scheme, exact Lax-Oleinik
-reference, exact Riemann."""
+reference, exact Riemann, and both references run on each diagonal in 2-d."""
 
 import math
 
@@ -10,9 +10,16 @@ from hypothesis import strategies as st
 
 from ddlab.grids import Field, GridSpec
 from ddlab.model import advection_flux, bounded_flux, burgers_flux
-from ddlab.reference import _eo_halves, lax_oleinik_reference, reference_solve
+from ddlab.harness import _per_line
+from ddlab.reference import CFL, _eo_halves, lax_oleinik_reference, \
+    reference_solve
 from ddlab.solver import initial_preset
-from oracles import burgers_riemann_exact, diagonal
+from oracles import burgers_riemann_exact
+
+# each 1-d oracle as the leading arguments of harness._per_line, before t_end
+ORACLES = {"eo-burgers": (reference_solve, burgers_flux()),
+           "eo-bounded": (reference_solve, bounded_flux()),
+           "lax-oleinik": (lax_oleinik_reference,)}
 
 
 def engquist_osher_flux(a, b, flux):
@@ -72,13 +79,13 @@ def test_eo_flux_consistency_bounded(a):
 
 def test_reference_advection_is_explicit_upwind():
     # EO with f' = a > 0 is the upwind flux a u_left
-    a, cfl, t_end = 0.7, 0.4, 0.3
+    a, t_end = 0.7, 0.3
     grid = GridSpec(n=128, length=2.0)
     rng = np.random.default_rng(3)
     u0 = rng.uniform(-1.0, 1.0, 128)
-    out = reference_solve(Field(grid, u0), advection_flux(a), t_end, cfl=cfl)
+    out = reference_solve(Field(grid, u0), advection_flux(a), t_end)
     # the steps are planned once: n equal steps of t_end / n
-    n = math.ceil(t_end * a / (cfl * grid.dx))
+    n = math.ceil(t_end * a / (CFL * grid.dx))
     u, dt = u0.copy(), t_end / n
     for _ in range(n):
         u = u - dt / grid.dx * (a * u - a * np.roll(u, 1))
@@ -104,14 +111,13 @@ def test_reference_discrete_maximum_principle():
     assert out.values.max() <= u0.values.max() + 1e-12
 
 
-@pytest.mark.parametrize("flux", [burgers_flux(), bounded_flux()],
-                         ids=lambda f: f.name)
-def test_2d_reference_maximum_principle_and_mass(flux):
-    # the steps planned from u0's range stay valid only under this bound
+@pytest.mark.parametrize("oracle", ORACLES.values(), ids=ORACLES)
+def test_2d_reference_maximum_principle_and_mass(oracle):
+    # each line keeps its own range and mass, so the field keeps u0's
     grid = GridSpec(n=64, length=2.0, dim=2)
     rng = np.random.default_rng(6)
     u0 = Field(grid, rng.uniform(-1.5, 2.0, grid.shape))
-    out = reference_solve(u0, flux, 0.3)
+    out = _per_line(u0, *oracle, 0.3)
     assert out.values.min() >= u0.values.min() - 1e-12
     assert out.values.max() <= u0.values.max() + 1e-12
     assert np.sum(out.values) == pytest.approx(np.sum(u0.values), abs=1e-10)
@@ -134,20 +140,22 @@ def test_reference_conserves_mass():
     assert np.sum(out.values) == pytest.approx(np.sum(u0.values), abs=1e-10)
 
 
-@pytest.mark.parametrize("flux", [burgers_flux(), bounded_flux()],
-                         ids=lambda f: f.name)
-def test_2d_reference_of_y_constant_data_matches_1d(flux):
-    # y-constant data has zero flux differences along y, and the 2-d step
-    # cfl dx / (2 max|f'|) equals the 1-d step at half the cfl
+@pytest.mark.parametrize("oracle,tol", [(ORACLES["eo-burgers"], 0.0),
+                                        (ORACLES["eo-bounded"], 0.0),
+                                        (ORACLES["lax-oleinik"], 1e-13)],
+                         ids=ORACLES)
+def test_2d_reference_of_y_constant_data_matches_1d(oracle, tol):
+    # each diagonal of y-constant data is the 1-d data shifted, and the
+    # EO update commutes with a shift bit for bit
     n = 64
     x = GridSpec(n=n, length=2.0).axes()[0]
     u = 1.2 * np.exp(-((x - 0.8) / 0.2) ** 2) - 0.6 * np.exp(-((x - 1.4) / 0.15) ** 2)
-    one = reference_solve(Field(GridSpec(n=n, length=2.0), u), flux, 0.3, cfl=0.2)
+    one = _per_line(Field(GridSpec(n=n, length=2.0), u), *oracle, 0.3).values
     grid = GridSpec(n=n, length=2.0, dim=2)
-    rows = reference_solve(Field(grid, np.repeat(u[:, None], n, axis=1)), flux, 0.3)
-    cols = reference_solve(Field(grid, np.repeat(u[None, :], n, axis=0)), flux, 0.3)
-    assert np.max(np.abs(rows.values - one.values[:, None])) == 0.0
-    assert np.array_equal(cols.values, rows.values.T)
+    rows = _per_line(Field(grid, np.repeat(u[:, None], n, axis=1)), *oracle, 0.3)
+    cols = _per_line(Field(grid, np.repeat(u[None, :], n, axis=0)), *oracle, 0.3)
+    assert np.max(np.abs(rows.values - one[:, None])) <= tol
+    assert np.max(np.abs(cols.values.T - one[:, None])) <= tol
 
 
 def test_riemann_exact_shock():
@@ -266,10 +274,12 @@ def test_lax_oleinik_oversampling_levels_agree():
         assert np.max(np.abs(got - out)) <= 1e-12
 
 
-def test_lax_oleinik_is_one_dimensional():
+@pytest.mark.parametrize("oracle", ORACLES.values(), ids=ORACLES)
+def test_references_are_one_dimensional(oracle):
     grid = GridSpec(n=16, length=2.0, dim=2)
+    fn, *args = oracle
     with pytest.raises(ValueError, match="1-d"):
-        lax_oleinik_reference(Field(grid, np.zeros(grid.shape)), 0.1)
+        fn(Field(grid, np.zeros(grid.shape)), *args, 0.1)
 
 
 def test_eo_converges_to_the_exact_reference_at_first_order():
@@ -286,13 +296,13 @@ def test_eo_converges_to_the_exact_reference_at_first_order():
     assert np.log2(errs[2048] / errs[4096]) >= 0.9
 
 
-@pytest.mark.parametrize("flux", [burgers_flux(), bounded_flux()],
-                         ids=["burgers", "bounded"])
-def test_2d_reference_of_diagonal_data_is_the_1d_reference_to_twice_the_time(
-        flux):
-    # the 2-d step is half the 1-d one and differences both axes, which
-    # carry the same update, so the two schemes agree bit for bit
-    g = GridSpec(n=128, length=2.0)
-    w = Field(g, 0.5 + 0.5 * np.sin(2.0 * np.pi * g.axes()[0] / g.length))
-    two = reference_solve(diagonal(w), flux, 0.15)
-    assert np.array_equal(two.values, diagonal(reference_solve(w, flux, 0.3)).values)
+@pytest.mark.parametrize("oracle", ORACLES.values(), ids=ORACLES)
+def test_2d_reference_of_data_constant_along_each_diagonal_is_the_data(oracle):
+    # w(i - j) is constant along each line x - y = const, which carries it
+    # unchanged
+    grid = GridSpec(n=128, length=2.0, dim=2)
+    w = 0.5 + 0.5 * np.sin(2.0 * np.pi * grid.axes()[0] / grid.length)
+    k = np.arange(grid.n)
+    u0 = w[np.subtract.outer(k, k) % grid.n]
+    out = _per_line(Field(grid, u0), *oracle, 0.3)
+    assert np.max(np.abs(out.values - u0)) <= 1e-12
