@@ -7,6 +7,7 @@ value types: every operator returns a new Field and never mutates its input.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import struct
@@ -193,17 +194,25 @@ def spacetime_integral(traj: Trajectory, integrand, factor=None,
 # ---------------------------------------------------------------------------
 # snapshot I/O
 
+_ROWS = 512  # rows per CSV write: as fast as one write, in bounded memory
+
+
+@functools.lru_cache(maxsize=1)
+def _coordinate_text(grid: GridSpec) -> list:
+    """Each _ROWS-row block's text in C order: "x," or "x,y," then %r, per cell."""
+    x = [s + "," for s in repr(grid.axes()[0].tolist())[1:-1].split(", ")]
+    rows = x if grid.dim == 1 else [a + b for a in x for b in x]
+    return ["%r\n".join(rows[i:i + _ROWS]) + "%r\n" for i in range(0, len(rows), _ROWS)]
+
 
 def write_snapshot_csv(f: Field, path):
-    """One row per cell in C order: its center coordinates, then u."""
-    columns = [a.ravel() for a in (*f.grid.meshgrid(), f.values)]
-    row = ",".join(["%r"] * len(columns)) + "\n"
+    """One row per cell in C order: its center coordinates, then u, each as
+    its shortest repr, bit-exact through ``read_snapshot_csv``.  A grid's
+    coordinate text is formatted once, for every snapshot written on it."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join("xy"[:f.grid.dim]) + ",u\n")
-        # 512 rows per write: as fast as one write, in bounded memory
-        for i in range(0, f.values.size, 512):
-            block = zip(*(c[i:i + 512].tolist() for c in columns))
-            fh.write("".join(map(row.__mod__, block)))
+        for i, rows in zip(range(0, f.values.size, _ROWS), _coordinate_text(f.grid)):
+            fh.write(rows % tuple(f.values.ravel()[i:i + _ROWS].tolist()))
 
 
 def read_snapshot_csv(path, length=None) -> Field:

@@ -58,7 +58,10 @@ class FluxSpec:
             raise ValueError("growth exponent m must be >= 0")
 
     def max_speed(self, u_max: float) -> float:
-        """max |f'| over [-u_max, u_max], probed at 65 evenly spaced states."""
+        """max |f'| over [-u_max, u_max], probed at 65 evenly spaced states;
+        for the quadratic flux, u_max: the probe's value at its ends."""
+        if self.quadratic:
+            return float(u_max)
         return float(np.max(np.abs(np.asarray(self.deriv(u_max * _SPEED_PROBE)))))
 
 

@@ -3,8 +3,9 @@ derivative written as stencils, which the tests compare against the Fourier
 symbols the solver applies; diagonal 2-d data, which reduces a 2-d run to a
 1-d one; the exact Riemann solution of the quadratic flux; a literal
 Kassam-Trefethen ETDRK4 step, which the solver's step must match bit for
-bit; and sampling checks of the presets' hypotheses (H1)-(H3), whose
-constants the caller states."""
+bit; sampling checks of the presets' hypotheses (H1)-(H3), whose
+constants the caller states; and the snapshot CSV written one cell at a
+time, whose bytes the snapshot writer must reproduce."""
 
 import numpy as np
 
@@ -196,3 +197,13 @@ def check_H3(diff: DiffusionSpec, lambda_samples, probe_vectors,
         "min_eigen_proxy": float(min_proxy),
         "holds": bool(diff.claims_h3 and min_proxy >= constant - H3_TOL),
     }
+
+
+def write_snapshot_csv_literal(f: Field, path):
+    """The snapshot CSV, one row per cell in C order: the cell's center
+    coordinates and its value, each as %r, joined by commas."""
+    columns = [a.ravel().tolist() for a in (*f.grid.meshgrid(), f.values)]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join("xy"[:f.grid.dim]) + ",u\n")
+        for row in zip(*columns):
+            fh.write(",".join("%r" % c for c in row) + "\n")

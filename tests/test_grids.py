@@ -21,7 +21,8 @@ from ddlab.grids import (
     write_snapshot_binary,
     write_snapshot_csv,
 )
-from oracles import divergence, laplacian, third_derivative_axis
+from oracles import divergence, laplacian, third_derivative_axis, \
+    write_snapshot_csv_literal
 
 
 def test_gridspec_basic():
@@ -209,6 +210,35 @@ def test_snapshot_csv_roundtrip_2d_infers_the_period(tmp_path):
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValueError, match="not square"):
         read_snapshot_csv(path)
+
+
+# signed zero, the smallest subnormal, and reprs in fixed and in exponent form
+_SNAPSHOT_EXTREMES = [-0.0, 5e-324, 1e-5, 1e16, 1e300, -1e300]
+
+
+def _assert_csv_matches_literal(f: Field, tmp_path):
+    write_snapshot_csv(f, tmp_path / "fast.csv")
+    write_snapshot_csv_literal(f, tmp_path / "literal.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == \
+        (tmp_path / "literal.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n, length, dim", [
+    (8, 1.0, 1), (513, 1.0, 1), (5000, 2.0 * np.pi, 1), (16, 1.5, 2)])
+def test_snapshot_csv_matches_the_literal_writer(tmp_path, n, length, dim):
+    g = GridSpec(n=n, length=length, dim=dim)
+    values = np.random.default_rng(n).standard_normal(g.shape)
+    values.flat[:len(_SNAPSHOT_EXTREMES)] = _SNAPSHOT_EXTREMES
+    _assert_csv_matches_literal(Field(g, values), tmp_path)
+
+
+def test_snapshot_csv_coordinates_follow_the_whole_grid(tmp_path):
+    # same n, then another length, then another dim: the coordinate text
+    # of each file is that of its own grid
+    for g in (GridSpec(n=64), GridSpec(n=64, length=1.0),
+              GridSpec(n=64, dim=2), GridSpec(n=64)):
+        _assert_csv_matches_literal(Field(g, np.ones(g.shape)), tmp_path)
+        assert read_snapshot_csv(tmp_path / "fast.csv").grid == g
 
 
 def test_snapshot_csv_with_four_columns_is_rejected(tmp_path):

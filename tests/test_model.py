@@ -219,6 +219,14 @@ def test_kruzkov_entropy_flux_matches_closed_form(k, steps, probes):
     assert np.allclose(pair.q(u), F(u) - F(0.0), rtol=0.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("u_max", [0.0, 5e-324, 0.1, 1.0 / 3.0, 2.75, 1e300])
+def test_quadratic_max_speed_is_the_probe_value(u_max):
+    # the probe's ends are exactly -1 and 1, so its max |u_max p| is u_max
+    flux = burgers_flux()
+    probe = np.max(np.abs(flux.deriv(u_max * model._SPEED_PROBE)))
+    assert flux.max_speed(u_max) == probe
+
+
 def test_declared_structure_of_presets():
     assert burgers_flux().quadratic
     assert not any(flux_preset(name).quadratic
