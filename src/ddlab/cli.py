@@ -23,7 +23,6 @@ from .grids import (
     Field,
     GridSpec,
     Trajectory,
-    lp_norm,
     read_manifest,
     read_snapshot_csv,
     write_manifest,
@@ -168,6 +167,7 @@ _SOLVE_PRESETS = {
 
 
 def _cmd_solve(args) -> int:
+    """Solve a preset into --out, replacing any store already there."""
     if args.preset not in _SOLVE_PRESETS:
         print(f"unknown preset {args.preset!r}; have {sorted(_SOLVE_PRESETS)}",
               file=sys.stderr)
@@ -186,6 +186,8 @@ def _cmd_solve(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    for stale in [*out.glob("snapshot_*.csv"), out / "diagnostics.csv"]:
+        stale.unlink(missing_ok=True)
     for i, (t, f) in enumerate(zip(traj.times, traj.fields)):
         write_snapshot_csv(f, out / f"snapshot_{i:04d}.csv")
     write_manifest(out / "manifest.json", {
@@ -227,11 +229,11 @@ def _cmd_diagnose(args) -> int:
         traj = _load_trajectory(args.run)
         eps = float(traj.params.get("epsilon", 0.0))
         diffusion = diffusion_preset(traj.params.get("diffusion", "linear"))
-        t = traj.times[diag.sample_index(
-            traj, traj.times[-1] if args.t is None else args.t)]
-    residual = diag.energy_balance_residual(traj, diffusion, eps, t)
-    u0_l2 = lp_norm(traj.fields[0], 2)
-    budget = diag.gradient_budget(traj, diffusion, eps, u0_l2)
+        k = diag.sample_index(traj, traj.times[-1] if args.t is None else args.t)
+        traj = Trajectory(traj.grid, traj.times[:k + 1], traj.fields[:k + 1])
+    t = traj.times[-1]
+    residual = diag.energy_balance_residual(traj, diffusion, eps)
+    budget = diag.gradient_budget(traj, diffusion, eps)
     rows = [
         ("energy", "balance_residual", t, residual, abs(residual) <= 1e-2),
         ("energy", "gradient_budget_lhs", t, budget["lhs"], budget["holds"]),

@@ -137,31 +137,29 @@ def _grad_mag(grad: np.ndarray) -> np.ndarray:
 
 
 def energy_balance_residual(traj: Trajectory, diff: DiffusionSpec,
-                            eps: float, t: float) -> float:
-    """Residual of the quadratic energy balance at time t:
+                            eps: float) -> float:
+    """Residual of the quadratic energy balance at the last sample time t:
 
         ||u(t)||_2^2 + 2 eps int_0^t int grad u . b(grad u) - ||u0||_2^2.
 
     Vanishes under refinement; the dispersive term integrates away on the
-    periodic box.
+    periodic box.  For an earlier t, pass the trajectory cut at that sample.
     """
-    last = sample_index(traj, t)
     dx = traj.grid.dx
     dissipation = spacetime_integral(
-        traj, lambda u: np.sum(_dissipation_density(_grad(u, dx), diff)),
-        last=last)
-    return (lp_norm(traj.fields[last], 2) ** 2
+        traj, lambda u: np.sum(_dissipation_density(_grad(u, dx), diff)))
+    return (lp_norm(traj.final(), 2) ** 2
             + 2.0 * eps * dissipation
             - lp_norm(traj.fields[0], 2) ** 2)
 
 
-def gradient_budget(traj: Trajectory, diff: DiffusionSpec, eps: float,
-                    u0_l2: float) -> dict:
-    """Check eps int int |grad u|^(r+1) <= ||u0||_2^2 / (2 c2)."""
+def gradient_budget(traj: Trajectory, diff: DiffusionSpec, eps: float) -> dict:
+    """Check eps int_0^t int |grad u|^(r+1) <= ||u0||_2^2 / (2 c2), t the
+    last sample time (cut the trajectory there for an earlier t)."""
     dx = traj.grid.dx
     lhs = eps * spacetime_integral(
         traj, lambda u: np.sum(_grad_mag(_grad(u, dx)) ** (diff.r + 1.0)))
-    bound = u0_l2**2 / (2.0 * diff.c2)
+    bound = lp_norm(traj.fields[0], 2) ** 2 / (2.0 * diff.c2)
     return {"lhs": lhs, "bound": bound, "holds": bool(lhs <= bound + 1e-2)}
 
 
@@ -340,10 +338,15 @@ def entropy_production(traj: Trajectory, pair: EntropyPair, theta: TestFunction,
     return EntropyProductionReport(mu1=mu1, mu2=mu2, mu3=mu3)
 
 
+# Student's t_0.975 for nu = 1..10; a fit through n > 12 points uses nu = 10's
+_T975 = (12.7062, 4.3027, 3.1824, 2.7764, 2.5706, 2.4469, 2.3646, 2.3060,
+         2.2622, 2.2281)
+
+
 def loglog_fit(eps, values) -> Optional[dict]:
     """Least-squares slope of log|value| against log eps, with its 95%
-    half-width from three points on; None unless the kept points have at
-    least two distinct eps (no slope exists without spread in log eps).
+    Student-t half-width from three points on; None unless the kept points
+    have at least two distinct eps (no slope exists without spread in log eps).
 
     Values below 1e-14 in magnitude are numerically zero and excluded.
     """
@@ -352,13 +355,12 @@ def loglog_fit(eps, values) -> Optional[dict]:
     keep = np.isfinite(vals) & (vals > 1e-14) & (eps > 0)
     if np.sum(keep) < 2 or np.min(eps[keep]) == np.max(eps[keep]):
         return None
-    x = np.log(eps[keep])
-    y = np.log(vals[keep])
-    coef, cov = np.polyfit(x, y, 1, cov=True) if np.sum(keep) > 2 else \
-        (np.polyfit(x, y, 1), np.full((2, 2), np.nan))
+    x, y = np.log(eps[keep]), np.log(vals[keep])
+    if len(x) == 2:  # an exact fit: nu = n - 2 = 0 leaves no interval
+        return {"slope": float(np.polyfit(x, y, 1)[0]), "ci95": None}
+    coef, cov = np.polyfit(x, y, 1, cov=True)
     return {"slope": float(coef[0]),
-            "ci95": float(2.0 * np.sqrt(cov[0, 0])) if np.isfinite(cov[0, 0])
-            else None}
+            "ci95": float(_T975[min(len(x) - 2, 10) - 1] * np.sqrt(cov[0, 0]))}
 
 
 # ---------------------------------------------------------------------------

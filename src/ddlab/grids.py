@@ -156,34 +156,32 @@ def lp_norm(f: Field, p) -> float:
     return float((np.sum(np.abs(f.values) ** p) * f.grid.cell_volume) ** (1.0 / p))
 
 
-def spacetime_weights(times, factor=None, last=None) -> tuple:
+def spacetime_weights(times, factor=None) -> tuple:
     """Weights of ``spacetime_integral`` per sample, and the indices of the
     samples it reads: those whose weight is not zero."""
     times = np.asarray(times)
-    last = len(times) - 1 if last is None else last
-    if last < 1:
+    if len(times) < 2:
         raise ValueError("need at least two time samples")
-    h = np.diff(times[:last + 1]) / 2.0
+    h = np.diff(times) / 2.0
     w = np.zeros(len(times))
-    w[:last] += h
-    w[1:last + 1] += h
+    w[:-1] += h
+    w[1:] += h
     if factor is not None:
         factor = np.asarray(factor, dtype=float)
         w = w.reshape(w.shape + (1,) * (factor.ndim - 1)) * factor
     return w, np.flatnonzero(np.any(w.reshape(len(w), -1), axis=1))
 
 
-def spacetime_integral(traj: Trajectory, integrand, factor=None,
-                       last=None):
+def spacetime_integral(traj: Trajectory, integrand, factor=None):
     """Trapezoid in time of factor(t) * integrand(u(t)), times the cell volume.
 
     integrand maps a sample's values to their cell sum: a number, which
     gives a float, or an array of numbers integrated side by side.  factor holds a time factor
     per sample, with trailing axes broadcast against the integrand's
-    result; the trapezoid stops at sample index last (default: the final
-    sample), and a sample whose weight is zero is never read.
+    result; the trapezoid runs over every sample, and a sample whose
+    weight is zero is never read.
     """
-    w, read = spacetime_weights(traj.times, factor, last)
+    w, read = spacetime_weights(traj.times, factor)
     total = 0.0
     for i in read:
         total = total + w[i] * integrand(traj.fields[i].values)

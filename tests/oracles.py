@@ -4,8 +4,12 @@ symbols the solver applies; diagonal 2-d data, which reduces a 2-d run to a
 1-d one; the exact Riemann solution of the quadratic flux; a literal
 Kassam-Trefethen ETDRK4 step, which the solver's step must match bit for
 bit; sampling checks of the presets' hypotheses (H1)-(H3), whose
-constants the caller states; and the snapshot CSV written one cell at a
-time, whose bytes the snapshot writer must reproduce."""
+constants the caller states; the snapshot CSV written one cell at a
+time, whose bytes the snapshot writer must reproduce; and Student's t
+distribution function, integrated from its density, which checks the
+quantiles of the slope intervals."""
+
+import math
 
 import numpy as np
 
@@ -207,3 +211,13 @@ def write_snapshot_csv_literal(f: Field, path):
         fh.write(",".join("xy"[:f.grid.dim]) + ",u\n")
         for row in zip(*columns):
             fh.write(",".join("%r" % c for c in row) + "\n")
+
+
+def student_t_cdf(t: float, nu: int, points: int = 200001) -> float:
+    """P(T <= t) for Student's t with nu degrees of freedom, t >= 0: one
+    half plus the trapezoid integral of the density over [0, t]."""
+    c = math.exp(math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2)) \
+        / math.sqrt(nu * math.pi)
+    x = np.linspace(0.0, t, points)
+    f = c * (1.0 + x * x / nu) ** (-(nu + 1) / 2)
+    return 0.5 + float(np.sum(f[1:] + f[:-1])) * (x[1] - x[0]) / 2.0

@@ -114,7 +114,7 @@ def test_energy_identity_residual_and_refinement(energy_runs):
     resid = {}
     for n, traj in runs.items():
         assert not traj.blowup
-        resid[n] = diag.energy_balance_residual(traj, diff, eps, 0.5)
+        resid[n] = diag.energy_balance_residual(traj, diff, eps)
         tol = 1e-3 * lp_norm(traj.fields[0], 2) ** 2
         assert abs(resid[n]) <= tol
     assert abs(resid[512]) / abs(resid[1024]) >= 3.0
@@ -129,8 +129,7 @@ def test_gradient_budget_on_energy_runs(energy_runs):
     runs, eps, _ = energy_runs
     diff = linear_diffusion()
     for traj in runs.values():
-        u0_l2 = lp_norm(traj.fields[0], 2)
-        rep = diag.gradient_budget(traj, diff, eps, u0_l2)
+        rep = diag.gradient_budget(traj, diff, eps)
         assert rep["lhs"] <= rep["bound"] + 1e-2
         assert rep["holds"]
 

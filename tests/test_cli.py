@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ddlab import cli, harness
+from ddlab import diagnostics as diag
 from ddlab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -20,7 +21,8 @@ from ddlab.cli import (
     parse_config,
     sweep_config_from_sections,
 )
-from ddlab.model import DiffusionSpec
+from ddlab.grids import Trajectory
+from ddlab.model import DiffusionSpec, linear_diffusion
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +264,45 @@ def test_main_diagnose_on_stored_run(tmp_path, capsys):
     assert lines[0] == "diag,name,param,value,holds"
     assert any("balance_residual" in ln for ln in lines[1:])
     assert all(np.isfinite(float(ln.split(",")[3])) for ln in lines[1:])
+
+
+def test_main_diagnose_evaluates_every_row_at_its_time(tmp_path, capsys):
+    run = tmp_path / "run"
+    main(["solve", "--preset", "burgers", "--epsilon", "0.02", "--delta", "1e-4",
+          "--N", "128", "--T", "0.3", "--samples", "9", "--out", str(run)])
+    assert main(["diagnose", "--run", str(run)]) == EXIT_OK
+    assert main(["diagnose", "--run", str(run), "--t", "0.075"]) == EXIT_OK
+    rows = [ln.split(",") for ln in
+            (run / "diagnostics.csv").read_text().splitlines()[1:]]
+    whole = cli._load_trajectory(run)
+    cut = Trajectory(whole.grid, whole.times[:3], whole.fields[:3])
+    budgets = []
+    for traj, block in ((whole, rows[:3]), (cut, rows[3:])):
+        residual = diag.energy_balance_residual(traj, linear_diffusion(), 0.02)
+        budget = diag.gradient_budget(traj, linear_diffusion(), 0.02)
+        assert [(name, float(t), float(v)) for _, name, t, v, _ in block] == [
+            ("balance_residual", traj.times[-1], residual),
+            ("gradient_budget_lhs", traj.times[-1], budget["lhs"]),
+            ("gradient_budget_bound", traj.times[-1], budget["bound"]),
+        ]
+        budgets.append(budget["lhs"])
+    assert 0.0 < budgets[1] < budgets[0]
+
+
+def test_main_solve_replaces_a_previous_store(tmp_path, capsys):
+    run = tmp_path / "run"
+    for t_end, samples in (("0.3", "9"), ("0.1", "5")):
+        assert main(["solve", "--preset", "burgers", "--epsilon", "0.02",
+                     "--N", "128", "--T", t_end, "--samples", samples,
+                     "--out", str(run)]) == EXIT_OK
+        assert main(["diagnose", "--run", str(run)]) == EXIT_OK
+        assert len((run / "diagnostics.csv").read_text().splitlines()) == 4
+    assert len(list(run.glob("snapshot_*.csv"))) == 5
+    capsys.readouterr()
+    assert main(["compare", "--a", str(run),
+                 "--b", str(run / "snapshot_0004.csv")]) == EXIT_OK
+    dists = dict(ln.split() for ln in capsys.readouterr().out.splitlines())
+    assert float(dists["L1"]) == 0.0
 
 
 def test_main_compare_identical_runs(tmp_path, capsys):

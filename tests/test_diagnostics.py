@@ -1,6 +1,8 @@
 """Energy identities, a-priori bounds, entropy production, and
 oscillation diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from ddlab.model import antiderivative, burgers_flux, diffusion_preset, \
 from ddlab.solver import SolveParams, initial_preset, solve
 from ddlab.harness import quadratic_entropy_pair
 from ddlab import diagnostics as diag
+
+from oracles import student_t_cdf
 
 
 @pytest.fixture(scope="module")
@@ -75,21 +79,21 @@ def test_bump_derivatives_match_finite_differences():
 
 
 def test_energy_balance_heat_run(heat_run):
-    resid = diag.energy_balance_residual(
-        heat_run, linear_diffusion(), 0.05, 1.0)
+    resid = diag.energy_balance_residual(heat_run, linear_diffusion(), 0.05)
     u0_l2 = lp_norm(heat_run.fields[0], 2)
     assert abs(resid) <= 1e-3 * u0_l2**2
 
 
 def test_energy_balance_requires_sample_time(burgers_run):
-    with pytest.raises(ValueError, match="sample"):
-        diag.energy_balance_residual(
-            burgers_run, linear_diffusion(), 0.05, 0.123456)
+    # the energy diagnostics run through the last sample; a stored run is
+    # cut at the sample that sample_index finds for the requested time
+    with pytest.raises(ValueError, match="not a stored sample time"):
+        diag.sample_index(burgers_run, 0.123456)
 
 
 def test_gradient_budget(burgers_run):
     u0_l2 = lp_norm(burgers_run.fields[0], 2)
-    rep = diag.gradient_budget(burgers_run, linear_diffusion(), 0.05, u0_l2)
+    rep = diag.gradient_budget(burgers_run, linear_diffusion(), 0.05)
     assert rep["holds"]
     assert rep["lhs"] <= rep["bound"] + 1e-2
     assert rep["bound"] == pytest.approx(u0_l2**2 / 2.0)
@@ -98,8 +102,7 @@ def test_gradient_budget(burgers_run):
 def test_power_energy_identity_alpha1_matches_energy(heat_run):
     rep = diag.power_energy_identity(heat_run, 1.0, linear_diffusion(),
                                      0.05, 0.0)
-    resid = diag.energy_balance_residual(heat_run, linear_diffusion(),
-                                         0.05, 1.0)
+    resid = diag.energy_balance_residual(heat_run, linear_diffusion(), 0.05)
     # alpha = 1 is the quadratic identity divided by 2
     assert rep["imbalance"] == pytest.approx(resid / 2.0, abs=1e-10)
 
@@ -182,6 +185,45 @@ def test_loglog_fit_exact_power_law():
         fit = diag.loglog_fit(eps, eps**power)
         assert fit["slope"] == pytest.approx(power, abs=1e-6)
         assert fit["ci95"] == pytest.approx(0.0, abs=1e-6)
+
+
+def _slope_standard_error(x, y) -> float:
+    """The least-squares slope's standard error, in closed form: the
+    residual variance over n - 2 degrees of freedom, divided by S_xx."""
+    dx, dy = x - np.mean(x), y - np.mean(y)
+    slope = (dx @ dy) / (dx @ dx)
+    resid = dy - slope * dx
+    return math.sqrt((resid @ resid) / (len(x) - 2) / (dx @ dx))
+
+
+def _noisy_power_law(n: int):
+    eps = np.geomspace(0.1, 0.001, n)
+    noise = np.exp(0.2 * np.random.default_rng(n).standard_normal(n))
+    return eps, eps**0.8 * noise
+
+
+@pytest.mark.parametrize("n, t975", [
+    (3, math.tan(0.475 * math.pi)),          # nu = 1: the Cauchy quantile
+    (4, 0.95 * math.sqrt(2.0 / 0.0975)),     # nu = 2: t / sqrt(2 + t^2) = 0.95
+])
+def test_loglog_fit_ci95_is_the_student_t_half_width(n, t975):
+    eps, values = _noisy_power_law(n)
+    fit = diag.loglog_fit(eps, values)
+    se = _slope_standard_error(np.log(eps), np.log(values))
+    # the table holds four decimals
+    assert fit["ci95"] / se == pytest.approx(t975, abs=5e-5)
+
+
+@pytest.mark.parametrize("nu", range(1, 12))
+def test_loglog_fit_ci95_quantile_has_probability_0975(nu):
+    eps, values = _noisy_power_law(nu + 2)
+    t = diag.loglog_fit(eps, values)["ci95"] / _slope_standard_error(
+        np.log(eps), np.log(values))
+    if nu <= 10:
+        assert student_t_cdf(t, nu) == pytest.approx(0.975, abs=1e-5)
+    else:  # past the table the nu = 10 quantile is used, which is wider
+        assert t == pytest.approx(2.2281, abs=1e-12)
+        assert 0.975 < student_t_cdf(t, nu) < 0.977
 
 
 @pytest.mark.filterwarnings("error")

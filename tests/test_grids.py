@@ -168,12 +168,13 @@ def test_spacetime_integral_trapezoid():
     for t in np.linspace(0.0, 1.0, 9):
         traj.append(t, Field(g, np.full(16, t)))  # integrand sums to t
     assert spacetime_integral(traj, np.sum) == pytest.approx(0.5, abs=1e-12)
-    # stopped at sample 4 (t = 0.5), with a time factor zero at t = 0.25:
-    # the samples whose weight is zero are never read
+    # with a time factor zero at t = 0.25 and after t = 0.5, the samples
+    # whose weight is zero are never read
+    times = np.array(traj.times)
     read = []
     val = spacetime_integral(traj, lambda u: read.append(u[0]) or np.sum(u),
-                             factor=np.array(traj.times) != 0.25, last=4)
-    assert val == pytest.approx(0.125 - 0.125 * 0.25, abs=1e-12)
+                             factor=(times != 0.25) & (times <= 0.5))
+    assert val == pytest.approx(0.125 * (0.125 + 0.375 + 0.5), abs=1e-12)
     assert read == [0.0, 0.125, 0.375, 0.5]
 
 
