@@ -2,10 +2,11 @@
 
 Subcommands: solve, sweep, diagnose, compare, classify.  Exit codes:
 0 success, 2 configuration or argument error (a missing, unreadable or
-non-finite config file, stored run or snapshot included), 3 a blow-up: the
-solve blew up, or every run of the sweep did (its records.csv and
-summary.json are written all the same).  Any other error, such as a
-ValueError raised inside a solve or a diagnostic, propagates as a bug.
+non-finite config file, stored run or snapshot, or an output directory that
+cannot be created, included), 3 a blow-up: the solve blew up, or every run
+of the sweep did (its records.csv and summary.json are written all the
+same).  Any other error, such as a ValueError raised inside a solve or a
+diagnostic, propagates as a bug.
 """
 
 from __future__ import annotations
@@ -182,10 +183,10 @@ def _cmd_solve(args) -> int:
             epsilon=args.epsilon, delta=args.delta, t_end=args.T,
             cfl_safety=args.cfl, sample_count=args.samples,
         )
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
     traj = solve(initial_preset(init_name, **init_kwargs), params, grid)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for stale in [*out.glob("snapshot_*.csv"), out / "diagnostics.csv"]:
         stale.unlink(missing_ok=True)
     for i, (t, f) in enumerate(zip(traj.times, traj.fields)):
@@ -196,8 +197,7 @@ def _cmd_solve(args) -> int:
         "times": traj.times,
         "length": length,
         "N": args.N,
-        "params": {k: v for k, v in traj.params.items()
-                   if isinstance(v, (int, float, str, bool))},
+        "params": traj.params,
         "blowup": traj.blowup,
         "taint": traj.taint,
     })
@@ -208,29 +208,28 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _load_trajectory(path) -> Trajectory:
+def _load_trajectory(path, t=None) -> Trajectory:
+    """The run stored under path, on its manifest's grid, through its sample
+    at time t (the last by default); no later snapshot is read."""
     path = Path(path)
     manifest = read_manifest(path / "manifest.json")
+    times = manifest["times"]
+    k = diag.sample_index(times, times[-1] if t is None else t)
     traj = Trajectory(
         grid=GridSpec(n=manifest["N"], length=manifest["length"], dim=1),
         params=manifest.get("params", {}),
-        blowup=manifest.get("blowup", False),
-        taint=manifest.get("taint", False),
     )
-    for i, t in enumerate(manifest["times"]):
-        f = read_snapshot_csv(path / f"snapshot_{i:04d}.csv",
-                              length=manifest["length"])
-        traj.append(t, f)
+    for i in range(k + 1):
+        traj.append(times[i], read_snapshot_csv(
+            path / f"snapshot_{i:04d}.csv", length=manifest["length"]))
     return traj
 
 
 def _cmd_diagnose(args) -> int:
     with _config_errors():
-        traj = _load_trajectory(args.run)
+        traj = _load_trajectory(args.run, args.t)
         eps = float(traj.params.get("epsilon", 0.0))
         diffusion = diffusion_preset(traj.params.get("diffusion", "linear"))
-        k = diag.sample_index(traj, traj.times[-1] if args.t is None else args.t)
-        traj = Trajectory(traj.grid, traj.times[:k + 1], traj.fields[:k + 1])
     t = traj.times[-1]
     residual = diag.energy_balance_residual(traj, diffusion, eps)
     budget = diag.gradient_budget(traj, diffusion, eps)
@@ -247,17 +246,15 @@ def _cmd_diagnose(args) -> int:
 
 
 def _final_field(path) -> Field:
+    """A snapshot file, its length inferred; a directory stands for the last
+    sample its manifest lists, read at the manifest's length."""
     path = Path(path)
     if path.is_file():
         return read_snapshot_csv(path)
-    # the largest index, not the last name: snapshot_10000 sorts before _9999
-    last = max(path.glob("snapshot_*.csv"), default=None,
-               key=lambda p: int(p.stem.removeprefix("snapshot_")))
-    if last is None:
-        raise ConfigError(f"no snapshots under {path}")
-    manifest = path / "manifest.json"
-    length = read_manifest(manifest).get("length") if manifest.exists() else None
-    return read_snapshot_csv(last, length=length)
+    manifest = read_manifest(path / "manifest.json")
+    last = len(manifest["times"]) - 1
+    return read_snapshot_csv(path / f"snapshot_{last:04d}.csv",
+                             length=manifest["length"])
 
 
 def _cmd_compare(args) -> int:
@@ -284,6 +281,7 @@ def _cmd_sweep(args) -> int:
     with _config_errors():
         sections = parse_config(args.config) if args.config else {}
         cfg = sweep_config_from_sections(sections, out_override=args.out)
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     records = run_sweep(cfg)
     if all(r.blowup for r in records):
         print("numerical failure: every run in the sweep blew up",

@@ -104,16 +104,16 @@ def bump_over(center, t_center, radius, t_radius, dim: int = 1) -> TestFunction:
 # helpers
 
 
-def sample_index(traj: Trajectory, t: float) -> int:
-    """Index of the stored sample at time t, which must leave at least two
-    samples from t = 0 on."""
-    times = np.asarray(traj.times)
-    idx = np.where(times <= t + 1e-12 * max(t, 1.0))[0]
-    if len(idx) < 2:
-        raise ValueError(f"t={t} leaves fewer than two samples")
-    if abs(times[idx[-1]] - t) > 1e-9 * max(t, 1.0):
+def sample_index(times, t: float) -> int:
+    """Index of the sample time nearest t, which must lie within 1e-9
+    max(that time, 1) of t and leave at least two samples from t = 0 on."""
+    times = np.asarray(times, dtype=float)
+    k = int(np.argmin(np.abs(times - t)))
+    if not abs(times[k] - t) <= 1e-9 * max(times[k], 1.0):   # also nan, inf
         raise ValueError(f"t={t} is not a stored sample time")
-    return int(idx[-1])
+    if k < 1:
+        raise ValueError(f"t={t} leaves fewer than two samples")
+    return k
 
 
 def _pair(values: np.ndarray, factors: list):

@@ -1,8 +1,11 @@
 """Command-line front end: config parsing, subcommands, exit codes."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
@@ -249,6 +252,30 @@ def test_main_nonfinite_number_is_a_config_error(tmp_path, capsys, argv):
     assert not new.exists()
 
 
+def _never_runs(*args, **kwargs):
+    raise AssertionError("ran before the output directory was checked")
+
+
+def test_main_solve_uncreatable_out_is_a_config_error(tmp_path, monkeypatch,
+                                                      capsys):
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(cli, "solve", _never_runs)
+    assert main(["solve", "--preset", "heat", "--epsilon", "0.1", "--N", "64",
+                 "--T", "0.1", "--samples", "3",
+                 "--out", str(tmp_path / "file" / "x")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_main_sweep_out_on_a_regular_file_is_a_config_error(tmp_path,
+                                                            monkeypatch, capsys):
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(cli, "run_sweep", _never_runs)
+    cfg = _write(tmp_path, _SHORT_SWEEP)
+    assert main(["sweep", "--config", str(cfg),
+                 "--out", str(tmp_path / "file")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_main_solve_unknown_preset(tmp_path):
     assert main(["solve", "--preset", "nope",
                  "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -289,6 +316,28 @@ def test_main_diagnose_evaluates_every_row_at_its_time(tmp_path, capsys):
     assert 0.0 < budgets[1] < budgets[0]
 
 
+def test_main_diagnose_reads_only_the_samples_up_to_t(tmp_path, capsys):
+    # with the snapshots after t = 0.075 (sample 2) deleted, diagnose --t
+    # still runs: it finds t in the manifest and opens snapshots 0..2 only
+    run = tmp_path / "run"
+    main(["solve", "--preset", "burgers", "--epsilon", "0.02", "--delta", "1e-4",
+          "--N", "128", "--T", "0.3", "--samples", "9", "--out", str(run)])
+    for i in range(3, 9):
+        (run / f"snapshot_{i:04d}.csv").unlink()
+    assert main(["diagnose", "--run", str(run), "--t", "0.075"]) == EXIT_OK
+    rows = [ln.split(",") for ln in
+            (run / "diagnostics.csv").read_text().splitlines()[1:]]
+    traj = cli._load_trajectory(run, 0.075)
+    assert len(traj.times) == 3
+    residual = diag.energy_balance_residual(traj, linear_diffusion(), 0.02)
+    budget = diag.gradient_budget(traj, linear_diffusion(), 0.02)
+    assert [(name, float(t), float(v)) for _, name, t, v, _ in rows] == [
+        ("balance_residual", traj.times[-1], residual),
+        ("gradient_budget_lhs", traj.times[-1], budget["lhs"]),
+        ("gradient_budget_bound", traj.times[-1], budget["bound"]),
+    ]
+
+
 def test_main_solve_replaces_a_previous_store(tmp_path, capsys):
     run = tmp_path / "run"
     for t_end, samples in (("0.3", "9"), ("0.1", "5")):
@@ -318,18 +367,40 @@ def test_main_compare_identical_runs(tmp_path, capsys):
     assert float(dists["Linf"]) == 0.0
 
 
-def test_main_compare_reads_the_snapshot_with_the_largest_index(tmp_path,
-                                                                capsys):
-    # snapshot_10000 sorts before snapshot_9999 by name
+def _snapshot_text(value):
+    return "x,u\n" + "".join(f"{i / 4!r},{value!r}\n" for i in range(8))
+
+
+def test_main_compare_reads_the_last_sample_its_manifest_lists(tmp_path,
+                                                               capsys):
+    # 10,001 samples: the last is snapshot_10000, the only file on disk, so
+    # compare takes its index and name from the manifest and opens one file
     run = tmp_path / "run"
     run.mkdir()
-    for index, value in ((9999, 1.0), (10000, 0.0)):
-        (run / f"snapshot_{index}.csv").write_text(
-            "x,u\n" + "".join(f"{i / 4!r},{value!r}\n" for i in range(8)))
+    (run / "manifest.json").write_text(json.dumps(
+        {"times": [i * 1e-4 for i in range(10001)], "length": 2.0, "N": 8}))
+    (run / "snapshot_10000.csv").write_text(_snapshot_text(0.5))
+    (tmp_path / "b.csv").write_text(_snapshot_text(0.0))
     assert main(["compare", "--a", str(run),
-                 "--b", str(run / "snapshot_10000.csv")]) == EXIT_OK
+                 "--b", str(tmp_path / "b.csv")]) == EXIT_OK
     dists = dict(ln.split() for ln in capsys.readouterr().out.splitlines())
-    assert float(dists["L1"]) == 0.0
+    assert float(dists["L1"]) == 1.0   # |0.5| over a period of 2
+
+
+def test_main_compare_ignores_a_snapshot_its_manifest_does_not_list(tmp_path,
+                                                                    capsys):
+    run = tmp_path / "run"
+    main(["solve", "--preset", "heat", "--epsilon", "0.1", "--N", "64",
+          "--T", "0.2", "--samples", "9", "--out", str(run)])
+    argv = ["compare", "--a", str(run), "--b", str(run / "snapshot_0000.csv")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    before = capsys.readouterr().out
+    (run / "snapshot_0009.csv").write_text(
+        (run / "snapshot_0000.csv").read_text())
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == before
+    assert float(dict(ln.split() for ln in before.splitlines())["L1"]) > 0.0
 
 
 @pytest.mark.parametrize("rows", [0, 1, 4])
@@ -342,11 +413,12 @@ def test_main_compare_on_a_short_snapshot_is_a_config_error(tmp_path, capsys,
     assert f"snapshot has {rows} data rows" in capsys.readouterr().err
 
 
-def test_main_compare_on_a_directory_without_snapshots_is_a_config_error(
+def test_main_compare_on_a_directory_without_a_manifest_is_a_config_error(
         tmp_path, capsys):
+    (tmp_path / "snapshot_0000.csv").write_text(_snapshot_text(0.0))
     assert main(["compare", "--a", str(tmp_path),
                  "--b", str(tmp_path)]) == EXIT_CONFIG
-    assert "no snapshots under" in capsys.readouterr().err
+    assert "manifest.json" in capsys.readouterr().err
 
 
 def test_main_classify(capsys):
@@ -354,6 +426,22 @@ def test_main_classify(capsys):
     assert capsys.readouterr().out.strip() == "thm31"
     assert main(["classify", "--r", "1", "--m", "1", "--gamma", "2.5"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "thm32"
+
+
+def test_python_m_ddlab_cli_runs_main():
+    # the package under test, not whichever ddlab is installed
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "ddlab.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+
+    done = run("classify", "--r", "2", "--m", "2", "--gamma", "1.5")
+    assert (done.returncode, done.stdout) == (EXIT_OK, "thm31\n")
+    done = run("compare", "--a", "missing_a", "--b", "missing_b")
+    assert done.returncode == EXIT_CONFIG
+    assert "config error" in done.stderr
 
 
 def test_main_sweep_from_config(tmp_path, capsys):

@@ -88,7 +88,26 @@ def test_energy_balance_requires_sample_time(burgers_run):
     # the energy diagnostics run through the last sample; a stored run is
     # cut at the sample that sample_index finds for the requested time
     with pytest.raises(ValueError, match="not a stored sample time"):
-        diag.sample_index(burgers_run, 0.123456)
+        diag.sample_index(burgers_run.times, 0.123456)
+
+
+@pytest.mark.parametrize("t, k", [(1.0 + 1e-10, 2), (1.0 - 1e-10, 2),
+                                  (0.5 + 1e-10, 1), (0.5 - 1e-10, 1)])
+def test_sample_index_takes_the_nearest_sample_on_either_side(t, k):
+    assert diag.sample_index([0.0, 0.5, 1.0], t) == k
+
+
+@pytest.mark.parametrize("t, message", [
+    (0.5 + 1e-6, "not a stored sample time"),
+    (1.0 + 1e-6, "not a stored sample time"),
+    (math.nan, "not a stored sample time"),
+    (math.inf, "not a stored sample time"),
+    (-math.inf, "not a stored sample time"),
+    (1e-10, "leaves fewer than two samples"),
+])
+def test_sample_index_rejects(t, message):
+    with pytest.raises(ValueError, match=message):
+        diag.sample_index([0.0, 0.5, 1.0], t)
 
 
 def test_gradient_budget(burgers_run):
