@@ -70,6 +70,8 @@ def classify_regime(r: float, m: float, gamma: float, has_h3: bool = True) -> st
         raise ValueError(f"r, m and gamma must be finite, got {r}, {m}, {gamma}")
     if r < 0:
         raise ValueError("r must be >= 0")
+    if m < 0:
+        raise ValueError("growth exponent m must be >= 0")
     # quadratic-or-stronger diffusion: any m is admissible (the working
     # integrability exponent can be raised arbitrarily when r > 1)
     if r >= 2 and gamma > 3.0 / (r + 1.0):

@@ -74,8 +74,9 @@ class DiffusionSpec:
     positive-definiteness of Db.  The regime classification reads only r
     and claims_h3, the gradient budget only c2.  ``spectral_bound`` bounds
     the spectral radius of Db: a number when it holds for every gradient, a
-    function of max |grad u| otherwise.  ``linear`` declares b(l) = l, which the solver
-    integrates exactly.
+    function of max |grad u| otherwise; the solver integrates eps times it
+    times the Laplacian exactly.  ``linear`` declares b(l) = l, whose
+    explicit remainder is then zero.
     """
 
     eval: Callable

@@ -4,13 +4,14 @@
 
 with centered second-order stencils in space, applied through their exact
 Fourier symbols, and ETDRK4 in time (Cox & Matthews 2002; Kassam &
-Trefethen 2005).  The linear part, delta times D3 plus eps times the wide
-Laplacian when the diffusion is declared linear, is integrated exactly.
-Where that linear part damps the high modes (eps > 0, diffusion declared
-linear), the steps of each sample interval are chosen by step doubling
-against TOL (Hairer, Norsett & Wanner, Solving ODEs I, II.4), and the
-convective limit only caps how fine they get; elsewhere dt is limited by
-convection and by nonlinear diffusion, re-evaluated after every step.
+Trefethen 2005).  The linear part, delta times D3 plus eps S times the wide
+Laplacian, is integrated exactly, with S the diffusion's spectral bound at
+max |grad u| (1 for linear diffusion); eps div (b(grad u) - S grad u) stays
+explicit (stabilized ETD: Du & Zhu, BIT 45, 2005).  Where the linear part
+damps the high modes (eps > 0), the steps of each sample interval are
+chosen by step doubling against TOL (Hairer, Norsett & Wanner, Solving
+ODEs I, II.4), and the explicit step limit only caps how fine they get;
+elsewhere dt is limited by convection, re-evaluated after every step.
 Both controllers step through _advance, the one place where steps are taken.
 """
 
@@ -117,25 +118,26 @@ def _values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _symbols(grid: GridSpec, p: SolveParams) -> tuple:
+def _symbols(grid: GridSpec, p: SolveParams, S: float) -> tuple:
     """D1 per axis, minus their sum (-div, the divergence of a flux applied
     along every axis, stored negated because every stage applies -div), and
-    L = delta sum_j D3_j plus eps times the wide Laplacian when the
-    diffusion is declared linear."""
+    L = delta sum_j D3_j + eps S times the wide Laplacian."""
     d1, lap, d3 = stencil_symbols(grid)
-    L = p.delta * np.sum(d3, axis=0)
-    return d1, -np.sum(d1, axis=0), L + p.epsilon * lap if p.diffusion.linear else L
+    L = p.delta * np.sum(d3, axis=0) + p.epsilon * S * lap
+    return d1, -np.sum(d1, axis=0), L
 
 
 def _nonlinear(v: np.ndarray, u: np.ndarray, grid: GridSpec, p: SolveParams,
-               symbols: tuple) -> np.ndarray:
+               symbols: tuple, S: float) -> np.ndarray:
     """Spectrum of the explicit terms at u = irfftn(v): -div f(u), plus
-    eps div b(grad u) when the diffusion is not declared linear.  symbols
-    is _symbols(grid, p)."""
+    eps div (b(grad u) - S grad u) when the diffusion is not declared
+    linear (for linear diffusion S = 1 and that remainder is zero).
+    symbols is _symbols(grid, p, S)."""
     d1, neg_div, _ = symbols
     out = neg_div * _spectrum(np.asarray(p.flux.eval(u)), grid)
     if p.epsilon != 0.0 and not p.diffusion.linear:
-        b = np.asarray(p.diffusion.eval(_values(d1 * v, grid)))
+        g = _values(d1 * v, grid)
+        b = np.asarray(p.diffusion.eval(g)) - S * g
         out += p.epsilon * np.sum(d1 * _spectrum(b, grid), axis=0)
     return out
 
@@ -143,9 +145,10 @@ def _nonlinear(v: np.ndarray, u: np.ndarray, grid: GridSpec, p: SolveParams,
 def rhs(u: Field, p: SolveParams) -> Field:
     """Semi-discrete right-hand side: -div f(u) + eps div b(grad u)
     + delta sum_j third-derivative along axis j."""
+    S = _spectral_bound(p, _grad_max(u.values, u.grid, p))
     v = _spectrum(u.values, u.grid)
-    symbols = _symbols(u.grid, p)
-    out = symbols[2] * v + _nonlinear(v, u.values, u.grid, p, symbols)
+    symbols = _symbols(u.grid, p, S)
+    out = symbols[2] * v + _nonlinear(v, u.values, u.grid, p, symbols, S)
     return Field(u.grid, _values(out, u.grid))
 
 
@@ -158,17 +161,19 @@ def _phi_combinations(z: np.ndarray) -> np.ndarray:
                      (-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3])
 
 
-# the h of one solve: width / n of step doubling, and the plans and re-plans
-# of other intervals.  Per solve to t = 0.5: 12 distinct h on the dispersive
-# entry at N = 512, 3 on the damped N = 4096 entry, and 52, more than the 32
-# kept, on a power2 entry at N = 256.  solve empties it first: no later
-# solve of a sweep has the same (grid, params)
+# the (h, S) of one solve: width / n of step doubling, and the plans and
+# re-plans of undamped intervals.  Per solve to t = 0.5: 12 distinct h on the
+# dispersive entry at N = 512, 3 on the damped N = 4096 entry; a power2
+# entry at N = 256 takes a new S every interval, so it builds 136 sets over
+# 17 distinct h, each once.  solve empties it first: no later solve of a
+# sweep has the same (grid, params)
 @functools.lru_cache(maxsize=32)
-def _etd_coefficients(grid: GridSpec, p: SolveParams, h: float) -> tuple:
+def _etd_coefficients(grid: GridSpec, p: SolveParams, h: float,
+                      S: float) -> tuple:
     """exp(hL), exp(hL/2) and the ETDRK4 weights Q, f1, f2, f3: closed form
     where |hL| >= 1, and where it would cancel, the contour mean of the
     same combinations on the unit circle around h*L(k)."""
-    hL = h * _symbols(grid, p)[2]
+    hL = h * _symbols(grid, p, S)[2]
     coef = np.empty((4,) + hL.shape, dtype=complex)
     far = np.abs(hL) >= 1.0
     coef[:, far] = _phi_combinations(hL[far])
@@ -179,32 +184,34 @@ def _etd_coefficients(grid: GridSpec, p: SolveParams, h: float) -> tuple:
 
 
 def _step_arr(v: np.ndarray, u: np.ndarray, h: float, grid: GridSpec,
-              p: SolveParams) -> np.ndarray:
-    """One ETDRK4 step of the spectrum v of u (Kassam-Trefethen stages).
-    The symbols and the coefficient set are looked up once per step."""
-    E, E2, Q, f1, f2, f3 = _etd_coefficients(grid, p, h)
-    symbols = _symbols(grid, p)
-    Nv = _nonlinear(v, u, grid, p, symbols)
+              p: SolveParams, S: float) -> np.ndarray:
+    """One ETDRK4 step of the spectrum v of u (Kassam-Trefethen stages),
+    with eps S times the wide Laplacian in the exact linear part.  The
+    symbols and the coefficient set are looked up once per step."""
+    E, E2, Q, f1, f2, f3 = _etd_coefficients(grid, p, h, S)
+    symbols = _symbols(grid, p, S)
+    Nv = _nonlinear(v, u, grid, p, symbols, S)
     E2v = E2 * v
     a = E2v + Q * Nv
-    Na = _nonlinear(a, _values(a, grid), grid, p, symbols)
+    Na = _nonlinear(a, _values(a, grid), grid, p, symbols, S)
     b = E2v + Q * Na
-    Nb = _nonlinear(b, _values(b, grid), grid, p, symbols)
+    Nb = _nonlinear(b, _values(b, grid), grid, p, symbols, S)
     c = E2 * a + Q * (2.0 * Nb - Nv)
-    Nc = _nonlinear(c, _values(c, grid), grid, p, symbols)
+    Nc = _nonlinear(c, _values(c, grid), grid, p, symbols, S)
     return E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
 
 
 def step_rk4(u: Field, dt: float, p: SolveParams) -> Field:
-    """One fourth-order ETDRK4 step of du/dt = rhs(u)."""
-    v = _step_arr(_spectrum(u.values, u.grid), u.values, dt, u.grid, p)
+    """One fourth-order ETDRK4 step of du/dt = rhs(u), with S read from u."""
+    S = _spectral_bound(p, _grad_max(u.values, u.grid, p))
+    v = _step_arr(_spectrum(u.values, u.grid), u.values, dt, u.grid, p, S)
     return Field(u.grid, _values(v, u.grid))
 
 
 def stable_dt(p: SolveParams, grid: GridSpec, u_max: float, grad_max: float) -> float:
     """Step limit of the explicit terms: convection, and diffusion unless it
     is declared linear.  Dispersion and linear diffusion are exact.  Where
-    linear diffusion damps the high modes, solve takes this limit as its
+    diffusion damps the high modes (eps > 0), solve takes this limit as its
     finest step, not as its step.  Convection is bounded by
     dx / (dim max|f'|): the stencils move diagonal data at dim f'."""
     dx = grid.dx
@@ -213,29 +220,37 @@ def stable_dt(p: SolveParams, grid: GridSpec, u_max: float, grad_max: float) -> 
     if speed > 0:
         bounds.append(dx / speed)
     if p.epsilon > 0 and not p.diffusion.linear:
-        B = p.diffusion.spectral_bound
-        B = B(grad_max) if callable(B) else B
-        bounds.append(dx**2 / (2.0 * grid.dim * p.epsilon * B))
+        bounds.append(dx**2 / (2.0 * grid.dim * p.epsilon
+                               * _spectral_bound(p, grad_max)))
     if not bounds:
         return p.cfl_safety * dx
     return p.cfl_safety * min(bounds)
 
 
-def _grad_max_arr(u: np.ndarray, grid: GridSpec) -> float:
+def _spectral_bound(p: SolveParams, grad_max: float) -> float:
+    """S: the diffusion's declared spectral bound at max |grad u|."""
+    B = p.diffusion.spectral_bound
+    return B(grad_max) if callable(B) else B
+
+
+def _grad_max(u: np.ndarray, grid: GridSpec, p: SolveParams) -> float:
+    """max |grad u| where the diffusion's spectral bound reads it, else 0."""
+    if p.epsilon == 0.0 or not callable(p.diffusion.spectral_bound):
+        return 0.0
     return float(np.sqrt(np.max(np.sum(_grad(u, grid.dx) ** 2, axis=0))))
 
 
 def _advance(v: np.ndarray, uv: np.ndarray, n: int, h: float, t: float,
-             target: float, grid: GridSpec, p: SolveParams, blowup_sup: float,
-             limit: Callable | None = None) -> tuple:
-    """n ETDRK4 steps of h from the spectrum v of uv at time t, the last on
-    target; stops after the first step whose max |u| exceeds blowup_sup or
-    is nan.  Where limit(uv, u_max), evaluated after every step but the
+             target: float, grid: GridSpec, p: SolveParams, S: float,
+             blowup_sup: float, limit: Callable | None = None) -> tuple:
+    """n ETDRK4 steps of h at the stabilizer S from the spectrum v of uv at
+    time t, the last on target; stops after the first step whose max |u|
+    exceeds blowup_sup or is nan.  Where limit(uv, u_max), evaluated after every step but the
     last, fell below h, the rest is split again into equal steps.  Returns
     the spectrum, values, max |u|, steps taken, time and smallest h."""
     k, h_min = 0, h
     while n:
-        v = _step_arr(v, uv, h, grid, p)
+        v = _step_arr(v, uv, h, grid, p, S)
         uv = _values(v, grid)
         u_max = float(np.max(np.abs(uv)))
         k, n = k + 1, n - 1
@@ -256,14 +271,14 @@ def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
     snapshots.  Every sample time is hit exactly.
 
     Each sample interval is planned as n0 = ceil(width / stable_dt) equal
-    steps from its start.  Where the linear part damps the high modes
-    (eps > 0, diffusion declared linear) and n0 > 2, that plan is only the
-    finest one: the interval is integrated from the same start with n and
-    with ceil(n/2) equal steps, and the n-step result is accepted when
-    their Richardson error estimate is under TOL times the initial sup
-    norm, or when n has reached n0; otherwise n doubles, capped at n0.  The
-    next interval starts from the accepted n, or from half of it when the
-    estimate was well under TOL.  params["steps"] counts the accepted steps,
+    steps from its start, whose max |grad u| also sets the interval's S.
+    Where the linear part damps the high modes (eps > 0) and n0 > 2, that
+    plan is only the finest one: the interval is integrated from the same
+    start with n and with ceil(n/2) equal steps, and the n-step result is
+    accepted when their Richardson error estimate is under TOL times the
+    initial sup norm, or when n has reached n0; otherwise n doubles, capped
+    at n0.  The next interval starts from the accepted n, or from half of
+    it when the estimate was well under TOL.  params["steps"] counts the accepted steps,
     params["trial_steps"] the coarse and rejected ones, and params["dt_min"]
     is the smallest accepted step.
 
@@ -302,11 +317,8 @@ def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
     # data that already touches the seam (e.g. sine) is never flagged; the
     # flag marks compact support escaping through the wrap during the run
     wrap_guard = _support_touches_wrap(u)
-    # only a gradient-dependent diffusion stiffness bound needs the scan
-    bound = p.diffusion.spectral_bound
-    needs_grad = p.epsilon != 0.0 and callable(bound)
     blowup_sup = BLOWUP_FACTOR * max(u0_sup, 1e-300)
-    damped = p.epsilon > 0.0 and p.diffusion.linear
+    damped = p.epsilon > 0.0
     tol = TOL * u0_sup
     n = 2   # steps of the next damped interval's fine trial
     uv = u.values
@@ -314,18 +326,20 @@ def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
     u_max = u0_sup
 
     def limit(uv, u_max):
-        return stable_dt(p, grid, u_max,
-                         _grad_max_arr(uv, grid) if needs_grad else 0.0)
+        return stable_dt(p, grid, u_max, _grad_max(uv, grid, p))
 
     for target in sample_times[1:]:
-        n0 = math.ceil(width / limit(uv, u_max))
+        grad_max = _grad_max(uv, grid, p)
+        S = _spectral_bound(p, grad_max)
+        n0 = math.ceil(width / stable_dt(p, grid, u_max, grad_max))
         if damped and n0 > 2:   # a trial accepts two steps at the fewest
             n = min(n, n0)
             m = math.ceil(n / 2)
-            coarse = _advance(v, uv, m, width / m, t, target, grid, p, blowup_sup)
+            coarse = _advance(v, uv, m, width / m, t, target, grid, p, S,
+                              blowup_sup)
             trial_steps += coarse[3]
             while True:
-                fine = _advance(v, uv, n, width / n, t, target, grid, p,
+                fine = _advance(v, uv, n, width / n, t, target, grid, p, S,
                                 blowup_sup)
                 # Richardson: the n-step error of an order-4 scheme; a trial
                 # that blew up gives nan or a huge value, which never passes
@@ -337,7 +351,7 @@ def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
             if err < tol / 32.0:   # the estimate at n/2 would be ~16x this
                 n = max(2, math.ceil(n / 2))
         else:
-            fine = _advance(v, uv, n0, width / n0, t, target, grid, p,
+            fine = _advance(v, uv, n0, width / n0, t, target, grid, p, S,
                             blowup_sup, limit)
         v, uv, u_max, k, t, h_min = fine
         steps += k

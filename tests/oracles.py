@@ -86,42 +86,49 @@ def _kt_values(v, grid):
     return np.fft.irfftn(v, s=grid.shape, axes=tuple(range(-grid.dim, 0)))
 
 
-def _kt_symbols(grid, p):
-    """D1 per axis, their sum div, and the linear symbol L."""
+def _kt_symbols(grid, p, S):
+    """D1 per axis, their sum div, and the linear symbol
+    L = delta sum_j D3_j + eps S times the wide Laplacian."""
     d1, lap, d3 = stencil_symbols(grid)
-    L = p.delta * np.sum(d3, axis=0)
-    return d1, np.sum(d1, axis=0), L + p.epsilon * lap if p.diffusion.linear else L
+    L = p.delta * np.sum(d3, axis=0) + p.epsilon * S * lap
+    return d1, np.sum(d1, axis=0), L
 
 
-def _kt_nonlinear(v, u, grid, p):
-    d1, div, _ = _kt_symbols(grid, p)
+def _kt_nonlinear(v, u, grid, p, S):
+    """-div f(u) + eps div (b(grad u) - S grad u); the diffusion remainder
+    is zero, and skipped, for diffusion declared linear (S = 1)."""
+    d1, div, _ = _kt_symbols(grid, p, S)
     out = -div * _kt_spectrum(np.asarray(p.flux.eval(u)), grid)
     if p.epsilon != 0.0 and not p.diffusion.linear:
-        b = np.asarray(p.diffusion.eval(_kt_values(d1 * v, grid)))
+        grad = _kt_values(d1 * v, grid)
+        b = np.asarray(p.diffusion.eval(grad)) - S * grad
         out += p.epsilon * np.sum(d1 * _kt_spectrum(b, grid), axis=0)
     return out
 
 
-def etdrk4_step(v, u, h, grid, p):
-    """One ETDRK4 step of the spectrum v of u, with the Kassam-Trefethen
-    stages written out literally: rfftn/irfftn over the spatial axes, the
-    symbols built at every stage, -div applied at every stage, and the
-    solver's coefficient set.  Takes the arguments of solver._step_arr."""
-    E, E2, Q, f1, f2, f3 = solver._etd_coefficients(grid, p, h)
-    Nv = _kt_nonlinear(v, u, grid, p)
+def etdrk4_step(v, u, h, grid, p, S):
+    """One ETDRK4 step of the spectrum v of u, with eps S times the wide
+    Laplacian in the linear part and the Kassam-Trefethen stages written out
+    literally: rfftn/irfftn over the spatial axes, the symbols built at
+    every stage, -div applied at every stage, and the solver's coefficient
+    set.  Takes the arguments of solver._step_arr.  S = 0 is the scheme
+    with nonlinear diffusion wholly explicit."""
+    E, E2, Q, f1, f2, f3 = solver._etd_coefficients(grid, p, h, S)
+    Nv = _kt_nonlinear(v, u, grid, p, S)
     a = E2 * v + Q * Nv
-    Na = _kt_nonlinear(a, _kt_values(a, grid), grid, p)
+    Na = _kt_nonlinear(a, _kt_values(a, grid), grid, p, S)
     b = E2 * v + Q * Na
-    Nb = _kt_nonlinear(b, _kt_values(b, grid), grid, p)
+    Nb = _kt_nonlinear(b, _kt_values(b, grid), grid, p, S)
     c = E2 * a + Q * (2.0 * Nb - Nv)
-    Nc = _kt_nonlinear(c, _kt_values(c, grid), grid, p)
+    Nc = _kt_nonlinear(c, _kt_values(c, grid), grid, p, S)
     return E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
 
 
-def etdrk4_step_values(u: Field, h: float, p) -> np.ndarray:
-    """The values of u after one etdrk4_step of h."""
+def etdrk4_step_values(u: Field, h: float, p, S: float) -> np.ndarray:
+    """The values of u after one etdrk4_step of h at the stabilizer S."""
     g = u.grid
-    return _kt_values(etdrk4_step(_kt_spectrum(u.values, g), u.values, h, g, p), g)
+    return _kt_values(
+        etdrk4_step(_kt_spectrum(u.values, g), u.values, h, g, p, S), g)
 
 
 def check_growth_H1(flux: FluxSpec, c1: float, c1p: float,

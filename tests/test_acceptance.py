@@ -150,6 +150,23 @@ def test_diffusive_ladder_converges(diffusive_sweep):
     assert elapsed < 600.0
 
 
+def test_thm31_power2_ladder_converges(tmp_path):
+    # quadratic diffusion with the quadratic flux at gamma = 2.5 > 3/(r+1):
+    # the widest theorem classify_regime encodes; dx <= eps/4 on each entry
+    t0 = time.monotonic()
+    cfg = SweepConfig(out_dir=str(tmp_path), diffusion="power2",
+                      epsilons=(0.08, 0.04), grid_ns=(128, 256))
+    records = run_sweep(cfg)
+    summary = read_manifest(f"{cfg.out_dir}/summary.json")
+    assert summary["theorem_tag"] == "thm31"
+    for r in records:
+        assert not r.blowup
+        assert r.dx <= r.epsilon / 4.0
+        assert r.mu2 <= 0.0
+    assert records[1].L1 < records[0].L1
+    assert time.monotonic() - t0 < 60.0
+
+
 # ---------------------------------------------------------------------------
 # 5. non-convergence regime
 

@@ -252,6 +252,14 @@ def test_main_nonfinite_number_is_a_config_error(tmp_path, capsys, argv):
     assert not new.exists()
 
 
+@pytest.mark.parametrize("r, m", [("-1", "1"), ("1", "-1")], ids=["r", "m"])
+def test_main_classify_negative_exponent_is_a_config_error(capsys, r, m):
+    assert main(["classify", "--r", r, "--m", m, "--gamma", "3"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be >= 0" in captured.err
+
+
 def _never_runs(*args, **kwargs):
     raise AssertionError("ran before the output directory was checked")
 

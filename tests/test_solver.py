@@ -114,8 +114,9 @@ def test_stable_dt_ignores_exact_linear_terms():
 
 
 def test_stable_dt_min_of_explicit_terms():
-    # power2 stays explicit: its bound dx^2 / (2 d eps B) with B = 2 max|grad u|
-    # competes with convection dx / (d max|f'|); delta never enters
+    # power2 keeps an explicit remainder: its bound dx^2 / (2 d eps B) with
+    # B = 2 max|grad u| competes with convection dx / (d max|f'|); delta
+    # never enters
     eps = 0.05
     for dim in (1, 2):
         g = GridSpec(n=128, length=2.0, dim=dim)
@@ -356,6 +357,39 @@ def test_damped_solve_builds_each_etd_level_once(damped_entry):
     assert 1 < info.misses == info.currsize
 
 
+def test_stabilized_power2_solve_matches_the_explicit_bound_plan():
+    # the same entry with nonlinear diffusion wholly explicit (S = 0),
+    # stepped at the plan stable_dt re-evaluates after every step: it took
+    # 1,256 steps against 813 accepted stabilized ones, and the two differ
+    # by at most 7.0e-7 over all samples, under TOL times sup |u0|
+    g = GridSpec(n=128, length=2.0)
+    p = _params(burgers_flux(), power_diffusion(2.0), 0.08, 0.08**2.5,
+                t_end=0.1)
+    u0 = initial_preset("smoothed_riemann")
+    traj = solve(u0, p, g)
+
+    def limit(u):
+        return stable_dt(p, g, np.max(np.abs(u)), solver._grad_max(u, g, p))
+
+    u = traj.fields[0].values
+    v, t, steps = np.fft.rfft(u), 0.0, 0
+    width = traj.times[1]
+    for target, f in zip(traj.times[1:], traj.fields[1:]):
+        n = int(np.ceil(width / limit(u)))
+        h = width / n
+        while n:
+            v = etdrk4_step(v, u, h, g, p, 0.0)
+            u = np.fft.irfft(v, g.n)
+            steps, n = steps + 1, n - 1
+            t = t + h if n else target
+            if n and limit(u) < h:
+                n = int(np.ceil((target - t) / limit(u)))
+                h = (target - t) / n
+        assert np.max(np.abs(f.values - u)) <= \
+            solver.TOL * traj.fields[0].max_abs()
+    assert traj.params["steps"] < steps
+
+
 def test_dense_sampled_damped_solve_takes_no_trial_steps():
     # a sample interval under the convective limit (n0 == 1) is one step,
     # as in the undamped loop: no trial could take fewer
@@ -374,12 +408,12 @@ def test_etd_coefficients_closed_form_matches_the_contour_mean():
     g = GridSpec(n=512, length=2.0)
     p = _params(burgers_flux(), linear_diffusion(), 0.005, 1e-3)
     h = 1e-3
-    hL = h * solver._symbols(g, p)[2]
+    hL = h * solver._symbols(g, p, 1.0)[2]
     assert 0 < np.sum(np.abs(hL) >= 1.0) < hL.size
     circle = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
     contour = h * np.mean(solver._phi_combinations(hL + circle[:, None]), axis=1)
     solver._etd_coefficients.cache_clear()
-    for got, want in zip(solver._etd_coefficients(g, p, h)[2:], contour):
+    for got, want in zip(solver._etd_coefficients(g, p, h, 1.0)[2:], contour):
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
 
@@ -415,9 +449,13 @@ def test_step_rk4_is_the_literal_kassam_trefethen_step(diff, eps, delta,
     g = GridSpec(n=n, length=2.0, dim=dim)
     u = initial_preset("smoothed_riemann" if dim == 1 else "bump").build(g)
     p = _params(flux, diff, eps, delta)
-    h = stable_dt(p, g, u.max_abs(), solver._grad_max_arr(u.values, g))
+    grad_max = solver._grad_max(u.values, g, p)
+    h = stable_dt(p, g, u.max_abs(), grad_max)
+    # step_rk4 stabilizes with the spectral bound at the step's max |grad u|
+    S = diff.spectral_bound(grad_max) if callable(diff.spectral_bound) \
+        else diff.spectral_bound
     assert np.array_equal(step_rk4(u, h, p).values,
-                          etdrk4_step_values(u, h, p))
+                          etdrk4_step_values(u, h, p, S))
 
 
 @pytest.mark.parametrize("n", [512, 255])
@@ -450,8 +488,8 @@ def test_2d_solve_of_y_constant_data_matches_1d(eps):
 
 
 def test_2d_power2_step_of_y_constant_data_matches_1d():
-    # the 2 d factor of the power2 bound doubles the 2-d step count, so one
-    # step at an equal h is compared instead
+    # the 2 d factor of the power2 bound halves the 2-d finest plan, so the
+    # two solves step differently; one step at an equal h is compared instead
     u0 = initial_preset("smoothed_riemann", uL=1.0, uR=0.0, w=0.05)
     outs = []
     for d in (1, 2):
