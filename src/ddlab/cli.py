@@ -170,9 +170,8 @@ _SOLVE_PRESETS = {
 def _cmd_solve(args) -> int:
     """Solve a preset into --out, replacing any store already there."""
     if args.preset not in _SOLVE_PRESETS:
-        print(f"unknown preset {args.preset!r}; have {sorted(_SOLVE_PRESETS)}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(
+            f"unknown preset {args.preset!r}; have {sorted(_SOLVE_PRESETS)}")
     flux_name, diff_name, init_name, init_kwargs, default_length = \
         _SOLVE_PRESETS[args.preset]
     length = default_length if args.L is None else args.L

@@ -32,7 +32,8 @@ __all__ = [
     "diffusion_preset",
 ]
 
-# sample points of [-1, 1] at which max_speed probes f'
+# sample points of [-1, 1] at which max_speed probes f', and at which a
+# declared closed form is checked against the spec's own functions
 _SPEED_PROBE = np.linspace(-1.0, 1.0, 65)
 
 
@@ -56,6 +57,10 @@ class FluxSpec:
     def __post_init__(self):
         if self.m < 0:
             raise ValueError("growth exponent m must be >= 0")
+        u = _SPEED_PROBE
+        if self.quadratic and not (np.allclose(self.eval(u), 0.5 * u**2)
+                                   and np.allclose(self.deriv(u), u)):
+            raise ValueError("declared quadratic, but f is not u^2/2 or f' not u")
 
     def max_speed(self, u_max: float) -> float:
         """max |f'| over [-u_max, u_max], probed at 65 evenly spaced states;
@@ -72,17 +77,17 @@ class DiffusionSpec:
     ``r`` and ``c2`` declare the coercivity of (H2),
     l . b(l) >= c2 |l|^(r+1); ``claims_h3`` declares (H3), uniform
     positive-definiteness of Db.  The regime classification reads only r
-    and claims_h3, the gradient budget only c2.  ``spectral_bound`` bounds
-    the spectral radius of Db: a number when it holds for every gradient, a
-    function of max |grad u| otherwise; the solver integrates eps times it
-    times the Laplacian exactly.  ``linear`` declares b(l) = l, whose
-    explicit remainder is then zero.
+    and claims_h3, the gradient budget only c2.  ``linear`` declares
+    b(l) = l, whose explicit remainder is zero; every other diffusion
+    declares ``spectral_bound``, a function of max |grad u| bounding the
+    spectral radius of Db.  The solver integrates eps times that bound (1
+    if linear) times the Laplacian exactly.
     """
 
     eval: Callable
     r: float
     c2: float
-    spectral_bound: float | Callable
+    spectral_bound: Callable | None = None
     claims_h3: bool = False
     name: str = "custom"
     linear: bool = False
@@ -92,6 +97,12 @@ class DiffusionSpec:
             raise ValueError(f"exponent r must be finite and >= 0, got {self.r}")
         if self.c2 <= 0:
             raise ValueError("need c2 > 0")
+        bound = self.spectral_bound
+        if not (bound is None if self.linear else callable(bound)):
+            raise ValueError("declare linear or a spectral_bound function, not both")
+        lam = _SPEED_PROBE[None]   # one-component gradients
+        if self.linear and not np.allclose(self.eval(lam), lam):
+            raise ValueError("declared linear, but b(l) is not l")
 
 
 @dataclass(frozen=True)
@@ -238,7 +249,7 @@ def linear_diffusion() -> DiffusionSpec:
         return np.asarray(lam, dtype=float)
 
     return DiffusionSpec(eval=ev, r=1.0, c2=1.0, claims_h3=True,
-                         name="linear", spectral_bound=1.0, linear=True)
+                         name="linear", linear=True)
 
 
 def power_diffusion(r: float) -> DiffusionSpec:

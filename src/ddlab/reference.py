@@ -11,7 +11,6 @@ with the Engquist-Osher flux.
 from __future__ import annotations
 
 import math
-from array import array
 
 import numpy as np
 
@@ -93,10 +92,9 @@ def lax_oleinik_reference(u0: Field, t_end: float) -> Field:
     big_u = (k // n) * cum[-1] + cum[k % n]
     slope = u[k[:-1] % n]   # u0 on the cell [y_j, y_{j+1}]
 
-    # hull[i] and hull[i+1] give the same value at x = cuts[i]; typed
-    # arrays keep the stack at 8 bytes an entry
-    ys, us = memoryview(y), memoryview(big_u)
-    hull, cuts = array("q", [0]), array("d")
+    # hull[i] and hull[i+1] give the same value at x = cuts[i]
+    ys, us = y.tolist(), big_u.tolist()
+    hull, cuts = [0], []
     for b in range(1, len(ys)):
         while True:
             a = hull[-1]
@@ -108,18 +106,15 @@ def lax_oleinik_reference(u0: Field, t_end: float) -> Field:
         hull.append(b)
         cuts.append(cut)
 
-    hull, cuts = np.frombuffer(hull, dtype=np.int64), np.frombuffer(cuts)
+    hull = np.array(hull)
+    x = (np.arange(n + 1) - 0.5) * dx
+    vertex = np.searchsorted(cuts, x)
     v = np.full(n + 1, np.inf)
-    # blocks of interfaces keep the temporaries small
-    for start in range(0, n + 1, 1024):
-        x = (np.arange(start, min(start + 1024, n + 1)) - 0.5) * dx
-        vertex = np.searchsorted(cuts, x)
-        best = v[start:start + len(x)]
-        for shift in (-1, 0, 1):
-            node = hull[np.clip(vertex + shift, 0, len(hull) - 1)]
-            for j in (np.maximum(node - 1, 0), np.minimum(node, len(slope) - 1)):
-                ymin = np.clip(x - t * slope[j], y[j], y[j + 1])
-                np.minimum(best, (x - ymin) ** 2 / (2.0 * t) + big_u[j]
-                           + slope[j] * (ymin - y[j]), out=best)
+    for shift in (-1, 0, 1):
+        node = hull[np.clip(vertex + shift, 0, len(hull) - 1)]
+        for j in (np.maximum(node - 1, 0), np.minimum(node, len(slope) - 1)):
+            ymin = np.clip(x - t * slope[j], y[j], y[j + 1])
+            np.minimum(v, (x - ymin) ** 2 / (2.0 * t) + big_u[j]
+                       + slope[j] * (ymin - y[j]), out=v)
     return Field(grid, np.diff(v) / dx)
 

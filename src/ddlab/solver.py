@@ -228,14 +228,13 @@ def stable_dt(p: SolveParams, grid: GridSpec, u_max: float, grad_max: float) -> 
 
 
 def _spectral_bound(p: SolveParams, grad_max: float) -> float:
-    """S: the diffusion's declared spectral bound at max |grad u|."""
-    B = p.diffusion.spectral_bound
-    return B(grad_max) if callable(B) else B
+    """S: 1 for diffusion declared linear, else its bound at max |grad u|."""
+    return 1.0 if p.diffusion.linear else p.diffusion.spectral_bound(grad_max)
 
 
 def _grad_max(u: np.ndarray, grid: GridSpec, p: SolveParams) -> float:
-    """max |grad u| where the diffusion's spectral bound reads it, else 0."""
-    if p.epsilon == 0.0 or not callable(p.diffusion.spectral_bound):
+    """max |grad u| where the diffusion declares a spectral bound, else 0."""
+    if p.epsilon == 0.0 or p.diffusion.linear:
         return 0.0
     return float(np.sqrt(np.max(np.sum(_grad(u, grid.dx) ** 2, axis=0))))
 

@@ -1,7 +1,8 @@
 """Test oracles: the centered divergence, wide Laplacian and third
 derivative written as stencils, which the tests compare against the Fourier
 symbols the solver applies; diagonal 2-d data, which reduces a 2-d run to a
-1-d one; the exact Riemann solution of the quadratic flux; a literal
+1-d one; the exact Riemann solution of the quadratic flux; the
+KdV-Burgers travelling wave, exact with eps, delta and convection on; a literal
 Kassam-Trefethen ETDRK4 step, which the solver's step must match bit for
 bit; sampling checks of the presets' hypotheses (H1)-(H3), whose
 constants the caller states; the snapshot CSV written one cell at a
@@ -76,6 +77,16 @@ def burgers_riemann_exact(u_left: float, u_right: float, x_over_t):
     else:
         out = np.clip(xi, u_left, u_right)
     return float(out[()]) if out.ndim == 0 else out
+
+
+def kdv_burgers_kink(eps: float, xi):
+    """The travelling wave U(x - t/2) of u_t + (u^2/2)_x = eps u_xx
+    + delta u_xxx from 1 down to 0 at delta = (12/25) eps^2, the unit jump's
+    dispersion (Malfliet, Am. J. Phys. 60, 1992):
+    U(xi) = 1 / (1 + exp(2 k xi))^2 with k = eps / (10 delta), written
+    through tanh so that no exponential overflows."""
+    k = eps / (10.0 * (12.0 / 25.0) * eps**2)
+    return (0.5 - 0.5 * np.tanh(k * np.asarray(xi, dtype=float))) ** 2
 
 
 def _kt_spectrum(u, grid):

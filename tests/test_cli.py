@@ -284,9 +284,11 @@ def test_main_sweep_out_on_a_regular_file_is_a_config_error(tmp_path,
     assert "config error" in capsys.readouterr().err
 
 
-def test_main_solve_unknown_preset(tmp_path):
+def test_main_solve_unknown_preset(tmp_path, capsys):
     assert main(["solve", "--preset", "nope",
                  "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown preset 'nope'; have [")
 
 
 def test_main_diagnose_on_stored_run(tmp_path, capsys):
@@ -599,7 +601,7 @@ def _backward_linear(name):
     """b(l) = -l in place of every diffusion preset: every solve blows up."""
     return DiffusionSpec(
         eval=lambda lam: -np.asarray(lam, dtype=float),
-        r=1.0, c2=1.0, spectral_bound=1.0, name="backward")
+        r=1.0, c2=1.0, spectral_bound=lambda grad_max: 1.0, name="backward")
 
 
 def test_main_solve_blowup_is_a_numerical_failure(tmp_path, monkeypatch, capsys):

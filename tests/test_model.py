@@ -83,7 +83,7 @@ def test_coercivity_power_diffusion_2d():
 def test_coercivity_flags_anti_dissipative():
     diff = DiffusionSpec(
         eval=lambda lam: -np.asarray(lam, dtype=float),
-        r=1.0, c2=1.0, spectral_bound=1.0, name="backward")
+        r=1.0, c2=1.0, spectral_bound=lambda grad_max: 1.0, name="backward")
     rep = check_coercivity_H2(diff, [np.array([1.0])], 1.0)
     assert not rep["holds"]
     assert rep["anti_dissipative"]
@@ -159,7 +159,24 @@ def test_specs_reject_bad_declarations():
     b = linear_diffusion()
     for c2 in (0.0, -1.0):
         with pytest.raises(ValueError, match="c2 > 0"):
-            DiffusionSpec(eval=b.eval, r=1.0, c2=c2, spectral_bound=1.0)
+            DiffusionSpec(eval=b.eval, r=1.0, c2=c2, linear=True)
+    # S comes from linear, or from a function bound: exactly one of them
+    p2 = power_diffusion(2.0)
+    for kw in ({"linear": True, "spectral_bound": 2.0},
+               {"linear": True, "spectral_bound": p2.spectral_bound},
+               {"spectral_bound": 1.0}, {}):
+        with pytest.raises(ValueError, match="not both"):
+            DiffusionSpec(eval=b.eval, r=1.0, c2=1.0, **kw)
+    # a declared closed form must be the function's own
+    bounded = flux_preset("bounded")
+    with pytest.raises(ValueError, match="declared quadratic"):
+        FluxSpec(eval=bounded.eval, deriv=bounded.deriv, m=1, quadratic=True)
+    with pytest.raises(ValueError, match="declared quadratic"):
+        FluxSpec(eval=f.eval, deriv=bounded.deriv, m=2, quadratic=True)
+    with pytest.raises(ValueError, match="declared linear"):
+        DiffusionSpec(eval=p2.eval, r=1.0, c2=1.0, linear=True)
+    with pytest.raises(ValueError, match="declared linear"):
+        DiffusionSpec(eval=lambda lam: 2.0 * lam, r=1.0, c2=1.0, linear=True)
 
 
 def test_power_diffusion_requires_r_ge_1():
@@ -231,8 +248,9 @@ def test_declared_structure_of_presets():
     assert burgers_flux().quadratic
     assert not any(flux_preset(name).quadratic
                    for name in ("advection", "bounded", "zero"))
-    assert linear_diffusion().spectral_bound == 1.0
-    assert power_diffusion(1.0).spectral_bound == 1.0
+    # linear diffusion takes S = 1 from its declaration, not from a bound
+    assert linear_diffusion().spectral_bound is None
+    assert power_diffusion(1.0).spectral_bound is None
     # b(l) = l has one definition
     assert power_diffusion(1.0).name == "linear" and power_diffusion(1.0).claims_h3
     # r |l|^(r-1): the largest Jacobian eigenvalue of |l|^(r-1) l

@@ -12,6 +12,7 @@ from ddlab.model import DiffusionSpec, FluxSpec, advection_flux, \
     burgers_flux, diffusion_preset, flux_preset, linear_diffusion, \
     power_diffusion, zero_flux
 from ddlab.solver import (
+    InitialData,
     SolveParams,
     initial_preset,
     rhs,
@@ -19,7 +20,8 @@ from ddlab.solver import (
     stable_dt,
     step_rk4,
 )
-from oracles import diagonal, etdrk4_step, etdrk4_step_values, laplacian
+from oracles import diagonal, etdrk4_step, etdrk4_step_values, \
+    kdv_burgers_kink, laplacian
 
 
 def _params(flux, diff, eps, delta, t_end=1.0, **kw):
@@ -240,6 +242,38 @@ def test_solve_characteristics_oracle():
     assert np.max(np.abs(traj.final().values - u)) < 1e-2
 
 
+# max error of solve against the KdV-Burgers kink, as measured when the
+# test was written: eps -> (N 512, 1024, 2048)
+_KINK_ERRORS = {0.04: (2.62e-4, 6.53e-5, 1.62e-5),
+                0.02: (1.17e-3, 2.90e-4, 7.22e-5)}
+
+
+@pytest.mark.parametrize("eps", sorted(_KINK_ERRORS))
+def test_solve_matches_the_kdv_burgers_kink(eps):
+    # the one exact solution with eps, delta and convection all on: the
+    # kink starts at x = 2 and moves at 1/2; the left state rises at
+    # x = 0.3, and its rarefaction stays left of the window at t = 0.5
+    def producer(g):
+        x = g.axes()[0]
+        rise = 0.5 * (1.0 + np.tanh((x - 0.3) / 0.05))
+        return Field(g, kdv_burgers_kink(eps, x - 2.0) * rise)
+
+    u0 = InitialData(producer=producer, name="kink", analytic=True)
+    p = _params(burgers_flux(), linear_diffusion(), eps, 12.0 / 25.0 * eps**2,
+                t_end=0.5, sample_count=17)
+    errors = []
+    for n in (512, 1024, 2048):
+        g = GridSpec(n=n, length=4.0)
+        x = g.axes()[0]
+        window = np.abs(x - 2.25) < 0.35
+        u = solve(u0, p, g).final().values
+        errors.append(np.max(np.abs(u - kdv_burgers_kink(eps, x - 2.25))[window]))
+    assert errors == pytest.approx(_KINK_ERRORS[eps], rel=0.05)
+    # second order in dx: about fourfold per halving
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.8 < coarse / fine < 4.2
+
+
 def test_solve_hits_sample_times_exactly():
     g = GridSpec(n=64, length=2.0)
     u0 = initial_preset("smoothed_riemann", uL=1.0, uR=0.0, w=0.05)
@@ -253,7 +287,7 @@ def test_solve_hits_sample_times_exactly():
 def test_solve_blowup_flag_on_backward_diffusion():
     backward = DiffusionSpec(
         eval=lambda lam: -np.asarray(lam, dtype=float),
-        r=1.0, c2=1.0, spectral_bound=1.0, name="backward")
+        r=1.0, c2=1.0, spectral_bound=lambda grad_max: 1.0, name="backward")
     g = GridSpec(n=64)
     u0 = initial_preset("sine", amplitude=1e-3)
     # growth e^(eps t) must clear the relative blow-up threshold of 1e6
@@ -452,8 +486,7 @@ def test_step_rk4_is_the_literal_kassam_trefethen_step(diff, eps, delta,
     grad_max = solver._grad_max(u.values, g, p)
     h = stable_dt(p, g, u.max_abs(), grad_max)
     # step_rk4 stabilizes with the spectral bound at the step's max |grad u|
-    S = diff.spectral_bound(grad_max) if callable(diff.spectral_bound) \
-        else diff.spectral_bound
+    S = 1.0 if diff.linear else diff.spectral_bound(grad_max)
     assert np.array_equal(step_rk4(u, h, p).values,
                           etdrk4_step_values(u, h, p, S))
 
