@@ -7,6 +7,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -19,6 +20,7 @@ from . import diagnostics as diag
 from .grids import (
     Field,
     GridSpec,
+    Trajectory,
     lp_norm,
     read_manifest,
     read_snapshot_binary,
@@ -33,7 +35,8 @@ from .model import (
     make_entropy_pair,
 )
 from .reference import lax_oleinik_reference, reference_solve
-from .solver import InitialData, SolveParams, initial_preset, solve
+from .solver import InitialData, SolveParams, initial_preset, solve, \
+    solve_many
 
 __all__ = [
     "SweepConfig",
@@ -354,8 +357,23 @@ def _entry(cfg: SweepConfig, idx: int) -> tuple:
     return grid, params
 
 
-def execute_run(cfg: SweepConfig, idx: int) -> tuple:
-    """Solve one ladder entry and evaluate its per-run diagnostics.
+def execute_group(cfg: SweepConfig, idxs: list) -> list:
+    """execute_run of each ladder entry of idxs, which share a grid: more
+    than one are solved together by solve_many.  A lone entry is solved in
+    its execute_run, through solve, the call perfbench's layer trace times
+    as solver.solve; solve_many([p]) would give the same trajectory."""
+    if len(idxs) == 1:
+        return [execute_run(cfg, idxs[0])]
+    grid = _entry(cfg, idxs[0])[0]
+    trajs = solve_many(cfg.initial_data(), [_entry(cfg, i)[1] for i in idxs],
+                       grid)
+    return [execute_run(cfg, i, traj) for i, traj in zip(idxs, trajs)]
+
+
+def execute_run(cfg: SweepConfig, idx: int,
+                traj: Trajectory | None = None) -> tuple:
+    """Solve one ladder entry, unless traj is its solve, and evaluate its
+    per-run diagnostics.
 
     Returns (record, final): the record's L1, L2 and Linf are NaN, for
     ``run_sweep`` to fill in against the reference; final is the field at
@@ -364,7 +382,8 @@ def execute_run(cfg: SweepConfig, idx: int) -> tuple:
     grid, params = _entry(cfg, idx)
     eps, delta = params.epsilon, params.delta
     flux, diffusion = params.flux, params.diffusion
-    traj = solve(cfg.initial_data(), params, grid)
+    if traj is None:
+        traj = solve(cfg.initial_data(), params, grid)
 
     nan = float("nan")
     mu1 = mu2 = mu3 = kru = young = nan
@@ -416,14 +435,15 @@ def run_sweep(cfg: SweepConfig) -> list:
     cfg was checked when it was built, so nothing here rejects it.  Records
     already on disk under an entry's key (its config values and the
     code key) are reused, and the reference is needed only when some entry
-    is pending.  Pending entries run finest grid (longest solve) first,
-    through one map: with workers > 1, a pool of at most one process per
-    pending entry starts them all while this process builds the reference;
-    otherwise the reference is built first and the entries run here in
-    turn.  The distances to the reference are computed here from each
-    entry's final field.  A blow-up is recorded, with NaN distances, and
-    the sweep continues; records.csv and summary.json are written even
-    when every run blew up.
+    is pending.  The pending entries of each grid are split into at most
+    `workers` groups, each one task whose entries are solved together.
+    Tasks run finest grid (longest solve) first, through one map: with
+    workers > 1, a pool of at most one process per task starts them all
+    while this process builds the reference; otherwise the reference is
+    built first and the tasks run here in turn.  The distances to the
+    reference are computed here from each entry's final field.  A blow-up
+    is recorded, with NaN distances, and the sweep continues; records.csv
+    and summary.json are written even when every run blew up.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -437,17 +457,23 @@ def run_sweep(cfg: SweepConfig) -> list:
         else:
             pending.append(idx)
 
-    order = sorted(pending, key=lambda idx: -cfg.grid_ns[idx])
-    run = functools.partial(execute_run, cfg)
-    with (ProcessPoolExecutor(max_workers=min(cfg.workers, len(order)))
-          if cfg.workers > 1 and order else contextlib.nullcontext()) as pool:
-        # pool.map starts every entry at once; the builtin map is lazy, so
+    by_grid: dict = {}
+    for idx in pending:
+        by_grid.setdefault(cfg.grid_ns[idx], []).append(idx)
+    tasks = sorted((idxs[k::cfg.workers] for idxs in by_grid.values()
+                    for k in range(min(cfg.workers, len(idxs)))),
+                   key=lambda idxs: -cfg.grid_ns[idxs[0]])
+    run = functools.partial(execute_group, cfg)
+    with (ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks)))
+          if cfg.workers > 1 and tasks else contextlib.nullcontext()) as pool:
+        # pool.map starts every task at once; the builtin map is lazy, so
         # serially the reference is built first
-        results = (pool.map if pool else map)(run, order)
-        ref = ensure_reference(cfg) if order else None
+        results = (pool.map if pool else map)(run, tasks)
+        ref = ensure_reference(cfg) if tasks else None
         results = list(results)
 
-    for idx, (rec, final) in zip(order, results):
+    for idx, (rec, final) in zip(itertools.chain(*tasks),
+                                 itertools.chain(*results)):
         if final is not None:
             rec = replace(rec, **compare_to_reference(final, ref))
         records[idx] = rec

@@ -9,6 +9,7 @@ vectors (component axis first) to vectors of the same shape.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -78,10 +79,10 @@ class DiffusionSpec:
     l . b(l) >= c2 |l|^(r+1); ``claims_h3`` declares (H3), uniform
     positive-definiteness of Db.  The regime classification reads only r
     and claims_h3, the gradient budget only c2.  ``linear`` declares
-    b(l) = l, whose explicit remainder is zero; every other diffusion
-    declares ``spectral_bound``, a function of max |grad u| bounding the
-    spectral radius of Db.  The solver integrates eps times that bound (1
-    if linear) times the Laplacian exactly.
+    b(l) = l, whose explicit remainder is zero, and so r = 1 and c2 <= 1;
+    every other diffusion declares ``spectral_bound``, a function of
+    max |grad u| bounding the spectral radius of Db.  The solver integrates
+    eps times that bound (1 if linear) times the Laplacian exactly.
     """
 
     eval: Callable
@@ -103,6 +104,11 @@ class DiffusionSpec:
         lam = _SPEED_PROBE[None]   # one-component gradients
         if self.linear and not np.allclose(self.eval(lam), lam):
             raise ValueError("declared linear, but b(l) is not l")
+        # l . b(l) = |l|^2 is >= c2 |l|^(r+1) for every l only with r = 1
+        # and c2 <= 1
+        if self.linear and not (self.r == 1 and self.c2 <= 1):
+            raise ValueError(f"declared linear, so r must be 1 and c2 <= 1, "
+                             f"got r = {self.r}, c2 = {self.c2}")
 
 
 @dataclass(frozen=True)
@@ -287,12 +293,15 @@ _FLUXES = {
 }
 
 
+# one spec per name, so the entries of a sweep share theirs
+@functools.cache
 def flux_preset(name: str) -> FluxSpec:
     if name not in _FLUXES:
         raise KeyError(f"unknown flux preset {name!r}; have {sorted(_FLUXES)}")
     return _FLUXES[name]()
 
 
+@functools.cache
 def diffusion_preset(name: str) -> DiffusionSpec:
     if name == "linear":
         return linear_diffusion()

@@ -13,6 +13,9 @@ chosen by step doubling against TOL (Hairer, Norsett & Wanner, Solving
 ODEs I, II.4), and the explicit step limit only caps how fine they get;
 elsewhere dt is limited by convection, re-evaluated after every step.
 Both controllers step through _advance, the one place where steps are taken.
+It advances every stream of steps on one grid in lock-step, as the rows of
+one stacked step: the entries of solve_many, and step doubling's coarse and
+fine trials, which start from the same state.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,6 +44,7 @@ __all__ = [
     "stable_dt",
     "step_rk4",
     "solve",
+    "solve_many",
     "initial_preset",
 ]
 
@@ -104,7 +108,8 @@ def _check_support(f: Field):
 
 
 def _spectrum(u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """rfftn over the trailing spatial axes; a leading axis holds components.
+    """rfftn over the trailing spatial axes; leading axes hold the rows of a
+    stack and the components of a gradient, each transformed as if alone.
     Over one axis rfftn is rfft, called here without the n-d wrapper."""
     if grid.dim == 1:
         return np.fft.rfft(u)
@@ -118,27 +123,42 @@ def _values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _symbols(grid: GridSpec, p: SolveParams, S: float) -> tuple:
-    """D1 per axis, minus their sum (-div, the divergence of a flux applied
-    along every axis, stored negated because every stage applies -div), and
-    L = delta sum_j D3_j + eps S times the wide Laplacian."""
+def _derivatives(grid: GridSpec) -> tuple:
+    """D1 per axis and minus their sum (-div, the divergence of a flux applied
+    along every axis, stored negated because every stage applies -div), each
+    with an axis for the rows of a stack, then the wide Laplacian and
+    sum_j D3_j."""
     d1, lap, d3 = stencil_symbols(grid)
-    L = p.delta * np.sum(d3, axis=0) + p.epsilon * S * lap
-    return d1, -np.sum(d1, axis=0), L
+    return d1[:, None], -np.sum(d1, axis=0)[None], lap, np.sum(d3, axis=0)
+
+
+def _linear_symbol(grid: GridSpec, p: SolveParams, S: float) -> np.ndarray:
+    """L = delta sum_j D3_j + eps S times the wide Laplacian."""
+    _, _, lap, d3 = _derivatives(grid)
+    return p.delta * d3 + p.epsilon * S * lap
+
+
+def _explicit_diffusion(p: SolveParams) -> bool:
+    """Whether eps div (b(grad u) - S grad u) is a term: eps != 0 and the
+    diffusion is not declared linear (for linear diffusion S = 1 and that
+    remainder is zero)."""
+    return p.epsilon != 0.0 and not p.diffusion.linear
 
 
 def _nonlinear(v: np.ndarray, u: np.ndarray, grid: GridSpec, p: SolveParams,
-               symbols: tuple, S: float) -> np.ndarray:
-    """Spectrum of the explicit terms at u = irfftn(v): -div f(u), plus
-    eps div (b(grad u) - S grad u) when the diffusion is not declared
-    linear (for linear diffusion S = 1 and that remainder is zero).
-    symbols is _symbols(grid, p, S)."""
-    d1, neg_div, _ = symbols
+               symbols: tuple, eps, S) -> np.ndarray:
+    """Spectrum of the explicit terms at each row of the stack
+    u = irfftn(v): -div f(u), plus eps div (b(grad u) - S grad u) where
+    _explicit_diffusion(p).  Every row shares p's flux, diffusion and
+    _explicit_diffusion; eps and S hold one value per row, as numbers or
+    columns.  symbols is _derivatives(grid).  The gradient's component
+    axis, which the diffusion reads, goes ahead of the rows."""
+    d1, neg_div = symbols[:2]
     out = neg_div * _spectrum(np.asarray(p.flux.eval(u)), grid)
-    if p.epsilon != 0.0 and not p.diffusion.linear:
+    if _explicit_diffusion(p):
         g = _values(d1 * v, grid)
         b = np.asarray(p.diffusion.eval(g)) - S * g
-        out += p.epsilon * np.sum(d1 * _spectrum(b, grid), axis=0)
+        out += eps * np.sum(d1 * _spectrum(b, grid), axis=0)
     return out
 
 
@@ -147,8 +167,8 @@ def rhs(u: Field, p: SolveParams) -> Field:
     + delta sum_j third-derivative along axis j."""
     S = _spectral_bound(p, _grad_max(u.values, u.grid, p))
     v = _spectrum(u.values, u.grid)
-    symbols = _symbols(u.grid, p, S)
-    out = symbols[2] * v + _nonlinear(v, u.values, u.grid, p, symbols, S)
+    out = _linear_symbol(u.grid, p, S) * v + _nonlinear(
+        v[None], u.values[None], u.grid, p, _derivatives(u.grid), p.epsilon, S)[0]
     return Field(u.grid, _values(out, u.grid))
 
 
@@ -161,19 +181,12 @@ def _phi_combinations(z: np.ndarray) -> np.ndarray:
                      (-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3])
 
 
-# the (h, S) of one solve: width / n of step doubling, and the plans and
-# re-plans of undamped intervals.  Per solve to t = 0.5: 12 distinct h on the
-# dispersive entry at N = 512, 3 on the damped N = 4096 entry; a power2
-# entry at N = 256 takes a new S every interval, so it builds 136 sets over
-# 17 distinct h, each once.  solve empties it first: no later solve of a
-# sweep has the same (grid, params)
-@functools.lru_cache(maxsize=32)
-def _etd_coefficients(grid: GridSpec, p: SolveParams, h: float,
-                      S: float) -> tuple:
+def _etd_coefficient_set(grid: GridSpec, p: SolveParams, h: float,
+                         S: float) -> tuple:
     """exp(hL), exp(hL/2) and the ETDRK4 weights Q, f1, f2, f3: closed form
     where |hL| >= 1, and where it would cancel, the contour mean of the
     same combinations on the unit circle around h*L(k)."""
-    hL = h * _symbols(grid, p, S)[2]
+    hL = h * _linear_symbol(grid, p, S)
     coef = np.empty((4,) + hL.shape, dtype=complex)
     far = np.abs(hL) >= 1.0
     coef[:, far] = _phi_combinations(hL[far])
@@ -183,29 +196,59 @@ def _etd_coefficients(grid: GridSpec, p: SolveParams, h: float,
     return (np.exp(hL), np.exp(0.5 * hL), *(h * coef))
 
 
-def _step_arr(v: np.ndarray, u: np.ndarray, h: float, grid: GridSpec,
-              p: SolveParams, S: float) -> np.ndarray:
-    """One ETDRK4 step of the spectrum v of u (Kassam-Trefethen stages),
-    with eps S times the wide Laplacian in the exact linear part.  The
-    symbols and the coefficient set are looked up once per step."""
-    E, E2, Q, f1, f2, f3 = _etd_coefficients(grid, p, h, S)
-    symbols = _symbols(grid, p, S)
-    Nv = _nonlinear(v, u, grid, p, symbols, S)
+# the sets of single steps (step_rk4); solve_many keeps its own cache, sized
+# for its entries
+_etd_coefficients = functools.lru_cache(maxsize=32)(_etd_coefficient_set)
+
+
+class _Stack(NamedTuple):
+    """The rows of a stacked step: (p, h, S) per row, their coefficient
+    sets stacked along a leading row axis, and eps and S as columns (or
+    numbers, for one row)."""
+
+    rows: tuple
+    coefs: tuple
+    eps: np.ndarray
+    S: np.ndarray
+
+
+def _stack(grid: GridSpec, coefficients: Callable, rows: tuple) -> _Stack:
+    """The _Stack of rows, each row's set looked up in coefficients."""
+    sets = [coefficients(grid, *row) for row in rows]
+    column = (len(rows),) + (1,) * grid.dim
+    return _Stack(rows, tuple(map(np.array, zip(*sets))),
+                  np.reshape([p.epsilon for p, _, _ in rows], column),
+                  np.reshape([S for _, _, S in rows], column))
+
+
+def _step_arr(v: np.ndarray, u: np.ndarray, grid: GridSpec,
+              k: _Stack) -> np.ndarray:
+    """One ETDRK4 step of each row of the stack v, the spectra of the rows
+    of u (Kassam-Trefethen stages), row i at its own (p, h, S) = k.rows[i],
+    with eps S times the wide Laplacian in the exact linear part.  Every
+    transform and product acts on each row as on that row alone."""
+    E, E2, Q, f1, f2, f3 = k.coefs
+    p, symbols, eps, S = k.rows[0][0], _derivatives(grid), k.eps, k.S
+    Nv = _nonlinear(v, u, grid, p, symbols, eps, S)
     E2v = E2 * v
     a = E2v + Q * Nv
-    Na = _nonlinear(a, _values(a, grid), grid, p, symbols, S)
+    Na = _nonlinear(a, _values(a, grid), grid, p, symbols, eps, S)
     b = E2v + Q * Na
-    Nb = _nonlinear(b, _values(b, grid), grid, p, symbols, S)
+    Nb = _nonlinear(b, _values(b, grid), grid, p, symbols, eps, S)
     c = E2 * a + Q * (2.0 * Nb - Nv)
-    Nc = _nonlinear(c, _values(c, grid), grid, p, symbols, S)
+    Nc = _nonlinear(c, _values(c, grid), grid, p, symbols, eps, S)
     return E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
 
 
 def step_rk4(u: Field, dt: float, p: SolveParams) -> Field:
     """One fourth-order ETDRK4 step of du/dt = rhs(u), with S read from u."""
     S = _spectral_bound(p, _grad_max(u.values, u.grid, p))
-    v = _step_arr(_spectrum(u.values, u.grid), u.values, dt, u.grid, p, S)
-    return Field(u.grid, _values(v, u.grid))
+    # a stack of one row: the cached set itself behind a row axis, eps and S
+    # as numbers, so that no call copies the set
+    k = _Stack(((p, dt, S),), tuple(c[None] for c in _etd_coefficients(
+        u.grid, p, dt, S)), p.epsilon, S)
+    v = _step_arr(_spectrum(u.values, u.grid)[None], u.values[None], u.grid, k)
+    return Field(u.grid, _values(v[0], u.grid))
 
 
 def stable_dt(p: SolveParams, grid: GridSpec, u_max: float, grad_max: float) -> float:
@@ -239,51 +282,129 @@ def _grad_max(u: np.ndarray, grid: GridSpec, p: SolveParams) -> float:
     return float(np.sqrt(np.max(np.sum(_grad(u, grid.dx) ** 2, axis=0))))
 
 
-def _advance(v: np.ndarray, uv: np.ndarray, n: int, h: float, t: float,
-             target: float, grid: GridSpec, p: SolveParams, S: float,
-             blowup_sup: float, limit: Callable | None = None) -> tuple:
-    """n ETDRK4 steps of h at the stabilizer S from the spectrum v of uv at
-    time t, the last on target; stops after the first step whose max |u|
-    exceeds blowup_sup or is nan.  Where limit(uv, u_max), evaluated after every step but the
-    last, fell below h, the rest is split again into equal steps.  Returns
-    the spectrum, values, max |u|, steps taken, time and smallest h."""
-    k, h_min = 0, h
-    while n:
-        v = _step_arr(v, uv, h, grid, p, S)
-        uv = _values(v, grid)
-        u_max = float(np.max(np.abs(uv)))
-        k, n = k + 1, n - 1
-        t = t + h if n else target
-        if not u_max <= blowup_sup:
-            break
-        if limit is not None and n:
-            dt = limit(uv, u_max)
-            if dt < h:
-                n = math.ceil((target - t) / dt)
-                h = (target - t) / n
-                h_min = min(h_min, h)
-    return v, uv, u_max, k, t, h_min
+@dataclass(eq=False, slots=True)
+class _Stream:
+    """n ETDRK4 steps of h at the stabilizer S for the params p, from the
+    spectrum v of uv at time t, the last on target.  The stream ends after
+    the first step whose max |u| exceeds blowup_sup or is nan.  Where
+    limit(uv, u_max), evaluated after every step but the last, fell below
+    h, the rest is split again into equal steps.  Once it has ended, v, uv
+    and u_max are its last step's, k counts its steps, t is its time and
+    h_min its smallest h."""
+
+    v: np.ndarray
+    uv: np.ndarray
+    n: int
+    h: float
+    t: float
+    target: float
+    p: SolveParams
+    S: float
+    blowup_sup: float
+    limit: Callable | None = None
+    k: int = 0
+    h_min: float = field(init=False)
+    u_max: float = math.nan
+    kernel: tuple = field(init=False)
+
+    def __post_init__(self):
+        self.h_min = self.h
+        # the live streams that share this key step as rows of one stack
+        self.kernel = (id(self.p.flux), id(self.p.diffusion),
+                       _explicit_diffusion(self.p))
+
+
+def _advance(controllers: list, grid: GridSpec, coefficients: Callable):
+    """Take every step the controllers ask for, in lock-step.
+
+    A controller is a generator.  It yields a tuple of streams, and is sent
+    them back once each has ended.  Each step advances the live streams
+    that share a flux, a diffusion and _explicit_diffusion as the rows of
+    one stacked step, whose transforms and products act on each row as on
+    that row alone, so every stream ends on the bits it would reach alone.
+    A stream drops out of the stack when it ends, and a resumed
+    controller's new streams join it at the next step.  coefficients gives
+    a row's set from (grid, p, h, S).
+    """
+    live, owner = [], {}
+    # a _Stack is built once per tuple of rows: restacking the sets every
+    # step costs 16 us of a 160 us step on the three-entry N = 512 dispersive
+    # ladder.  That ladder steps 32 distinct tuples over its solve, a damped
+    # pair at N = 512 17; kept 16, neither rebuilds one (kept 8, the ladder
+    # rebuilds 2).  A power entry's rows take a new S every interval
+    stacks = functools.lru_cache(maxsize=16)(
+        functools.partial(_stack, grid, coefficients))
+    axes = tuple(range(-grid.dim, 0))
+
+    def resume(controller, sent):
+        try:
+            streams = controller.send(sent)
+        except StopIteration:
+            return
+        for s in streams:
+            owner[s] = (controller, streams)
+        live.extend(streams)
+
+    for controller in controllers:
+        resume(controller, None)
+    while live:
+        groups = {}
+        for s in live:
+            groups.setdefault(s.kernel, []).append(s)
+        for rows in groups.values():
+            k = stacks(tuple((s.p, s.h, s.S) for s in rows))
+            V = _step_arr(np.array([s.v for s in rows]),
+                          np.array([s.uv for s in rows]), grid, k)
+            U = _values(V, grid)
+            u_max = np.abs(U).max(axis=axes)
+            for s, v, uv, m in zip(rows, V, U, u_max.tolist()):
+                s.v, s.uv, s.u_max = v, uv, m
+                s.k, s.n = s.k + 1, s.n - 1
+                s.t = s.t + s.h if s.n else s.target
+                if not m <= s.blowup_sup:
+                    s.n = 0
+                elif s.limit is not None and s.n:
+                    dt = s.limit(uv, m)
+                    if dt < s.h:
+                        s.n = math.ceil((s.target - s.t) / dt)
+                        s.h = (s.target - s.t) / s.n
+                        s.h_min = min(s.h_min, s.h)
+        ended = [s for s in live if not s.n]
+        live = [s for s in live if s.n]
+        for s in ended:
+            controller, streams = owner.pop(s)
+            if not any(x in owner for x in streams):
+                resume(controller, streams)
 
 
 def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
     """Integrate to t_end with ETDRK4, storing sample_count evenly spaced
-    snapshots.  Every sample time is hit exactly.
+    snapshots: solve_many with one entry."""
+    return solve_many(u0, [p], grid)[0]
+
+
+def solve_many(u0: InitialData, params: list, grid: GridSpec) -> list:
+    """solve(u0, p, grid) for each p of params, one trajectory each.  The
+    entries advance together: _advance stacks their steps, and each
+    trajectory is the one its entry would reach alone, bit for bit.  Every
+    sample time is hit exactly.
 
     Each sample interval is planned as n0 = ceil(width / stable_dt) equal
     steps from its start, whose max |grad u| also sets the interval's S.
     Where the linear part damps the high modes (eps > 0) and n0 > 2, that
     plan is only the finest one: the interval is integrated from the same
-    start with n and with ceil(n/2) equal steps, and the n-step result is
-    accepted when their Richardson error estimate is under TOL times the
-    initial sup norm, or when n has reached n0; otherwise n doubles, capped
-    at n0.  The next interval starts from the accepted n, or from half of
-    it when the estimate was well under TOL.  params["steps"] counts the accepted steps,
-    params["trial_steps"] the coarse and rejected ones, and params["dt_min"]
-    is the smallest accepted step.
+    start with n and with ceil(n/2) equal steps, the two trials stacked,
+    and the n-step result is accepted when their Richardson error estimate
+    is under TOL times the initial sup norm, or when n has reached n0;
+    otherwise n doubles, capped at n0.  The next interval starts from the
+    accepted n, or from half of it when the estimate was well under TOL.
+    params["steps"] counts the accepted steps, params["trial_steps"] the
+    coarse and rejected ones, and params["dt_min"] is the smallest accepted
+    step.
 
     Elsewhere the plan's steps are taken: after every step the limit is
     re-evaluated and, if it fell below the step, the rest of the interval
-    is split again.  _advance is the one place where steps are taken.
+    is split again.
 
     Blow-up (a non-finite value, or max |u| beyond BLOWUP_FACTOR times its
     initial value) returns a partial trajectory with the blowup flag set
@@ -291,14 +412,7 @@ def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
     sets the taint flag.
     """
     u = u0.build(grid)
-    u0_sup = u.max_abs()
-    _etd_coefficients.cache_clear()
-    sample_times = np.linspace(0.0, p.t_end, p.sample_count)
-    # planning every interval from the same width keeps h, and so the
-    # cached ETD coefficients, bit-identical across intervals
-    width = sample_times[1]
-
-    traj = Trajectory(grid=grid, params={
+    trajs = [Trajectory(grid=grid, params={
         "epsilon": p.epsilon,
         "delta": p.delta,
         "t_end": p.t_end,
@@ -306,7 +420,27 @@ def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
         "flux": p.flux.name,
         "diffusion": p.diffusion.name,
         "initial": u0.name,
-    })
+    }) for p in params]
+    # the (h, S) of each entry: width / n of step doubling, and the plans and
+    # re-plans of undamped intervals.  Per solve to t = 0.5: 12 distinct h on
+    # the dispersive entry at N = 512, 3 on the damped N = 4096 entry; a
+    # power2 entry at N = 256 takes a new S every interval, so it builds 136
+    # sets over 17 distinct h.  32 sets per entry build each once
+    coefficients = functools.lru_cache(maxsize=32 * len(params))(
+        _etd_coefficient_set)
+    _advance([_control(u, p, grid, traj) for p, traj in zip(params, trajs)],
+             grid, coefficients)
+    return trajs
+
+
+def _control(u: Field, p: SolveParams, grid: GridSpec, traj: Trajectory):
+    """The controller of one entry of solve_many: it yields the streams of
+    each sample interval to _advance and fills traj from their ends."""
+    u0_sup = u.max_abs()
+    sample_times = np.linspace(0.0, p.t_end, p.sample_count)
+    # planning every interval from the same width keeps h, and so the
+    # cached ETD coefficients, bit-identical across intervals
+    width = sample_times[1]
     traj.append(0.0, u)
 
     t = 0.0
@@ -327,6 +461,9 @@ def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
     def limit(uv, u_max):
         return stable_dt(p, grid, u_max, _grad_max(uv, grid, p))
 
+    def stream(n, limit=None):
+        return _Stream(v, uv, n, width / n, t, target, p, S, blowup_sup, limit)
+
     for target in sample_times[1:]:
         grad_max = _grad_max(uv, grid, p)
         S = _spectral_bound(p, grad_max)
@@ -334,27 +471,24 @@ def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
         if damped and n0 > 2:   # a trial accepts two steps at the fewest
             n = min(n, n0)
             m = math.ceil(n / 2)
-            coarse = _advance(v, uv, m, width / m, t, target, grid, p, S,
-                              blowup_sup)
-            trial_steps += coarse[3]
+            coarse, fine = yield stream(m), stream(n)
+            trial_steps += coarse.k
             while True:
-                fine = _advance(v, uv, n, width / n, t, target, grid, p, S,
-                                blowup_sup)
                 # Richardson: the n-step error of an order-4 scheme; a trial
                 # that blew up gives nan or a huge value, which never passes
-                err = np.max(np.abs(fine[1] - coarse[1])) / ((n / m) ** 4 - 1.0)
+                err = np.max(np.abs(fine.uv - coarse.uv)) / ((n / m) ** 4 - 1.0)
                 if err < tol or n == n0:
                     break
-                trial_steps += fine[3]
+                trial_steps += fine.k
                 coarse, m, n = fine, n, min(2 * n, n0)
+                fine, = yield stream(n),
             if err < tol / 32.0:   # the estimate at n/2 would be ~16x this
                 n = max(2, math.ceil(n / 2))
         else:
-            fine = _advance(v, uv, n0, width / n0, t, target, grid, p, S,
-                            blowup_sup, limit)
-        v, uv, u_max, k, t, h_min = fine
-        steps += k
-        dt_min = min(dt_min, h_min)
+            fine, = yield stream(n0, limit),
+        v, uv, u_max, t = fine.v, fine.uv, fine.u_max, fine.t
+        steps += fine.k
+        dt_min = min(dt_min, fine.h_min)
         if not u_max <= blowup_sup:   # also catches nan
             traj.blowup = True
             traj.params["t_blowup"] = t
@@ -368,7 +502,6 @@ def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
     traj.params["steps"] = steps
     traj.params["trial_steps"] = trial_steps
     traj.params["dt_min"] = dt_min
-    return traj
 
 
 def _support_touches_wrap(u: Field, tol_frac: float = 1e-6) -> bool:

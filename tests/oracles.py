@@ -2,13 +2,13 @@
 derivative written as stencils, which the tests compare against the Fourier
 symbols the solver applies; diagonal 2-d data, which reduces a 2-d run to a
 1-d one; the exact Riemann solution of the quadratic flux; the
-KdV-Burgers travelling wave, exact with eps, delta and convection on; a literal
-Kassam-Trefethen ETDRK4 step, which the solver's step must match bit for
-bit; sampling checks of the presets' hypotheses (H1)-(H3), whose
-constants the caller states; the snapshot CSV written one cell at a
-time, whose bytes the snapshot writer must reproduce; and Student's t
-distribution function, integrated from its density, which checks the
-quantiles of the slope intervals."""
+KdV-Burgers travelling wave, exact with eps, delta and convection on; a
+literal Kassam-Trefethen ETDRK4 step, which every row of the solver's
+stacked step must match bit for bit; sampling checks of the presets'
+hypotheses (H1)-(H3), whose constants the caller states; the snapshot CSV
+written one cell at a time, whose bytes the snapshot writer must reproduce;
+and Student's t distribution function, integrated from its density, which
+checks the quantiles of the slope intervals."""
 
 import math
 
@@ -122,7 +122,7 @@ def etdrk4_step(v, u, h, grid, p, S):
     Laplacian in the linear part and the Kassam-Trefethen stages written out
     literally: rfftn/irfftn over the spatial axes, the symbols built at
     every stage, -div applied at every stage, and the solver's coefficient
-    set.  Takes the arguments of solver._step_arr.  S = 0 is the scheme
+    set.  Takes one row of solver._step_arr's stack.  S = 0 is the scheme
     with nonlinear diffusion wholly explicit."""
     E, E2, Q, f1, f2, f3 = solver._etd_coefficients(grid, p, h, S)
     Nv = _kt_nonlinear(v, u, grid, p, S)
@@ -133,6 +133,13 @@ def etdrk4_step(v, u, h, grid, p, S):
     c = E2 * a + Q * (2.0 * Nb - Nv)
     Nc = _kt_nonlinear(c, _kt_values(c, grid), grid, p, S)
     return E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
+
+
+def etdrk4_rows(v, u, grid, k):
+    """solver._step_arr with each row of the stack stepped alone by
+    etdrk4_step, at its own (p, h, S) of k.rows."""
+    return np.stack([etdrk4_step(v[i], u[i], h, grid, p, S)
+                     for i, (p, h, S) in enumerate(k.rows)])
 
 
 def etdrk4_step_values(u: Field, h: float, p, S: float) -> np.ndarray:

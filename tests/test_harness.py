@@ -441,7 +441,9 @@ def test_fully_cached_sweep_never_touches_the_reference(tmp_path):
 @pytest.mark.parametrize("ladder", [
     {},
     {"epsilons": (0.0, 0.0), "grid_ns": (64, 128), "delta_ladder": (1e-3, 5e-4)},
-], ids=["tiny", "dispersive"])
+    # one grid: serially one task solves both entries together, pooled two
+    {"epsilons": (0.08, 0.0), "grid_ns": (64, 64), "delta_ladder": (0.0, 1e-3)},
+], ids=["tiny", "dispersive", "same_grid"])
 def test_pooled_sweep_matches_serial_byte_for_byte(tmp_path, ladder):
     outputs = []
     for workers in (1, 2):
@@ -485,9 +487,9 @@ def test_pool_maps_finest_first_while_this_process_builds_the_reference(
                   epsilons=(0.08, 0.04, 0.02), grid_ns=(64, 128, 64))
     records = run_sweep(cfg)
     workers, (run, order) = log
-    assert workers == 2 and run.func is harness.execute_run
-    # descending N; equal N keep their ladder order
-    assert order == [1, 0, 2]
+    assert workers == 2 and run.func is harness.execute_group
+    # descending N; equal N keep their ladder order, split over the workers
+    assert order == [[1], [0], [2]]
     assert built == [os.getpid()]
     assert all(np.isfinite(r.L1) for r in records)
     # one entry pending and no reference on disk: a pool of one runs it
@@ -497,7 +499,8 @@ def test_pool_maps_finest_first_while_this_process_builds_the_reference(
     log.clear()
     assert run_sweep(cfg) == records
     workers, (run, order) = log
-    assert workers == 1 and run.func is harness.execute_run and order == [1]
+    assert workers == 1 and run.func is harness.execute_group
+    assert order == [[1]]
     assert built == [os.getpid()] * 2
 
 
@@ -509,7 +512,14 @@ def test_pool_has_no_more_processes_than_pending_entries(tmp_path,
     cfg = replace(_tiny_config(tmp_path / "sweep"), workers=64)
     run_sweep(cfg)
     workers, (_, order) = log
-    assert workers == 2 and order == [1, 0]
+    assert workers == 2 and order == [[1], [0]]
+    # three entries on one grid and two workers: two tasks, two processes
+    log.clear()
+    same = replace(cfg, epsilons=(0.08, 0.04, 0.02), grid_ns=(64,) * 3,
+                   workers=2, out_dir=str(tmp_path / "same"))
+    run_sweep(same)
+    workers, (_, order) = log
+    assert workers == 2 and order == [[0, 2], [1]]
     # no pool when nothing is pending, or with one worker
     log.clear()
     run_sweep(cfg)

@@ -177,6 +177,11 @@ def test_specs_reject_bad_declarations():
         DiffusionSpec(eval=p2.eval, r=1.0, c2=1.0, linear=True)
     with pytest.raises(ValueError, match="declared linear"):
         DiffusionSpec(eval=lambda lam: 2.0 * lam, r=1.0, c2=1.0, linear=True)
+    # b(l) = l meets (H2) for every l only with r = 1 and c2 <= 1
+    for r, c2 in ((2.0, 5.0), (2.0, 1.0), (0.5, 1.0), (1.0, 1.5)):
+        with pytest.raises(ValueError, match="r must be 1 and c2 <= 1"):
+            DiffusionSpec(eval=b.eval, r=r, c2=c2, linear=True)
+    assert DiffusionSpec(eval=b.eval, r=1.0, c2=0.5, linear=True).c2 == 0.5
 
 
 def test_power_diffusion_requires_r_ge_1():

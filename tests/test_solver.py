@@ -20,8 +20,8 @@ from ddlab.solver import (
     stable_dt,
     step_rk4,
 )
-from oracles import diagonal, etdrk4_step, etdrk4_step_values, \
-    kdv_burgers_kink, laplacian
+from oracles import diagonal, etdrk4_rows, etdrk4_step, \
+    etdrk4_step_values, kdv_burgers_kink, laplacian
 
 
 def _params(flux, diff, eps, delta, t_end=1.0, **kw):
@@ -315,6 +315,27 @@ def test_solve_blowup_flag_on_a_damped_entry():
     assert 0.0 < traj.params["t_blowup"] <= 0.5 / 8
 
 
+def _solve_counting_etd_sets(p, g):
+    """solve(smoothed_riemann, p, g), the (h, S) of each row of every step
+    it took, and the (h, S) of each ETD coefficient set it built."""
+    rows, builds = [], []
+    step, build = solver._step_arr, solver._etd_coefficient_set
+
+    def counted_step(v, u, grid, k):
+        rows.extend((h, S) for _, h, S in k.rows)
+        return step(v, u, grid, k)
+
+    def counted_build(grid, p, h, S):
+        builds.append((h, S))
+        return build(grid, p, h, S)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_step_arr", counted_step)
+        m.setattr(solver, "_etd_coefficient_set", counted_build)
+        traj = solve(initial_preset("smoothed_riemann"), p, g)
+    return traj, rows, builds
+
+
 def test_etd_coefficients_survive_a_replan(monkeypatch):
     # on the delta = 1e-3 dispersive ladder entry the oscillating max|u|
     # re-splits sample intervals; a one-entry cache let each re-plan evict
@@ -322,12 +343,10 @@ def test_etd_coefficients_survive_a_replan(monkeypatch):
     g = GridSpec(n=512, length=2.0)
     p = _params(burgers_flux(), linear_diffusion(), 0.0, 1e-3, t_end=0.5,
                 sample_count=65)
-    solver._etd_coefficients.cache_clear()
-    traj = solve(initial_preset("smoothed_riemann"), p, g)
-    info = solver._etd_coefficients.cache_info()
-    assert info.hits + info.misses == traj.params["steps"]
+    traj, rows, builds = _solve_counting_etd_sets(p, g)
+    assert len(rows) == traj.params["steps"]
     # the cache holds the re-planned h as well: each distinct h is built once
-    assert info.misses == info.currsize == 12
+    assert sorted(builds) == sorted(set(rows)) and len(builds) == 12
     # an undamped entry takes the convective plan's steps, with no trials
     assert traj.params["steps"] == 409
     assert traj.params["trial_steps"] == 0
@@ -341,7 +360,7 @@ def test_etd_coefficients_survive_a_replan(monkeypatch):
     assert traj.params["dt_min"] < width / max(n0)
     # the same plan driven by the literal Kassam-Trefethen step ends on the
     # same bits
-    monkeypatch.setattr(solver, "_step_arr", etdrk4_step)
+    monkeypatch.setattr(solver, "_step_arr", etdrk4_rows)
     literal = solve(initial_preset("smoothed_riemann"), p, g)
     assert literal.params["steps"] == 409
     assert literal.params["dt_min"] == traj.params["dt_min"]
@@ -351,12 +370,12 @@ def test_etd_coefficients_survive_a_replan(monkeypatch):
 @pytest.fixture(scope="module")
 def damped_entry():
     """The default ladder's first entry (eps = 0.04, N = 512), solved:
-    (params, grid, trajectory, ETD cache info after the solve)."""
+    (params, grid, trajectory, (h, S) of each row of every step, (h, S) of
+    each ETD set built)."""
     g = GridSpec(n=512, length=2.0)
     p = _params(burgers_flux(), linear_diffusion(), 0.04, 0.04**2.5,
                 t_end=0.5, sample_count=65)
-    traj = solve(initial_preset("smoothed_riemann"), p, g)
-    return p, g, traj, solver._etd_coefficients.cache_info()
+    return (p, g, *_solve_counting_etd_sets(p, g))
 
 
 def test_damped_solve_matches_a_fine_fixed_step_solve(damped_entry):
@@ -365,7 +384,7 @@ def test_damped_solve_matches_a_fine_fixed_step_solve(damped_entry):
     # fixed steps per sample interval the largest error, 4.4e-7, is at the
     # first sample, on the steep initial data; accepting every first trial
     # (two steps) instead errs by 2.0e-5 there
-    p, g, traj, _ = damped_entry
+    p, g, traj = damped_entry[:3]
     u = traj.fields[0]
     h = traj.times[1] / 10
     for f in traj.fields[1:]:
@@ -378,17 +397,16 @@ def test_damped_solve_matches_a_fine_fixed_step_solve(damped_entry):
 def test_damped_solve_takes_no_more_steps_than_the_convective_plan(damped_entry):
     # the convective plan takes 331 steps here; step doubling accepts fewer,
     # and every step it takes, accepted or trial, looks up one ETD set
-    _, _, traj, info = damped_entry
+    _, _, traj, rows, _ = damped_entry
     assert traj.params["steps"] <= 331
     assert traj.params["trial_steps"] > 0
-    assert info.hits + info.misses == \
-        traj.params["steps"] + traj.params["trial_steps"]
+    assert len(rows) == traj.params["steps"] + traj.params["trial_steps"]
 
 
 def test_damped_solve_builds_each_etd_level_once(damped_entry):
     # no set is evicted and rebuilt: one build per distinct h = width / n
-    info = damped_entry[3]
-    assert 1 < info.misses == info.currsize
+    _, _, _, rows, builds = damped_entry
+    assert 1 < len(builds) and sorted(builds) == sorted(set(rows))
 
 
 def test_stabilized_power2_solve_matches_the_explicit_bound_plan():
@@ -442,7 +460,7 @@ def test_etd_coefficients_closed_form_matches_the_contour_mean():
     g = GridSpec(n=512, length=2.0)
     p = _params(burgers_flux(), linear_diffusion(), 0.005, 1e-3)
     h = 1e-3
-    hL = h * solver._symbols(g, p, 1.0)[2]
+    hL = h * solver._linear_symbol(g, p, 1.0)
     assert 0 < np.sum(np.abs(hL) >= 1.0) < hL.size
     circle = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
     contour = h * np.mean(solver._phi_combinations(hL + circle[:, None]), axis=1)
@@ -489,6 +507,100 @@ def test_step_rk4_is_the_literal_kassam_trefethen_step(diff, eps, delta,
     S = 1.0 if diff.linear else diff.spectral_bound(grad_max)
     assert np.array_equal(step_rk4(u, h, p).values,
                           etdrk4_step_values(u, h, p, S))
+
+
+@pytest.mark.parametrize("batch", [2, 3])
+@pytest.mark.parametrize("n", [8, 255, 512, 1025, 4096])
+def test_stacked_1d_transforms_equal_each_row_alone(n, batch):
+    # the stacked step rests on this: numpy transforms each row of a stack
+    # as it transforms that row alone, bit for bit (odd n included)
+    u = np.random.default_rng([n, batch]).standard_normal((batch, n))
+    v = np.fft.rfft(u)
+    back = np.fft.irfft(v, n)
+    for i in range(batch):
+        assert np.array_equal(v[i], np.fft.rfft(u[i]))
+        assert np.array_equal(back[i], np.fft.irfft(v[i], n))
+
+
+@pytest.mark.parametrize("lead", [(2,), (3,), (2, 3)],
+                         ids=["batch2", "batch3", "components_batch"])
+@pytest.mark.parametrize("n", [8, 33, 64])
+def test_stacked_2d_transforms_equal_each_row_alone(n, lead):
+    # 2-d: rfftn/irfftn over the last two axes, behind a batch axis, and
+    # behind a gradient's component axis and a batch axis
+    u = np.random.default_rng([n, *lead]).standard_normal(lead + (n, n))
+    v = np.fft.rfftn(u, axes=(-2, -1))
+    back = np.fft.irfftn(v, s=(n, n), axes=(-2, -1))
+    for i in np.ndindex(lead):
+        assert np.array_equal(v[i], np.fft.rfftn(u[i], axes=(-2, -1)))
+        assert np.array_equal(back[i],
+                              np.fft.irfftn(v[i], s=(n, n), axes=(-2, -1)))
+
+
+_BACKWARD = DiffusionSpec(eval=lambda lam: -np.asarray(lam, dtype=float),
+                          r=1.0, c2=1.0, spectral_bound=lambda grad_max: 1.0,
+                          name="backward")
+
+
+def _group(flux, diff, eps, delta, n, t_end, samples, initial):
+    """(initial data, grid, params) of entries sharing flux and diffusion."""
+    return (initial, GridSpec(n=n, length=2.0),
+            [_params(flux, diff, e, d, t_end=t_end, sample_count=samples)
+             for e, d in zip(eps, delta)])
+
+
+def _blowup_beside_a_kept_row():
+    # growth e^(eps t) clears the blow-up threshold at eps = 40: every trial
+    # of its first interval blows up, and then its plan, at step 256.  The
+    # kept row (eps = 1e-3) takes 2-step intervals through all of that
+    f, g = zero_flux(), GridSpec(n=64, length=2.0)
+    return (initial_preset("sine", amplitude=1e-3), g, [
+        _params(f, _BACKWARD, 40.0, 0.0, t_end=0.5, sample_count=3),
+        _params(f, _BACKWARD, 1e-3, 0.0, t_end=0.5, sample_count=257,
+                cfl_safety=0.003)])
+
+
+@pytest.mark.parametrize("group, rows", [
+    (_group(burgers_flux(), linear_diffusion(), (0.0,) * 3,
+            (1e-3, 5e-4, 2.5e-4), 128, 0.2, 5,
+            initial_preset("smoothed_riemann")), 3),
+    # one damped entry: its coarse and fine trials stack
+    (_group(burgers_flux(), linear_diffusion(), (0.04,), (0.04**2.5,), 128,
+            0.2, 5, initial_preset("smoothed_riemann")), 2),
+    (_group(burgers_flux(), power_diffusion(2.0), (0.08, 0.04),
+            (0.08**2.5, 0.04**2.5), 64, 0.05, 3,
+            initial_preset("smoothed_riemann", w=0.05)), 4),
+    (_blowup_beside_a_kept_row(), 3),
+], ids=["undamped_ladder", "coarse_fine_pair", "power2", "blowup"])
+def test_stacked_solves_equal_solo_solves_of_the_literal_step(monkeypatch,
+                                                               group, rows):
+    u0, g, params = group
+    widths = []
+
+    def spy(v, u, grid, k):
+        widths.append(len(k.rows))
+        return step(v, u, grid, k)
+
+    step = solver._step_arr
+    monkeypatch.setattr(solver, "_step_arr", spy)
+    stacked = solver.solve_many(u0, params, g)
+    assert max(widths) == rows
+    # each entry alone, every row of every step the literal step
+    step = etdrk4_rows
+    for p, got in zip(params, stacked):
+        want = solve(u0, p, g)
+        assert got.params == want.params
+        assert (got.blowup, got.taint) == (want.blowup, want.taint)
+        assert got.times == want.times
+        for a, b in zip(got.fields, want.fields):
+            assert np.array_equal(a.values, b.values)
+    if params[0].diffusion is _BACKWARD:
+        # the blown-up row stopped alone, inside its first interval
+        blown, kept = stacked
+        assert blown.blowup and not kept.blowup
+        assert len(blown.times) == 1 and len(kept.times) == 257
+        assert 0.0 < blown.params["t_blowup"] < 0.25
+        assert kept.params["steps"] == 512
 
 
 @pytest.mark.parametrize("n", [512, 255])
