@@ -100,8 +100,10 @@ def _coerce(field: str, raw: str):
 
 
 def parse_config(path) -> dict:
-    """Flat key=value config with [section] markers."""
+    """Flat key=value config with [section] markers.  A section may recur;
+    a key set twice in one section is a ConfigError."""
     sections: dict = {}
+    set_at: dict = {}   # (section, key) -> the line that set it
     section = None
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -124,6 +126,11 @@ def parse_config(path) -> dict:
                 f"{path}:{lineno}: unknown key {key!r} in [{section}]; "
                 f"known keys: {', '.join(sorted(fields))}"
             )
+        if (section, key) in set_at:
+            raise ConfigError(
+                f"{path}:{lineno}: {key!r} in [{section}] is already set on "
+                f"line {set_at[section, key]}")
+        set_at[section, key] = lineno
         try:
             sections[section][key] = _coerce(fields[key], raw)
         except ValueError as exc:
@@ -145,8 +152,9 @@ def sweep_config_from_sections(sections: dict, out_override=None) -> SweepConfig
                 kwargs[field] = values[key]
     dia = sections.get("diagnostics", {})
     if "window_t_lo" in dia or "window_t_hi" in dia:
-        kwargs["window_t"] = (dia.get("window_t_lo", 0.0),
-                              dia.get("window_t_hi", kwargs.get("t_end", 0.5)))
+        kwargs["window_t"] = (
+            dia.get("window_t_lo", SweepConfig.window_t[0]),
+            dia.get("window_t_hi", kwargs.get("t_end", SweepConfig.t_end)))
     if initial_args:
         kwargs["initial_args"] = tuple(initial_args)
     if out_override:

@@ -13,9 +13,9 @@ chosen by step doubling against TOL (Hairer, Norsett & Wanner, Solving
 ODEs I, II.4), and the explicit step limit only caps how fine they get;
 elsewhere dt is limited by convection, re-evaluated after every step.
 Both controllers step through _advance, the one place where steps are taken.
-It advances every stream of steps on one grid in lock-step, as the rows of
-one stacked step: the entries of solve_many, and step doubling's coarse and
-fine trials, which start from the same state.
+Each step it takes advances every live stream of steps on the grid as the
+rows of one stacked step, in one fixed order: the entries of solve_many,
+and step doubling's coarse and fine trials, which start from the same state.
 """
 
 from __future__ import annotations
@@ -146,16 +146,17 @@ def _explicit_diffusion(p: SolveParams) -> bool:
 
 
 def _nonlinear(v: np.ndarray, u: np.ndarray, grid: GridSpec, p: SolveParams,
-               symbols: tuple, eps, S) -> np.ndarray:
+               symbols: tuple, eps, S, explicit: bool) -> np.ndarray:
     """Spectrum of the explicit terms at each row of the stack
     u = irfftn(v): -div f(u), plus eps div (b(grad u) - S grad u) where
-    _explicit_diffusion(p).  Every row shares p's flux, diffusion and
-    _explicit_diffusion; eps and S hold one value per row, as numbers or
-    columns.  symbols is _derivatives(grid).  The gradient's component
-    axis, which the diffusion reads, goes ahead of the rows."""
+    explicit.  Every row shares p's flux and diffusion; eps and S hold one
+    value per row, as numbers or columns, and a row at eps = 0 adds
+    eps times its remainder, a signed zero.  symbols is _derivatives(grid).
+    The gradient's component axis, which the diffusion reads, goes ahead of
+    the rows."""
     d1, neg_div = symbols[:2]
     out = neg_div * _spectrum(np.asarray(p.flux.eval(u)), grid)
-    if _explicit_diffusion(p):
+    if explicit:
         g = _values(d1 * v, grid)
         b = np.asarray(p.diffusion.eval(g)) - S * g
         out += eps * np.sum(d1 * _spectrum(b, grid), axis=0)
@@ -168,7 +169,8 @@ def rhs(u: Field, p: SolveParams) -> Field:
     S = _spectral_bound(p, _grad_max(u.values, u.grid, p))
     v = _spectrum(u.values, u.grid)
     out = _linear_symbol(u.grid, p, S) * v + _nonlinear(
-        v[None], u.values[None], u.grid, p, _derivatives(u.grid), p.epsilon, S)[0]
+        v[None], u.values[None], u.grid, p, _derivatives(u.grid), p.epsilon, S,
+        _explicit_diffusion(p))[0]
     return Field(u.grid, _values(out, u.grid))
 
 
@@ -203,13 +205,14 @@ _etd_coefficients = functools.lru_cache(maxsize=32)(_etd_coefficient_set)
 
 class _Stack(NamedTuple):
     """The rows of a stacked step: (p, h, S) per row, their coefficient
-    sets stacked along a leading row axis, and eps and S as columns (or
-    numbers, for one row)."""
+    sets stacked along a leading row axis, eps and S as columns (or
+    numbers, for one row), and whether any row has _explicit_diffusion."""
 
     rows: tuple
     coefs: tuple
     eps: np.ndarray
     S: np.ndarray
+    explicit: bool
 
 
 def _stack(grid: GridSpec, coefficients: Callable, rows: tuple) -> _Stack:
@@ -218,7 +221,8 @@ def _stack(grid: GridSpec, coefficients: Callable, rows: tuple) -> _Stack:
     column = (len(rows),) + (1,) * grid.dim
     return _Stack(rows, tuple(map(np.array, zip(*sets))),
                   np.reshape([p.epsilon for p, _, _ in rows], column),
-                  np.reshape([S for _, _, S in rows], column))
+                  np.reshape([S for _, _, S in rows], column),
+                  any(_explicit_diffusion(p) for p, _, _ in rows))
 
 
 def _step_arr(v: np.ndarray, u: np.ndarray, grid: GridSpec,
@@ -228,15 +232,15 @@ def _step_arr(v: np.ndarray, u: np.ndarray, grid: GridSpec,
     with eps S times the wide Laplacian in the exact linear part.  Every
     transform and product acts on each row as on that row alone."""
     E, E2, Q, f1, f2, f3 = k.coefs
-    p, symbols, eps, S = k.rows[0][0], _derivatives(grid), k.eps, k.S
-    Nv = _nonlinear(v, u, grid, p, symbols, eps, S)
+    terms = (k.rows[0][0], _derivatives(grid), k.eps, k.S, k.explicit)
+    Nv = _nonlinear(v, u, grid, *terms)
     E2v = E2 * v
     a = E2v + Q * Nv
-    Na = _nonlinear(a, _values(a, grid), grid, p, symbols, eps, S)
+    Na = _nonlinear(a, _values(a, grid), grid, *terms)
     b = E2v + Q * Na
-    Nb = _nonlinear(b, _values(b, grid), grid, p, symbols, eps, S)
+    Nb = _nonlinear(b, _values(b, grid), grid, *terms)
     c = E2 * a + Q * (2.0 * Nb - Nv)
-    Nc = _nonlinear(c, _values(c, grid), grid, p, symbols, eps, S)
+    Nc = _nonlinear(c, _values(c, grid), grid, *terms)
     return E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
 
 
@@ -246,7 +250,7 @@ def step_rk4(u: Field, dt: float, p: SolveParams) -> Field:
     # a stack of one row: the cached set itself behind a row axis, eps and S
     # as numbers, so that no call copies the set
     k = _Stack(((p, dt, S),), tuple(c[None] for c in _etd_coefficients(
-        u.grid, p, dt, S)), p.epsilon, S)
+        u.grid, p, dt, S)), p.epsilon, S, _explicit_diffusion(p))
     v = _step_arr(_spectrum(u.values, u.grid)[None], u.values[None], u.grid, k)
     return Field(u.grid, _values(v[0], u.grid))
 
@@ -285,8 +289,9 @@ def _grad_max(u: np.ndarray, grid: GridSpec, p: SolveParams) -> float:
 @dataclass(eq=False, slots=True)
 class _Stream:
     """n ETDRK4 steps of h at the stabilizer S for the params p, from the
-    spectrum v of uv at time t, the last on target.  The stream ends after
-    the first step whose max |u| exceeds blowup_sup or is nan.  Where
+    spectrum v of uv at time t, the last on target: one row of each stacked
+    step _advance takes while it lives.  The stream ends after the first
+    step whose max |u| exceeds blowup_sup or is nan.  Where
     limit(uv, u_max), evaluated after every step but the last, fell below
     h, the rest is split again into equal steps.  Once it has ended, v, uv
     and u_max are its last step's, k counts its steps, t is its time and
@@ -305,76 +310,62 @@ class _Stream:
     k: int = 0
     h_min: float = field(init=False)
     u_max: float = math.nan
-    kernel: tuple = field(init=False)
 
     def __post_init__(self):
         self.h_min = self.h
-        # the live streams that share this key step as rows of one stack
-        self.kernel = (id(self.p.flux), id(self.p.diffusion),
-                       _explicit_diffusion(self.p))
 
 
 def _advance(controllers: list, grid: GridSpec, coefficients: Callable):
     """Take every step the controllers ask for, in lock-step.
 
     A controller is a generator.  It yields a tuple of streams, and is sent
-    them back once each has ended.  Each step advances the live streams
-    that share a flux, a diffusion and _explicit_diffusion as the rows of
-    one stacked step, whose transforms and products act on each row as on
-    that row alone, so every stream ends on the bits it would reach alone.
-    A stream drops out of the stack when it ends, and a resumed
-    controller's new streams join it at the next step.  coefficients gives
-    a row's set from (grid, p, h, S).
+    them back once each has ended.  Each step advances every live stream as
+    a row of one stacked step, in one fixed order: the controllers in the
+    order given, each one's streams in the order it yielded them.  The
+    stack's transforms and products act on each row as on that row alone,
+    so every stream ends on the bits it would reach alone.  A stream drops
+    out of the stack when it ends, and a resumed controller's new streams
+    take its place at the next step.  coefficients gives a row's set from
+    (grid, p, h, S).
     """
-    live, owner = [], {}
     # a _Stack is built once per tuple of rows: restacking the sets every
     # step costs 16 us of a 160 us step on the three-entry N = 512 dispersive
-    # ladder.  That ladder steps 32 distinct tuples over its solve, a damped
-    # pair at N = 512 17; kept 16, neither rebuilds one (kept 8, the ladder
-    # rebuilds 2).  A power entry's rows take a new S every interval
+    # ladder.  That ladder steps 16 distinct tuples over its solve, as does
+    # a damped pair at N = 512; kept 16 or 8, neither rebuilds one (kept 4,
+    # the ladder rebuilds 1).  A power entry's rows take a new S every
+    # interval
     stacks = functools.lru_cache(maxsize=16)(
         functools.partial(_stack, grid, coefficients))
     axes = tuple(range(-grid.dim, 0))
 
     def resume(controller, sent):
         try:
-            streams = controller.send(sent)
+            return controller.send(sent)
         except StopIteration:
-            return
-        for s in streams:
-            owner[s] = (controller, streams)
-        live.extend(streams)
+            return ()
 
-    for controller in controllers:
-        resume(controller, None)
-    while live:
-        groups = {}
-        for s in live:
-            groups.setdefault(s.kernel, []).append(s)
-        for rows in groups.values():
-            k = stacks(tuple((s.p, s.h, s.S) for s in rows))
-            V = _step_arr(np.array([s.v for s in rows]),
-                          np.array([s.uv for s in rows]), grid, k)
-            U = _values(V, grid)
-            u_max = np.abs(U).max(axis=axes)
-            for s, v, uv, m in zip(rows, V, U, u_max.tolist()):
-                s.v, s.uv, s.u_max = v, uv, m
-                s.k, s.n = s.k + 1, s.n - 1
-                s.t = s.t + s.h if s.n else s.target
-                if not m <= s.blowup_sup:
-                    s.n = 0
-                elif s.limit is not None and s.n:
-                    dt = s.limit(uv, m)
-                    if dt < s.h:
-                        s.n = math.ceil((s.target - s.t) / dt)
-                        s.h = (s.target - s.t) / s.n
-                        s.h_min = min(s.h_min, s.h)
-        ended = [s for s in live if not s.n]
-        live = [s for s in live if s.n]
-        for s in ended:
-            controller, streams = owner.pop(s)
-            if not any(x in owner for x in streams):
-                resume(controller, streams)
+    yielded = [resume(controller, None) for controller in controllers]
+    while live := [s for streams in yielded for s in streams if s.n]:
+        k = stacks(tuple((s.p, s.h, s.S) for s in live))
+        V = _step_arr(np.array([s.v for s in live]),
+                      np.array([s.uv for s in live]), grid, k)
+        U = _values(V, grid)
+        u_max = np.abs(U).max(axis=axes)
+        for s, v, uv, m in zip(live, V, U, u_max.tolist()):
+            s.v, s.uv, s.u_max = v, uv, m
+            s.k, s.n = s.k + 1, s.n - 1
+            s.t = s.t + s.h if s.n else s.target
+            if not m <= s.blowup_sup:
+                s.n = 0
+            elif s.limit is not None and s.n:
+                dt = s.limit(uv, m)
+                if dt < s.h:
+                    s.n = math.ceil((s.target - s.t) / dt)
+                    s.h = (s.target - s.t) / s.n
+                    s.h_min = min(s.h_min, s.h)
+        for i, streams in enumerate(yielded):
+            if streams and not any(s.n for s in streams):
+                yielded[i] = resume(controllers[i], streams)
 
 
 def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
@@ -385,9 +376,10 @@ def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
 
 def solve_many(u0: InitialData, params: list, grid: GridSpec) -> list:
     """solve(u0, p, grid) for each p of params, one trajectory each.  The
-    entries advance together: _advance stacks their steps, and each
-    trajectory is the one its entry would reach alone, bit for bit.  Every
-    sample time is hit exactly.
+    params share one flux and one diffusion (else ValueError), and the
+    entries advance together: each step of _advance stacks the live steps
+    of all of them, and each trajectory is the one its entry would reach
+    alone, bit for bit.  Every sample time is hit exactly.
 
     Each sample interval is planned as n0 = ceil(width / stable_dt) equal
     steps from its start, whose max |grad u| also sets the interval's S.
@@ -411,6 +403,10 @@ def solve_many(u0: InitialData, params: list, grid: GridSpec) -> list:
     and its time in params["t_blowup"]; support reaching the periodic wrap
     sets the taint flag.
     """
+    if any(p.flux is not params[0].flux
+           or p.diffusion is not params[0].diffusion for p in params):
+        raise ValueError("the params of solve_many must share one flux and "
+                         "one diffusion")
     u = u0.build(grid)
     trajs = [Trajectory(grid=grid, params={
         "epsilon": p.epsilon,

@@ -149,6 +149,30 @@ def test_parse_config_missing_equals(tmp_path):
         parse_config(p)
 
 
+def test_parse_config_rejects_a_key_set_twice(tmp_path, monkeypatch, capsys):
+    # a section may recur with new keys, but a key set again in it is an
+    # error naming both lines, not a silent override by the later value
+    p = _write(tmp_path, "[sweep]\ngamma = 2.5\n[problem]\nflux = burgers\n"
+                         "[sweep]\nref_n = 64\ngamma = 3\n")
+    with pytest.raises(ConfigError, match=r":7: 'gamma' in \[sweep\] is "
+                                          r"already set on line 2"):
+        parse_config(p)
+    monkeypatch.setattr(cli, "run_sweep", _never_runs)
+    assert main(["sweep", "--config", str(p),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "'gamma'" in capsys.readouterr().err
+    p = _write(tmp_path, "[sweep]\ngamma = 2.5\n[sweep]\nref_n = 64\n")
+    assert parse_config(p) == {"sweep": {"gamma": 2.5, "ref_n": 64}}
+
+
+def test_window_end_set_alone_keeps_the_other_default(tmp_path):
+    # setting the upper end alone once moved the lower end to t = 0, so
+    # young_var pooled every sample from the initial data on
+    p = _write(tmp_path, "[diagnostics]\nwindow_t_hi = 0.45\n")
+    cfg = sweep_config_from_sections(parse_config(p))
+    assert cfg.window_t == (harness.SweepConfig.window_t[0], 0.45)
+
+
 def test_sweep_config_from_sections(tmp_path):
     p = _write(tmp_path, """
 [problem]
@@ -487,8 +511,10 @@ def test_main_sweep_bad_config_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-# one ladder entry; a later line of the same section overrides epsilons
+# one ladder entry, and its grid with epsilons left to the case: a key set
+# twice in one section is itself a config error
 _ONE_ENTRY = "[sweep]\nepsilons = 0.08\ngrids = 64\nref_n = 128\n"
+_ONE_GRID = "[sweep]\ngrids = 64\nref_n = 128\n"
 
 
 @pytest.mark.parametrize("text", [
@@ -510,9 +536,11 @@ _ONE_ENTRY = "[sweep]\nepsilons = 0.08\ngrids = 64\nref_n = 128\n"
     "window_t_hi = 0.7\n",
     "[diagnostics]\nwindow_center = 3.0\n",
     # a nan or inf, which would otherwise surface only as blown-up runs
+    *(_ONE_GRID + line for line in (
+        "epsilons = inf\n", "epsilons = nan\ndeltas = 1e-3\n",
+        "epsilons = 0.0\ndeltas = nan\n")),
     *(_ONE_ENTRY + line for line in (
-        "gamma = nan\n", "coeff = inf\n", "epsilons = inf\n",
-        "epsilons = nan\ndeltas = 1e-3\n", "epsilons = 0.0\ndeltas = nan\n",
+        "gamma = nan\n", "coeff = inf\n",
         "[problem]\ndiffusion = powernan\n",
         "[problem]\ndiffusion = powerinf\n",
         "[problem]\ndiffusion = power1e400\n")),
@@ -597,11 +625,16 @@ def test_main_sweep_with_no_sample_in_theta_records_zero_production(tmp_path):
     assert [float(record[k]) for k in ("mu1", "mu2", "mu3")] == [0.0, 0.0, 0.0]
 
 
+_BACKWARD = DiffusionSpec(
+    eval=lambda lam: -np.asarray(lam, dtype=float),
+    r=1.0, c2=1.0, spectral_bound=lambda grad_max: 1.0, name="backward")
+
+
 def _backward_linear(name):
-    """b(l) = -l in place of every diffusion preset: every solve blows up."""
-    return DiffusionSpec(
-        eval=lambda lam: -np.asarray(lam, dtype=float),
-        r=1.0, c2=1.0, spectral_bound=lambda grad_max: 1.0, name="backward")
+    """b(l) = -l in place of every diffusion preset: every solve blows up.
+    Like the preset it stands in for, it gives every call one spec, which
+    the entries of a grid share."""
+    return _BACKWARD
 
 
 def test_main_solve_blowup_is_a_numerical_failure(tmp_path, monkeypatch, capsys):

@@ -571,7 +571,13 @@ def _blowup_beside_a_kept_row():
             (0.08**2.5, 0.04**2.5), 64, 0.05, 3,
             initial_preset("smoothed_riemann", w=0.05)), 4),
     (_blowup_beside_a_kept_row(), 3),
-], ids=["undamped_ladder", "coarse_fine_pair", "power2", "blowup"])
+    # an eps = 0 entry among damped ones: its row joins their stack, which
+    # runs the explicit diffusion, and adds eps times the remainder, +-0
+    (_group(burgers_flux(), power_diffusion(2.0), (0.08, 0.0, 0.04),
+            (0.08**2.5, 1e-3, 0.04**2.5), 64, 0.05, 3,
+            initial_preset("smoothed_riemann", w=0.05)), 5),
+], ids=["undamped_ladder", "coarse_fine_pair", "power2", "blowup",
+        "power2_with_eps0"])
 def test_stacked_solves_equal_solo_solves_of_the_literal_step(monkeypatch,
                                                                group, rows):
     u0, g, params = group
@@ -601,6 +607,34 @@ def test_stacked_solves_equal_solo_solves_of_the_literal_step(monkeypatch,
         assert len(blown.times) == 1 and len(kept.times) == 257
         assert 0.0 < blown.params["t_blowup"] < 0.25
         assert kept.params["steps"] == 512
+
+
+def test_solve_many_rejects_params_of_different_specs():
+    u0, g = initial_preset("smoothed_riemann"), GridSpec(n=64, length=2.0)
+    p = _params(burgers_flux(), linear_diffusion(), 0.0, 1e-3, t_end=0.1)
+    for other in (_params(burgers_flux(), p.diffusion, 0.0, 5e-4, t_end=0.1),
+                  _params(p.flux, power_diffusion(2.0), 0.0, 5e-4, t_end=0.1)):
+        with pytest.raises(ValueError, match="one flux and one diffusion"):
+            solver.solve_many(u0, [p, other], g)
+
+
+def test_dispersive_ladder_builds_each_stack_once(monkeypatch):
+    # the rows of every step are all live streams in one fixed order, so a
+    # set of rows that recurs is the same tuple and the kept stack serves it
+    # (a row order that rotated as streams ended built 32 for 16 sets)
+    built = []
+
+    def counted_stack(grid, coefficients, rows):
+        built.append(rows)
+        return stack(grid, coefficients, rows)
+
+    stack = solver._stack
+    monkeypatch.setattr(solver, "_stack", counted_stack)
+    u0, g, params = _group(burgers_flux(), linear_diffusion(), (0.0,) * 3,
+                           (1e-3, 5e-4, 2.5e-4), 512, 0.5, 65,
+                           initial_preset("smoothed_riemann"))
+    solver.solve_many(u0, params, g)
+    assert len(built) == len({frozenset(rows) for rows in built}) == 16
 
 
 @pytest.mark.parametrize("n", [512, 255])
