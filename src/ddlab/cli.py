@@ -151,10 +151,9 @@ def sweep_config_from_sections(sections: dict, out_override=None) -> SweepConfig
             elif field != "window_t":
                 kwargs[field] = values[key]
     dia = sections.get("diagnostics", {})
-    if "window_t_lo" in dia or "window_t_hi" in dia:
-        kwargs["window_t"] = (
-            dia.get("window_t_lo", SweepConfig.window_t[0]),
-            dia.get("window_t_hi", kwargs.get("t_end", SweepConfig.t_end)))
+    kwargs["window_t"] = (
+        dia.get("window_t_lo", SweepConfig.window_t[0]),
+        dia.get("window_t_hi", kwargs.get("t_end", SweepConfig.t_end)))
     if initial_args:
         kwargs["initial_args"] = tuple(initial_args)
     if out_override:

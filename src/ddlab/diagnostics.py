@@ -89,15 +89,10 @@ class TestFunction:
 
 
 def bump_over(center, t_center, radius, t_radius, dim: int = 1) -> TestFunction:
-    """Convenience constructor: a scalar center or radius is repeated on
+    """Convenience constructor: the scalar center and radius are repeated on
     each of the dim axes."""
-    center = tuple(np.atleast_1d(center).astype(float)) if np.ndim(center) else \
-        (float(center),) * dim
-    radius = tuple(np.atleast_1d(radius).astype(float))
-    if len(radius) != len(center):
-        radius = (radius[0],) * len(center)
-    return TestFunction(center=center, t_center=float(t_center),
-                        radius=radius, t_radius=float(t_radius))
+    return TestFunction(center=(float(center),) * dim, t_center=float(t_center),
+                        radius=(float(radius),) * dim, t_radius=float(t_radius))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -266,7 +266,7 @@ def stable_dt(p: SolveParams, grid: GridSpec, u_max: float, grad_max: float) -> 
     speed = grid.dim * p.flux.max_speed(u_max)
     if speed > 0:
         bounds.append(dx / speed)
-    if p.epsilon > 0 and not p.diffusion.linear:
+    if _explicit_diffusion(p):
         bounds.append(dx**2 / (2.0 * grid.dim * p.epsilon
                                * _spectral_bound(p, grad_max)))
     if not bounds:
@@ -281,7 +281,7 @@ def _spectral_bound(p: SolveParams, grad_max: float) -> float:
 
 def _grad_max(u: np.ndarray, grid: GridSpec, p: SolveParams) -> float:
     """max |grad u| where the diffusion declares a spectral bound, else 0."""
-    if p.epsilon == 0.0 or p.diffusion.linear:
+    if not _explicit_diffusion(p):
         return 0.0
     return float(np.sqrt(np.max(np.sum(_grad(u, grid.dx) ** 2, axis=0))))
 
@@ -291,11 +291,12 @@ class _Stream:
     """n ETDRK4 steps of h at the stabilizer S for the params p, from the
     spectrum v of uv at time t, the last on target: one row of each stacked
     step _advance takes while it lives.  The stream ends after the first
-    step whose max |u| exceeds blowup_sup or is nan.  Where
-    limit(uv, u_max), evaluated after every step but the last, fell below
-    h, the rest is split again into equal steps.  Once it has ended, v, uv
-    and u_max are its last step's, k counts its steps, t is its time and
-    h_min its smallest h."""
+    step whose max |u| exceeds blowup_sup or is nan.  A stream with replan
+    set re-plans after every step but the last: where stable_dt at that
+    step fell below h, the rest is split again into equal steps, each at
+    most that limit (to rounding) and so below the old h.  Once it has
+    ended, v, uv and u_max are its last step's, k counts its steps, t is its
+    time and h, its last step, is its smallest."""
 
     v: np.ndarray
     uv: np.ndarray
@@ -306,27 +307,24 @@ class _Stream:
     p: SolveParams
     S: float
     blowup_sup: float
-    limit: Callable | None = None
+    replan: bool = False
     k: int = 0
-    h_min: float = field(init=False)
     u_max: float = math.nan
-
-    def __post_init__(self):
-        self.h_min = self.h
 
 
 def _advance(controllers: list, grid: GridSpec, coefficients: Callable):
     """Take every step the controllers ask for, in lock-step.
 
-    A controller is a generator.  It yields a tuple of streams, and is sent
-    them back once each has ended.  Each step advances every live stream as
-    a row of one stacked step, in one fixed order: the controllers in the
-    order given, each one's streams in the order it yielded them.  The
-    stack's transforms and products act on each row as on that row alone,
-    so every stream ends on the bits it would reach alone.  A stream drops
-    out of the stack when it ends, and a resumed controller's new streams
-    take its place at the next step.  coefficients gives a row's set from
-    (grid, p, h, S).
+    A controller is a generator.  It yields a tuple of streams, which it
+    keeps, and is resumed with next once each has ended.  Each step
+    advances every live stream as a row of one stacked step, in one fixed
+    order: the controllers in the order given, each one's streams in the
+    order it yielded them.  The stack's transforms and products act on each
+    row as on that row alone, so every stream ends on the bits it would
+    reach alone.  A stream drops out of the stack when it ends, and a
+    resumed controller's new streams take its place at the next step.  A
+    stream with replan set is re-planned here, from stable_dt after each of
+    its steps.  coefficients gives a row's set from (grid, p, h, S).
     """
     # a _Stack is built once per tuple of rows: restacking the sets every
     # step costs 16 us of a 160 us step on the three-entry N = 512 dispersive
@@ -337,14 +335,7 @@ def _advance(controllers: list, grid: GridSpec, coefficients: Callable):
     stacks = functools.lru_cache(maxsize=16)(
         functools.partial(_stack, grid, coefficients))
     axes = tuple(range(-grid.dim, 0))
-
-    def resume(controller, sent):
-        try:
-            return controller.send(sent)
-        except StopIteration:
-            return ()
-
-    yielded = [resume(controller, None) for controller in controllers]
+    yielded = [next(controller, ()) for controller in controllers]
     while live := [s for streams in yielded for s in streams if s.n]:
         k = stacks(tuple((s.p, s.h, s.S) for s in live))
         V = _step_arr(np.array([s.v for s in live]),
@@ -357,15 +348,14 @@ def _advance(controllers: list, grid: GridSpec, coefficients: Callable):
             s.t = s.t + s.h if s.n else s.target
             if not m <= s.blowup_sup:
                 s.n = 0
-            elif s.limit is not None and s.n:
-                dt = s.limit(uv, m)
+            elif s.replan and s.n:
+                dt = stable_dt(s.p, grid, m, _grad_max(uv, grid, s.p))
                 if dt < s.h:
                     s.n = math.ceil((s.target - s.t) / dt)
                     s.h = (s.target - s.t) / s.n
-                    s.h_min = min(s.h_min, s.h)
         for i, streams in enumerate(yielded):
             if streams and not any(s.n for s in streams):
-                yielded[i] = resume(controllers[i], streams)
+                yielded[i] = next(controllers[i], ())
 
 
 def solve(u0: InitialData, p: SolveParams, grid: GridSpec) -> Trajectory:
@@ -392,11 +382,11 @@ def solve_many(u0: InitialData, params: list, grid: GridSpec) -> list:
     accepted n, or from half of it when the estimate was well under TOL.
     params["steps"] counts the accepted steps, params["trial_steps"] the
     coarse and rejected ones, and params["dt_min"] is the smallest accepted
-    step.
+    step, read from each accepted stream's last h, its smallest.
 
-    Elsewhere the plan's steps are taken: after every step the limit is
-    re-evaluated and, if it fell below the step, the rest of the interval
-    is split again.
+    Elsewhere the plan's steps are taken as a stream with replan set:
+    after every step _advance re-evaluates the limit and, if it fell below
+    the step, splits the rest of the interval again.
 
     Blow-up (a non-finite value, or max |u| beyond BLOWUP_FACTOR times its
     initial value) returns a partial trajectory with the blowup flag set
@@ -454,11 +444,8 @@ def _control(u: Field, p: SolveParams, grid: GridSpec, traj: Trajectory):
     v = _spectrum(uv, grid)
     u_max = u0_sup
 
-    def limit(uv, u_max):
-        return stable_dt(p, grid, u_max, _grad_max(uv, grid, p))
-
-    def stream(n, limit=None):
-        return _Stream(v, uv, n, width / n, t, target, p, S, blowup_sup, limit)
+    def stream(n, replan=False):
+        return _Stream(v, uv, n, width / n, t, target, p, S, blowup_sup, replan)
 
     for target in sample_times[1:]:
         grad_max = _grad_max(uv, grid, p)
@@ -467,7 +454,8 @@ def _control(u: Field, p: SolveParams, grid: GridSpec, traj: Trajectory):
         if damped and n0 > 2:   # a trial accepts two steps at the fewest
             n = min(n, n0)
             m = math.ceil(n / 2)
-            coarse, fine = yield stream(m), stream(n)
+            coarse, fine = stream(m), stream(n)
+            yield coarse, fine
             trial_steps += coarse.k
             while True:
                 # Richardson: the n-step error of an order-4 scheme; a trial
@@ -477,14 +465,16 @@ def _control(u: Field, p: SolveParams, grid: GridSpec, traj: Trajectory):
                     break
                 trial_steps += fine.k
                 coarse, m, n = fine, n, min(2 * n, n0)
-                fine, = yield stream(n),
+                fine = stream(n)
+                yield fine,
             if err < tol / 32.0:   # the estimate at n/2 would be ~16x this
                 n = max(2, math.ceil(n / 2))
         else:
-            fine, = yield stream(n0, limit),
+            fine = stream(n0, replan=True)
+            yield fine,
         v, uv, u_max, t = fine.v, fine.uv, fine.u_max, fine.t
         steps += fine.k
-        dt_min = min(dt_min, fine.h_min)
+        dt_min = min(dt_min, fine.h)
         if not u_max <= blowup_sup:   # also catches nan
             traj.blowup = True
             traj.params["t_blowup"] = t

@@ -171,6 +171,12 @@ def test_window_end_set_alone_keeps_the_other_default(tmp_path):
     p = _write(tmp_path, "[diagnostics]\nwindow_t_hi = 0.45\n")
     cfg = sweep_config_from_sections(parse_config(p))
     assert cfg.window_t == (harness.SweepConfig.window_t[0], 0.45)
+    # with no window key the upper end is t_end too, as when the lower end
+    # is stated at its default; it once stayed at 0.5
+    for window in ("", "[diagnostics]\nwindow_t_lo = 0.4\n"):
+        p = _write(tmp_path, "[problem]\nt_end = 1.0\n" + window)
+        cfg = sweep_config_from_sections(parse_config(p))
+        assert cfg.window_t == (harness.SweepConfig.window_t[0], 1.0)
 
 
 def test_sweep_config_from_sections(tmp_path):

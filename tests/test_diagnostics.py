@@ -53,8 +53,8 @@ def test_bump_compact_support_and_positivity():
 def test_bump_over_repeats_scalars_on_every_axis():
     theta = diag.bump_over(1.0, 0.5, 0.3, 0.2, dim=2)
     assert theta.center == (1.0, 1.0) and theta.radius == (0.3, 0.3)
-    theta = diag.bump_over((1.0, 0.8), 0.5, 0.3, 0.2)
-    assert theta.center == (1.0, 0.8) and theta.radius == (0.3, 0.3)
+    theta = diag.bump_over(1.0, 0.5, 0.3, 0.2)
+    assert theta.center == (1.0,) and theta.radius == (0.3,)
 
 
 def test_bump_derivatives_match_finite_differences():
@@ -322,7 +322,8 @@ _QUARTIC = dict(eta=lambda u: u**4 / 12.0, eta_prime=lambda u: u**3 / 3.0,
 
 @pytest.mark.parametrize("dim, theta, diffusion", [
     (1, diag.bump_over(1.0, 0.25, 0.45, 0.2), "linear"),
-    (2, diag.bump_over((1.0, 0.9), 0.25, (0.45, 0.6), 0.2), "power2"),
+    (2, diag.TestFunction(center=(1.0, 0.9), t_center=0.25,
+                          radius=(0.45, 0.6), t_radius=0.2), "power2"),
 ])
 def test_separable_pairings_match_the_full_mesh_oracle(dim, theta, diffusion):
     traj = _smooth_run(dim, np.linspace(0.0, 0.5, 6))

@@ -358,6 +358,9 @@ def test_etd_coefficients_survive_a_replan(monkeypatch):
           for f in traj.fields[:-1]]
     assert traj.params["dt_min"] < width / n0[0] == 0.0015625
     assert traj.params["dt_min"] < width / max(n0)
+    # a re-split only shortens the step, so the smallest step any row took
+    # is the last one of some interval, which dt_min reads
+    assert traj.params["dt_min"] == min(h for h, _ in rows)
     # the same plan driven by the literal Kassam-Trefethen step ends on the
     # same bits
     monkeypatch.setattr(solver, "_step_arr", etdrk4_rows)
@@ -405,8 +408,11 @@ def test_damped_solve_takes_no_more_steps_than_the_convective_plan(damped_entry)
 
 def test_damped_solve_builds_each_etd_level_once(damped_entry):
     # no set is evicted and rebuilt: one build per distinct h = width / n
-    _, _, _, rows, builds = damped_entry
+    _, _, traj, rows, builds = damped_entry
     assert 1 < len(builds) and sorted(builds) == sorted(set(rows))
+    # each interval's coarse and rejected trials step longer than its
+    # accepted fine one, so the smallest step of any row is dt_min
+    assert traj.params["dt_min"] == min(h for h, _ in rows)
 
 
 def test_stabilized_power2_solve_matches_the_explicit_bound_plan():
