@@ -60,7 +60,7 @@ def _config_errors():
 
 # [section] ini key -> SweepConfig field; the field's type hint gives the
 # value type.  uL/uR/w/amplitude each add one (key, value) pair to
-# initial_args, and window_t_lo/hi are the two ends of window_t.
+# initial_args; window_t_lo/hi are window_t's ends, None where unstated.
 _INI_FIELDS = {
     "problem": {
         "flux": "flux", "diffusion": "diffusion", "initial": "initial",
@@ -139,23 +139,18 @@ def parse_config(path) -> dict:
 
 
 def sweep_config_from_sections(sections: dict, out_override=None) -> SweepConfig:
-    kwargs: dict = {}
-    initial_args = []
+    kwargs: dict = {"initial_args": ()}
     for section, fields in _INI_FIELDS.items():
         values = sections.get(section, {})
         for key, field in fields.items():
             if key not in values:
                 continue
             if field == "initial_args":
-                initial_args.append((key, values[key]))
+                kwargs[field] += ((key, values[key]),)
             elif field != "window_t":
                 kwargs[field] = values[key]
     dia = sections.get("diagnostics", {})
-    kwargs["window_t"] = (
-        dia.get("window_t_lo", SweepConfig.window_t[0]),
-        dia.get("window_t_hi", kwargs.get("t_end", SweepConfig.t_end)))
-    if initial_args:
-        kwargs["initial_args"] = tuple(initial_args)
+    kwargs["window_t"] = (dia.get("window_t_lo"), dia.get("window_t_hi"))
     if out_override:
         kwargs["out_dir"] = str(out_override)
     return SweepConfig(**kwargs)
@@ -167,8 +162,7 @@ def sweep_config_from_sections(sections: dict, out_override=None) -> SweepConfig
 _SOLVE_PRESETS = {
     # name: (flux, diffusion, initial, initial kwargs, default length)
     "heat": ("zero", "linear", "sine", {}, 2.0 * np.pi),
-    "burgers": ("burgers", "linear", "smoothed_riemann",
-                {"uL": 1.0, "uR": 0.0, "w": 0.02}, 2.0),
+    "burgers": ("burgers", "linear", "smoothed_riemann", {}, 2.0),
     "burgers_bump": ("burgers", "linear", "bump", {}, 2.0),
     "advection": ("advection", "linear", "sine", {}, 2.0 * np.pi),
 }
@@ -313,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--N", type=int, default=256)
     s.add_argument("--T", type=float, default=1.0)
     s.add_argument("--L", type=float, default=None)
-    s.add_argument("--cfl", type=float, default=0.4)
-    s.add_argument("--samples", type=int, default=17)
+    s.add_argument("--cfl", type=float, default=SolveParams.cfl_safety)
+    s.add_argument("--samples", type=int, default=SolveParams.sample_count)
     s.add_argument("--out", default="solve_out")
     s.set_defaults(func=_cmd_solve)
 

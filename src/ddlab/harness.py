@@ -130,6 +130,10 @@ class SweepConfig:
     entries run the pure dispersive regime with delta read from delta_ladder.
     Construction raises ValueError or LookupError for a config no run can
     use, so every instance can be swept.
+
+    An end of window_t left None is filled when the config is built: the
+    lower end is min(0.4, t_end), the upper end t_end.  dataclasses.replace
+    keeps a filled window, even where it changes t_end.
     """
 
     # problem
@@ -148,7 +152,7 @@ class SweepConfig:
     delta_ladder: tuple[float, ...] = ()  # used only when the eps entry is 0
     # numerics
     ref_n: int = 8192
-    cfl_safety: float = 0.4
+    cfl_safety: float = SolveParams.cfl_safety
     sample_count: int = 65
     workers: int = 1
     # diagnostics
@@ -168,11 +172,15 @@ class SweepConfig:
     kru_t_radius: float = 0.2
     window_center: float = 1.3
     window_halfwidth: float = 0.06
-    window_t: tuple[float, float] = (0.4, 0.5)
+    window_t: tuple[float | None, float | None] = (None, None)
     # output
     out_dir: str = "sweep_out"
 
     def __post_init__(self):
+        lo, hi = self.window_t
+        object.__setattr__(self, "window_t", (
+            min(0.4, self.t_end) if lo is None else lo,
+            self.t_end if hi is None else hi))
         # a nan or inf would surface only inside the runs, as a blow-up
         for f in fields(self):
             value = getattr(self, f.name)
@@ -484,8 +492,7 @@ def run_sweep(cfg: SweepConfig) -> list:
 
     ordered = [records[i] for i in range(len(cfg.epsilons))]
     _write_records_csv(out / "records.csv", ordered)
-    summary = summarize(cfg, ordered)
-    write_manifest(out / "summary.json", summary)
+    write_manifest(out / "summary.json", summarize(cfg, ordered))
     return ordered
 
 
@@ -507,7 +514,7 @@ def summarize(cfg: SweepConfig, records) -> dict:
     flux = flux_preset(cfg.flux)
     tag = classify_regime(diffusion.r, flux.m, cfg.gamma, diffusion.claims_h3) \
         if all(e > 0 for e in eps) else "dispersive"
-    summary = {
+    return {
         "config": cfg.problem_key() | {
             "epsilons": list(cfg.epsilons),
             "grid_ns": list(cfg.grid_ns),
@@ -526,4 +533,3 @@ def summarize(cfg: SweepConfig, records) -> dict:
         },
         "blowups": sum(r.blowup for r in records),
     }
-    return summary

@@ -170,13 +170,39 @@ def test_window_end_set_alone_keeps_the_other_default(tmp_path):
     # young_var pooled every sample from the initial data on
     p = _write(tmp_path, "[diagnostics]\nwindow_t_hi = 0.45\n")
     cfg = sweep_config_from_sections(parse_config(p))
-    assert cfg.window_t == (harness.SweepConfig.window_t[0], 0.45)
+    assert cfg.window_t == (0.4, 0.45)
     # with no window key the upper end is t_end too, as when the lower end
     # is stated at its default; it once stayed at 0.5
     for window in ("", "[diagnostics]\nwindow_t_lo = 0.4\n"):
         p = _write(tmp_path, "[problem]\nt_end = 1.0\n" + window)
         cfg = sweep_config_from_sections(parse_config(p))
-        assert cfg.window_t == (harness.SweepConfig.window_t[0], 1.0)
+        assert cfg.window_t == (0.4, 1.0)
+
+
+def test_window_default_is_the_same_from_python_and_from_a_file(tmp_path):
+    # SweepConfig alone fills an unstated window end, so a config built in
+    # Python and its ini spelling are one config with one record path; the
+    # Python-built one once pooled over (0.4, 0.5) whatever t_end was.
+    # dataclasses.replace keeps the window filled at build time.
+    built = harness.SweepConfig(t_end=0.6)
+    read = sweep_config_from_sections(parse_config(
+        _write(tmp_path, "[problem]\nt_end = 0.6\n")))
+    assert built == read
+    assert harness._record_path(built, 0) == harness._record_path(read, 0)
+    assert built.window_t == (0.4, 0.6)
+    assert replace(built, t_end=1.0).window_t == (0.4, 0.6)
+
+
+def test_sweep_ending_before_the_window_pools_its_last_sample(tmp_path):
+    # the unstated lower end is min(0.4, t_end): a sweep to t_end = 0.3
+    # once asked for t in (0.4, 0.3), which holds no sample, and exited 2
+    cfg = _write(tmp_path, "[problem]\nt_end = 0.3\n" + _ONE_ENTRY)
+    assert sweep_config_from_sections(parse_config(cfg)).window_t == (0.3, 0.3)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    with open(out / "records.csv") as fh:
+        header, row = (line.strip().split(",") for line in fh)
+    assert np.isfinite(float(row[header.index("young_var")]))
 
 
 def test_sweep_config_from_sections(tmp_path):

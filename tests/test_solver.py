@@ -20,7 +20,7 @@ from ddlab.solver import (
     stable_dt,
     step_rk4,
 )
-from oracles import diagonal, etdrk4_rows, etdrk4_step, \
+from oracles import burgers_hopf_cole, diagonal, etdrk4_rows, etdrk4_step, \
     etdrk4_step_values, kdv_burgers_kink, laplacian
 
 
@@ -272,6 +272,30 @@ def test_solve_matches_the_kdv_burgers_kink(eps):
     # second order in dx: about fourfold per halving
     for coarse, fine in zip(errors, errors[1:]):
         assert 3.8 < coarse / fine < 4.2
+
+
+# L1 distance of solve to the Hopf-Cole solution, as measured when the test
+# was written: N -> distance, pinned to 1%.  The oracle is exact to 1e-15
+# here, so the distance is the solver's own
+_HOPF_COLE_L1 = {1024: 3.9191939781540495e-05, 2048: 9.800526550989552e-06}
+
+
+def test_solve_matches_the_hopf_cole_solution():
+    # viscous Burgers from the default smoothed_riemann data: a shock and a
+    # viscous rarefaction corner, with delta = 0; at eps = 0.01 the
+    # whole-line solution's tails at the periodic seam are far below these
+    # distances (at eps = 0.04 they are not)
+    p = _params(burgers_flux(), linear_diffusion(), 0.01, 0.0, t_end=0.5,
+                sample_count=17)
+    errors = {}
+    for n in _HOPF_COLE_L1:
+        g = GridSpec(n=n, length=2.0)
+        u = solve(initial_preset("smoothed_riemann"), p, g).final().values
+        exact = burgers_hopf_cole(0.01, 0.5, g.axes()[0])
+        errors[n] = lp_norm(Field(g, u - exact), 1)
+    assert errors == pytest.approx(_HOPF_COLE_L1, rel=0.01)
+    # second order in dx: 4.00 when measured
+    assert 3.9 < errors[1024] / errors[2048] < 4.1
 
 
 def test_solve_hits_sample_times_exactly():
