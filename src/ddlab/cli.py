@@ -160,11 +160,11 @@ def sweep_config_from_sections(sections: dict, out_override=None) -> SweepConfig
 # solve presets (whole-problem shortcuts for the CLI)
 
 _SOLVE_PRESETS = {
-    # name: (flux, diffusion, initial, initial kwargs, default length)
-    "heat": ("zero", "linear", "sine", {}, 2.0 * np.pi),
-    "burgers": ("burgers", "linear", "smoothed_riemann", {}, 2.0),
-    "burgers_bump": ("burgers", "linear", "bump", {}, 2.0),
-    "advection": ("advection", "linear", "sine", {}, 2.0 * np.pi),
+    # name: (flux, diffusion, initial, default length)
+    "heat": ("zero", "linear", "sine", 2.0 * np.pi),
+    "burgers": ("burgers", "linear", "smoothed_riemann", 2.0),
+    "burgers_bump": ("burgers", "linear", "bump", 2.0),
+    "advection": ("advection", "linear", "sine", 2.0 * np.pi),
 }
 
 
@@ -173,8 +173,7 @@ def _cmd_solve(args) -> int:
     if args.preset not in _SOLVE_PRESETS:
         raise ConfigError(
             f"unknown preset {args.preset!r}; have {sorted(_SOLVE_PRESETS)}")
-    flux_name, diff_name, init_name, init_kwargs, default_length = \
-        _SOLVE_PRESETS[args.preset]
+    flux_name, diff_name, init_name, default_length = _SOLVE_PRESETS[args.preset]
     length = default_length if args.L is None else args.L
     with _config_errors():
         grid = GridSpec(n=args.N, length=length, dim=1)
@@ -185,7 +184,7 @@ def _cmd_solve(args) -> int:
         )
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-    traj = solve(initial_preset(init_name, **init_kwargs), params, grid)
+    traj = solve(initial_preset(init_name), params, grid)
 
     for stale in [*out.glob("snapshot_*.csv"), out / "diagnostics.csv"]:
         stale.unlink(missing_ok=True)

@@ -99,12 +99,19 @@ def bump_over(center, t_center, radius, t_radius, dim: int = 1) -> TestFunction:
 # helpers
 
 
+def _holds(lo: float, hi: float, s: float) -> bool:
+    """Whether the sample time s lies in [lo, hi] up to its rounding: the
+    slack 1e-9 max(s, 1) that every rule on sample times allows."""
+    slack = 1e-9 * max(s, 1.0)
+    return lo - slack <= s <= hi + slack
+
+
 def sample_index(times, t: float) -> int:
-    """Index of the sample time nearest t, which must lie within 1e-9
-    max(that time, 1) of t and leave at least two samples from t = 0 on."""
+    """Index of the sample time nearest t, which must hold t (``_holds``)
+    and leave at least two samples from t = 0 on."""
     times = np.asarray(times, dtype=float)
     k = int(np.argmin(np.abs(times - t)))
-    if not abs(times[k] - t) <= 1e-9 * max(times[k], 1.0):   # also nan, inf
+    if not _holds(t, t, times[k]):   # also nan, inf
         raise ValueError(f"t={t} is not a stored sample time")
     if k < 1:
         raise ValueError(f"t={t} leaves fewer than two samples")
@@ -408,8 +415,8 @@ class Window:
         return mask
 
     def samples(self, times) -> list:
-        """Indices of the times that lie in the window."""
-        return [i for i, t in enumerate(times) if self.t[0] <= t <= self.t[1]]
+        """Indices of the times that lie in the window, up to rounding."""
+        return [i for i, t in enumerate(times) if _holds(*self.t, t)]
 
 
 def window_samples(traj: Trajectory, window: Window) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +28,6 @@ __all__ = [
     "write_snapshot_binary",
     "read_snapshot_binary",
 ]
-
-SNAPSHOT_MAGIC = b"DDL1"
 
 
 @dataclass(frozen=True)
@@ -235,25 +232,18 @@ def read_snapshot_csv(path, length=None) -> Field:
 
 
 def write_snapshot_binary(f: Field, path):
+    """f as numpy's .npz container (arrays values and length), written to
+    path as named: numpy appends .npz only to a name it opens itself."""
     with open(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<B", f.grid.dim))
-        fh.write(struct.pack("<d", f.grid.length))
-        fh.write(struct.pack("<" + "q" * f.grid.dim, *f.values.shape))
-        fh.write(f.values.astype("<f8").tobytes())
+        np.savez(fh, values=f.values, length=f.grid.length)
 
 
 def read_snapshot_binary(path) -> Field:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != SNAPSHOT_MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        (dim,) = struct.unpack("<B", fh.read(1))
-        (length,) = struct.unpack("<d", fh.read(8))
-        shape = struct.unpack("<" + "q" * dim, fh.read(8 * dim))
-        vals = np.frombuffer(fh.read(), dtype="<f8").reshape(shape)
-        grid = GridSpec(n=shape[0], length=length, dim=dim)
-        return Field(grid, vals)
+    """A snapshot from ``write_snapshot_binary``; a file holding pickled
+    objects is a ValueError, never unpickled."""
+    with np.load(path) as data:
+        values, length = data["values"], float(data["length"])
+    return Field(GridSpec(n=len(values), length=length, dim=values.ndim), values)
 
 
 def write_manifest(path, payload: dict):

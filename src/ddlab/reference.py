@@ -25,15 +25,15 @@ __all__ = [
 CFL = 0.4
 
 
-def _eo_halves(flux: FluxSpec, lo: float, hi: float, n: int = 2048):
+def _eo_halves(flux: FluxSpec, lo: float, hi: float):
     """The halves of the EO flux F(a, b) = right(a) + left(b) for states in
     [lo, hi], its split integrals tabulated once by ``antiderivative``."""
     if flux.quadratic:
         return (lambda a: 0.5 * np.maximum(a, 0.0) ** 2,
                 lambda b: 0.5 * np.minimum(b, 0.0) ** 2)
     f0 = float(flux.eval(0.0))
-    plus = antiderivative(lambda v: np.maximum(flux.deriv(v), 0.0), lo, hi, n)
-    minus = antiderivative(lambda v: np.minimum(flux.deriv(v), 0.0), lo, hi, n)
+    plus = antiderivative(lambda v: np.maximum(flux.deriv(v), 0.0), lo, hi, 2048)
+    minus = antiderivative(lambda v: np.minimum(flux.deriv(v), 0.0), lo, hi, 2048)
     return (lambda a: f0 + plus(a)), minus
 
 

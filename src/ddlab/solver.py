@@ -269,9 +269,7 @@ def stable_dt(p: SolveParams, grid: GridSpec, u_max: float, grad_max: float) -> 
     if _explicit_diffusion(p):
         bounds.append(dx**2 / (2.0 * grid.dim * p.epsilon
                                * _spectral_bound(p, grad_max)))
-    if not bounds:
-        return p.cfl_safety * dx
-    return p.cfl_safety * min(bounds)
+    return p.cfl_safety * min(bounds, default=dx)
 
 
 def _spectral_bound(p: SolveParams, grad_max: float) -> float:
@@ -490,9 +488,9 @@ def _control(u: Field, p: SolveParams, grid: GridSpec, traj: Trajectory):
     traj.params["dt_min"] = dt_min
 
 
-def _support_touches_wrap(u: Field, tol_frac: float = 1e-6) -> bool:
+def _support_touches_wrap(u: Field) -> bool:
     """True when the solution is non-negligible at the periodic seam."""
-    tol = tol_frac * max(u.max_abs(), 1e-300)
+    tol = 1e-6 * max(u.max_abs(), 1e-300)
     vals = np.abs(u.values)
     for ax in range(u.grid.dim):
         edge = np.take(vals, [0, -1], axis=ax)

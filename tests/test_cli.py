@@ -205,6 +205,29 @@ def test_sweep_ending_before_the_window_pools_its_last_sample(tmp_path):
     assert np.isfinite(float(row[header.index("young_var")]))
 
 
+def test_window_end_within_rounding_of_a_sample_holds_it(tmp_path):
+    # np.linspace(0, 0.6, 7) stores the sample meant for t = 0.4 as
+    # 0.39999999999999997: the window (0.4, 0.6) once pooled samples 5 and 6
+    # only (young_var 0.0017083), while sample_index(times, 0.4) found 4
+    times = np.linspace(0.0, 0.6, 7)
+    window = diag.Window(space=((0.0, 2.0),), t=(0.4, 0.6))
+    assert window.samples(times) == [4, 5, 6]
+    assert diag.sample_index(times, 0.4) == 4
+    records = []
+    for name, stated in (("default", ""),
+                         ("stated", "[diagnostics]\nwindow_t_lo = 0.399\n")):
+        (tmp_path / name).mkdir()
+        cfg = _write(tmp_path / name, "[problem]\nt_end = 0.6\n" + _ONE_ENTRY
+                     + "samples = 7\n" + stated)
+        out = tmp_path / name / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        records.append((out / "records.csv").read_text())
+    assert records[0] == records[1]
+    header, row = (line.split(",") for line in records[0].splitlines())
+    assert float(row[header.index("young_var")]) == pytest.approx(
+        0.003452717111423822, rel=1e-12)
+
+
 def test_sweep_config_from_sections(tmp_path):
     p = _write(tmp_path, """
 [problem]

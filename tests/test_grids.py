@@ -267,6 +267,16 @@ def test_snapshot_binary_rejects_bad_magic(tmp_path):
         read_snapshot_binary(path)
 
 
+def test_snapshot_binary_never_unpickles(tmp_path):
+    # references are cached in a shared out_dir: reading one must not run
+    # code a pickle carries
+    path = tmp_path / "pickled.ddl"
+    with open(path, "wb") as fh:
+        np.save(fh, np.array([{"values": 1.0}], dtype=object), allow_pickle=True)
+    with pytest.raises(ValueError, match="allow_pickle"):
+        read_snapshot_binary(path)
+
+
 def test_manifest_roundtrip(tmp_path):
     payload = {"b": [1, 2], "a": {"x": 0.5}}
     path = tmp_path / "manifest.json"

@@ -394,6 +394,18 @@ def test_etd_coefficients_survive_a_replan(monkeypatch):
     assert np.array_equal(literal.final().values, traj.final().values)
 
 
+def test_a_solve_keeps_no_memo_after_it_returns():
+    # a cache that outlived a solve would make a second solve of the same
+    # entry cheaper than the first: both must build the same ETD sets
+    g = GridSpec(n=128, length=2.0)
+    p = _params(burgers_flux(), linear_diffusion(), 0.04, 1e-4, t_end=0.2,
+                sample_count=5)
+    first, _, first_builds = _solve_counting_etd_sets(p, g)
+    again, _, again_builds = _solve_counting_etd_sets(p, g)
+    assert first_builds and again_builds == first_builds
+    assert np.array_equal(again.final().values, first.final().values)
+
+
 @pytest.fixture(scope="module")
 def damped_entry():
     """The default ladder's first entry (eps = 0.04, N = 512), solved:
