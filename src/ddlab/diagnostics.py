@@ -371,10 +371,13 @@ def loglog_fit(eps, values) -> Optional[dict]:
 
 def kruzkov_residual(traj: Trajectory, flux: FluxSpec, k: float, rho: float,
                      theta: TestFunction) -> float:
-    """Pairing of the smoothed |u-k| entropy residual with theta:
+    """Pairing of the smoothed |u-k| entropy residual with theta, the weak
+    form on [0, T], T the last sample time:
 
+        int eta_rho(u(T)) theta(T) dx - int eta_rho(u(0)) theta(0) dx
         - int int [ eta_rho(u) dtheta/dt + q_rho(u) sum_j d_j theta ] dx dt.
 
+    An end term is read only where theta is not zero at that end.
     Nonpositive (up to discretization and O(rho) smoothing slack) for
     entropy-dissipating solutions; persistently positive on oscillatory
     dispersive runs.
@@ -395,7 +398,13 @@ def kruzkov_residual(traj: Trajectory, flux: FluxSpec, k: float, rho: float,
         q = q_fun(u)
         return np.array([_pair(eta(u), x0), sum(_pair(q, x) for x in x1)])
 
-    return float(np.sum(spacetime_integral(traj, sums, factor)))
+    out = float(np.sum(spacetime_integral(traj, sums, factor)))
+    ends = theta.time([traj.times[0], traj.times[-1]]) * [-1.0, 1.0]
+    for i, w in zip((0, -1), ends.tolist()):
+        if w:
+            u = traj.fields[i].values
+            out += w * float(_pair(eta(u), x0)) * grid.cell_volume
+    return out
 
 
 @dataclass(frozen=True)
@@ -407,7 +416,8 @@ class Window:
     t: tuple       # (lo, hi)
 
     def cells(self, grid) -> np.ndarray:
-        """Mask of the grid's cells whose centres lie in the window."""
+        """Mask of the grid's cells whose centres lie in the window, which
+        does not wrap around the periodic seam."""
         coords = grid.meshgrid()
         mask = np.ones(grid.shape, dtype=bool)
         for ax, (lo, hi) in enumerate(self.space):

@@ -219,11 +219,16 @@ class SweepConfig:
                     f"center <= length - radius; got center {c}, radius "
                     f"{r}, t_radius {t_r}, length {self.length}")
         # a window that reads no sample time, or no cell of some grid,
-        # would record young_var = nan
+        # would record young_var = nan; one that leaves the box would pool
+        # only the cells on one side of the seam, as Window.cells does not wrap
         window = _run_window(self)
         times = np.linspace(0.0, self.t_end, self.sample_count)
         grids = [GridSpec(n=n, length=self.length, dim=self.dim)
                  for n in self.grid_ns]
+        lo, hi = window.space[0]
+        if "young" in self.diagnostics and not 0 <= lo <= hi <= self.length:
+            raise ValueError(f"young window x {window.space[0]} must lie in "
+                             f"[0, length = {self.length}]")
         if "young" in self.diagnostics and not (
                 window.samples(times) and all(window.cells(g).any() for g in grids)):
             raise ValueError(f"young window x {window.space[0]}, t {window.t} "

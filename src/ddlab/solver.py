@@ -204,11 +204,11 @@ _etd_coefficients = functools.lru_cache(maxsize=32)(_etd_coefficient_set)
 
 
 class _Stack(NamedTuple):
-    """The rows of a stacked step: (p, h, S) per row, their coefficient
-    sets stacked along a leading row axis, eps and S as columns (or
-    numbers, for one row), and whether any row has _explicit_diffusion."""
+    """A stacked step: the p whose flux and diffusion its rows share, their
+    coefficient sets stacked along a leading row axis, eps and S as columns,
+    and whether any row has _explicit_diffusion."""
 
-    rows: tuple
+    p: SolveParams
     coefs: tuple
     eps: np.ndarray
     S: np.ndarray
@@ -219,7 +219,7 @@ def _stack(grid: GridSpec, coefficients: Callable, rows: tuple) -> _Stack:
     """The _Stack of rows, each row's set looked up in coefficients."""
     sets = [coefficients(grid, *row) for row in rows]
     column = (len(rows),) + (1,) * grid.dim
-    return _Stack(rows, tuple(map(np.array, zip(*sets))),
+    return _Stack(rows[0][0], tuple(map(np.array, zip(*sets))),
                   np.reshape([p.epsilon for p, _, _ in rows], column),
                   np.reshape([S for _, _, S in rows], column),
                   any(_explicit_diffusion(p) for p, _, _ in rows))
@@ -228,11 +228,11 @@ def _stack(grid: GridSpec, coefficients: Callable, rows: tuple) -> _Stack:
 def _step_arr(v: np.ndarray, u: np.ndarray, grid: GridSpec,
               k: _Stack) -> np.ndarray:
     """One ETDRK4 step of each row of the stack v, the spectra of the rows
-    of u (Kassam-Trefethen stages), row i at its own (p, h, S) = k.rows[i],
-    with eps S times the wide Laplacian in the exact linear part.  Every
-    transform and product acts on each row as on that row alone."""
+    of u (Kassam-Trefethen stages), row i at the (p, h, S) of rows[i] in
+    _stack, with eps S times the wide Laplacian in the exact linear part.
+    Every transform and product acts on each row as on that row alone."""
     E, E2, Q, f1, f2, f3 = k.coefs
-    terms = (k.rows[0][0], _derivatives(grid), k.eps, k.S, k.explicit)
+    terms = (k.p, _derivatives(grid), k.eps, k.S, k.explicit)
     Nv = _nonlinear(v, u, grid, *terms)
     E2v = E2 * v
     a = E2v + Q * Nv
@@ -247,10 +247,7 @@ def _step_arr(v: np.ndarray, u: np.ndarray, grid: GridSpec,
 def step_rk4(u: Field, dt: float, p: SolveParams) -> Field:
     """One fourth-order ETDRK4 step of du/dt = rhs(u), with S read from u."""
     S = _spectral_bound(p, _grad_max(u.values, u.grid, p))
-    # a stack of one row: the cached set itself behind a row axis, eps and S
-    # as numbers, so that no call copies the set
-    k = _Stack(((p, dt, S),), tuple(c[None] for c in _etd_coefficients(
-        u.grid, p, dt, S)), p.epsilon, S, _explicit_diffusion(p))
+    k = _stack(u.grid, _etd_coefficients, ((p, dt, S),))
     v = _step_arr(_spectrum(u.values, u.grid)[None], u.values[None], u.grid, k)
     return Field(u.grid, _values(v[0], u.grid))
 

@@ -1,7 +1,8 @@
-"""Test oracles: the centered divergence, wide Laplacian and third
-derivative written as stencils, which the tests compare against the Fourier
-symbols the solver applies; diagonal 2-d data, which reduces a 2-d run to a
-1-d one; the exact Riemann solution of the quadratic flux; the Hopf-Cole
+"""Test oracles: the centered difference, divergence, wide Laplacian and
+third derivative written as stencils, which the tests compare against the
+centered gradient and the Fourier symbols the solver applies; diagonal 2-d
+data, which reduces a 2-d run to a 1-d one; the exact Riemann solution of
+the quadratic flux; the Hopf-Cole
 solution of viscous Burgers from smoothed_riemann data; the
 KdV-Burgers travelling wave, exact with eps, delta and convection on; a
 literal Kassam-Trefethen ETDRK4 step, which every row of the solver's
@@ -16,9 +17,17 @@ import math
 import numpy as np
 
 from ddlab import solver
-from ddlab.grids import Field, GridSpec, _diff_centered, gradient, \
-    stencil_symbols
+from ddlab.grids import Field, GridSpec, stencil_symbols
 from ddlab.model import DiffusionSpec, FluxSpec
+
+
+def centered_difference(f: Field, axis: int = 0) -> Field:
+    """Centered first difference along one axis:
+    (u_{i+1} - u_{i-1}) / (2 dx), second order."""
+    u = f.values
+    out = (np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)) \
+        / (2.0 * f.grid.dx)
+    return Field(f.grid, out)
 
 
 def divergence(components: list) -> Field:
@@ -31,13 +40,14 @@ def divergence(components: list) -> Field:
         raise ValueError(f"expected {grid.dim} components, got {len(components)}")
     out = np.zeros(grid.shape)
     for ax, c in enumerate(components):
-        out += _diff_centered(c.values, ax, grid.dx)
+        out += centered_difference(c, ax).values
     return Field(grid, out)
 
 
 def laplacian(f: Field) -> Field:
-    """divergence(gradient(u)): the wide 5-point stencil with spacing 2dx."""
-    return divergence(gradient(f))
+    """The divergence of the centered differences of u: the wide 5-point
+    stencil with spacing 2dx."""
+    return divergence([centered_difference(f, ax) for ax in range(f.grid.dim)])
 
 
 def third_derivative_axis(f: Field, axis: int = 0) -> Field:
@@ -163,11 +173,19 @@ def etdrk4_step(v, u, h, grid, p, S):
     return E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
 
 
-def etdrk4_rows(v, u, grid, k):
+def etdrk4_rows(v, u, grid, rows):
     """solver._step_arr with each row of the stack stepped alone by
-    etdrk4_step, at its own (p, h, S) of k.rows."""
+    etdrk4_step, at its own (p, h, S) of rows; see literal_steps."""
     return np.stack([etdrk4_step(v[i], u[i], h, grid, p, S)
-                     for i, (p, h, S) in enumerate(k.rows)])
+                     for i, (p, h, S) in enumerate(rows)])
+
+
+def literal_steps(monkeypatch):
+    """Make every step a solve takes etdrk4_rows: the stack that
+    solver._stack builds is then the rows themselves."""
+    monkeypatch.setattr(solver, "_stack",
+                        lambda grid, coefficients, rows: rows)
+    monkeypatch.setattr(solver, "_step_arr", etdrk4_rows)
 
 
 def etdrk4_step_values(u: Field, h: float, p, S: float) -> np.ndarray:

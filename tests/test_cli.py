@@ -590,6 +590,11 @@ _ONE_GRID = "[sweep]\ngrids = 64\nref_n = 128\n"
     "ref_n = 64\n[diagnostics]\nenabled = young\nwindow_t_lo = 0.6\n"
     "window_t_hi = 0.7\n",
     "[diagnostics]\nwindow_center = 3.0\n",
+    # windows across the periodic seam: at N = 64 on [0, 2) the span
+    # 0.02 -+ 0.06 covers 4 cells, of which cell centres compared without
+    # wrapping pooled 3, and 1.98 -+ 0.06 pooled 2
+    *(_ONE_ENTRY + f"[diagnostics]\nwindow_center = {c}\n"
+      for c in (0.02, 1.98)),
     # a nan or inf, which would otherwise surface only as blown-up runs
     *(_ONE_GRID + line for line in (
         "epsilons = inf\n", "epsilons = nan\ndeltas = 1e-3\n",
@@ -617,7 +622,9 @@ def test_main_sweep_unusable_config_is_a_config_error(tmp_path, capsys, text):
     ("[sweep]\nepsilons =\ngrids =\n", "the ladder is empty"),
     ("[sweep]\nepsilons = 0.0, 0.0\ngrids = 64, 64\ndeltas = 1e-3\n",
      "deltas: epsilons[1] = 0 needs deltas[1], but deltas has length 1"),
-], ids=["empty-ladder", "short-deltas"])
+    (_ONE_ENTRY + "[diagnostics]\nwindow_center = 1.98\n",
+     "young window x (1.92, 2.04) must lie in [0, length = 2.0]"),
+], ids=["empty-ladder", "short-deltas", "window-across-seam"])
 def test_main_sweep_config_error_names_the_cause(tmp_path, capsys, text,
                                                  message):
     cfg = tmp_path / "cfg.ini"

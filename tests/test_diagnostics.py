@@ -374,6 +374,29 @@ def test_kruzkov_residual_nonpositive_on_diffusive_run(burgers_run):
     assert val <= 1e-6
 
 
+@pytest.fixture(scope="module")
+def smooth_burgers_run():
+    # inviscid Burgers from 0.5 sin x on [0, 2 pi): smooth until t = 2, so
+    # every entropy is conserved and the exact residual is zero
+    g = GridSpec(n=256)
+    p = SolveParams(flux=burgers_flux(), diffusion=linear_diffusion(),
+                    epsilon=0.0, delta=0.0, t_end=0.5, sample_count=65)
+    return solve(initial_preset("sine", amplitude=0.5), p, g)
+
+
+@pytest.mark.parametrize("theta", [
+    diag.bump_over(3.0, 0.5, 1.5, 0.3),    # cut at T
+    diag.bump_over(3.0, 0.0, 1.5, 0.3),    # cut at t = 0
+    diag.bump_over(3.0, 0.25, 1.5, 0.4),   # cut at both ends
+], ids=["cut_at_T", "cut_at_0", "cut_at_both"])
+def test_kruzkov_residual_is_the_weak_form_on_0_T(smooth_burgers_run, theta):
+    # without the end terms int eta(u) theta dx at t = 0 and t = T, the
+    # first bump reads -0.23, the second +0.19
+    val = diag.kruzkov_residual(smooth_burgers_run, burgers_flux(), 0.1,
+                                smooth_burgers_run.grid.dx, theta)
+    assert abs(val) <= 1e-3
+
+
 def test_kruzkov_residual_reads_only_samples_inside_the_time_support(burgers_run):
     # the q table spans the samples the pairing reads: widening the range of
     # the samples outside theta's time support [0.05, 0.45] changes nothing

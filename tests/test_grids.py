@@ -21,8 +21,8 @@ from ddlab.grids import (
     write_snapshot_binary,
     write_snapshot_csv,
 )
-from oracles import divergence, laplacian, third_derivative_axis, \
-    write_snapshot_csv_literal
+from oracles import centered_difference, divergence, laplacian, \
+    third_derivative_axis, write_snapshot_csv_literal
 
 
 def test_gridspec_basic():
@@ -316,7 +316,10 @@ def test_symbols_apply_the_stencils(f):
     d1, lap, d3 = stencil_symbols(g)
     assert d1.shape == d3.shape == (g.dim,) + np.fft.rfftn(f.values).shape
     for ax in range(g.dim):
-        assert _close(_apply(d1[ax], f), gradient(f)[ax].values, d1)
+        # the gradient and the D1 symbol, each against the literal stencil
+        du = centered_difference(f, ax).values
+        assert np.array_equal(gradient(f)[ax].values, du)
+        assert _close(_apply(d1[ax], f), du, d1)
         assert _close(_apply(d3[ax], f), third_derivative_axis(f, ax).values, d3)
     assert _close(_apply(lap, f), laplacian(f).values, lap)
 

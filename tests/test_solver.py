@@ -20,8 +20,8 @@ from ddlab.solver import (
     stable_dt,
     step_rk4,
 )
-from oracles import burgers_hopf_cole, diagonal, etdrk4_rows, etdrk4_step, \
-    etdrk4_step_values, kdv_burgers_kink, laplacian
+from oracles import burgers_hopf_cole, diagonal, etdrk4_step, \
+    etdrk4_step_values, kdv_burgers_kink, laplacian, literal_steps
 
 
 def _params(flux, diff, eps, delta, t_end=1.0, **kw):
@@ -343,17 +343,22 @@ def _solve_counting_etd_sets(p, g):
     """solve(smoothed_riemann, p, g), the (h, S) of each row of every step
     it took, and the (h, S) of each ETD coefficient set it built."""
     rows, builds = [], []
-    step, build = solver._step_arr, solver._etd_coefficient_set
+    stack, step = solver._stack, solver._step_arr
+    build = solver._etd_coefficient_set
+
+    def stack_with_rows(grid, coefficients, rows):
+        return rows, stack(grid, coefficients, rows)
 
     def counted_step(v, u, grid, k):
-        rows.extend((h, S) for _, h, S in k.rows)
-        return step(v, u, grid, k)
+        rows.extend((h, S) for _, h, S in k[0])
+        return step(v, u, grid, k[1])
 
     def counted_build(grid, p, h, S):
         builds.append((h, S))
         return build(grid, p, h, S)
 
     with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_stack", stack_with_rows)
         m.setattr(solver, "_step_arr", counted_step)
         m.setattr(solver, "_etd_coefficient_set", counted_build)
         traj = solve(initial_preset("smoothed_riemann"), p, g)
@@ -387,7 +392,7 @@ def test_etd_coefficients_survive_a_replan(monkeypatch):
     assert traj.params["dt_min"] == min(h for h, _ in rows)
     # the same plan driven by the literal Kassam-Trefethen step ends on the
     # same bits
-    monkeypatch.setattr(solver, "_step_arr", etdrk4_rows)
+    literal_steps(monkeypatch)
     literal = solve(initial_preset("smoothed_riemann"), p, g)
     assert literal.params["steps"] == 409
     assert literal.params["dt_min"] == traj.params["dt_min"]
@@ -551,6 +556,22 @@ def test_step_rk4_is_the_literal_kassam_trefethen_step(diff, eps, delta,
                           etdrk4_step_values(u, h, p, S))
 
 
+def test_step_rk4_builds_its_stack_through_stack(monkeypatch):
+    # _stack builds every stacked step, the one row of step_rk4 included
+    built = []
+
+    def counted_stack(grid, coefficients, rows):
+        built.append(rows)
+        return stack(grid, coefficients, rows)
+
+    stack = solver._stack
+    monkeypatch.setattr(solver, "_stack", counted_stack)
+    g = GridSpec(n=64, length=2.0)
+    p = _params(burgers_flux(), linear_diffusion(), 0.02, 1e-4)
+    step_rk4(initial_preset("smoothed_riemann").build(g), 1e-3, p)
+    assert built == [((p, 1e-3, 1.0),)]
+
+
 @pytest.mark.parametrize("batch", [2, 3])
 @pytest.mark.parametrize("n", [8, 255, 512, 1025, 4096])
 def test_stacked_1d_transforms_equal_each_row_alone(n, batch):
@@ -626,7 +647,7 @@ def test_stacked_solves_equal_solo_solves_of_the_literal_step(monkeypatch,
     widths = []
 
     def spy(v, u, grid, k):
-        widths.append(len(k.rows))
+        widths.append(len(k.eps))
         return step(v, u, grid, k)
 
     step = solver._step_arr
@@ -634,7 +655,7 @@ def test_stacked_solves_equal_solo_solves_of_the_literal_step(monkeypatch,
     stacked = solver.solve_many(u0, params, g)
     assert max(widths) == rows
     # each entry alone, every row of every step the literal step
-    step = etdrk4_rows
+    literal_steps(monkeypatch)
     for p, got in zip(params, stacked):
         want = solve(u0, p, g)
         assert got.params == want.params
