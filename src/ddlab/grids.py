@@ -121,14 +121,17 @@ def _diff_centered(values: np.ndarray, axis: int, dx: float) -> np.ndarray:
     return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * dx)
 
 
-def _grad(u: np.ndarray, dx: float) -> np.ndarray:
-    """Centered gradient of gridded values, one row per axis."""
-    return np.stack([_diff_centered(u, ax, dx) for ax in range(u.ndim)])
+def _grad(u: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Centered gradient over the trailing grid.dim axes of u, one row per
+    axis: of one sample, of a stack of samples, or of a block cut from the
+    grid with a halo cell on each side, whose wrapped edge cells the caller
+    drops."""
+    return np.stack([_diff_centered(u, ax, grid.dx) for ax in range(-grid.dim, 0)])
 
 
 def gradient(f: Field) -> list:
     """Centered gradient, one Field per axis, periodic wrap."""
-    return [Field(f.grid, g) for g in _grad(f.values, f.grid.dx)]
+    return [Field(f.grid, g) for g in _grad(f.values, f.grid)]
 
 
 def stencil_symbols(grid: GridSpec) -> tuple:
@@ -169,19 +172,29 @@ def spacetime_weights(times, factor=None) -> tuple:
     return w, np.flatnonzero(np.any(w.reshape(len(w), -1), axis=1))
 
 
-def spacetime_integral(traj: Trajectory, integrand, factor=None):
+_BLOCK = 8192  # cells per integrand call: 64 KB per float64 temporary
+
+
+def spacetime_integral(traj: Trajectory, integrand, factor=None, cells=...):
     """Trapezoid in time of factor(t) * integrand(u(t)), times the cell volume.
 
-    integrand maps a sample's values to their cell sum: a number, which
-    gives a float, or an array of numbers integrated side by side.  factor holds a time factor
-    per sample, with trailing axes broadcast against the integrand's
-    result; the trapezoid runs over every sample, and a sample whose
-    weight is zero is never read.
+    integrand maps a stack of samples, the sample axis first, to their cell
+    sums, one row per sample: a number each, which gives a float, or an
+    array of numbers integrated side by side.  Each sample enters the stack
+    as values[cells], all its cells by default, and a stack holds as many
+    samples as fit in _BLOCK cells, at least one.  factor holds a time
+    factor per sample, with trailing axes broadcast against a row of the
+    integrand's result; the trapezoid runs over every sample, in sample
+    order, and a sample whose weight is zero is never read.
     """
     w, read = spacetime_weights(traj.times, factor)
+    rows = max(1, _BLOCK // max(1, traj.fields[0].values[cells].size))
     total = 0.0
-    for i in read:
-        total = total + w[i] * integrand(traj.fields[i].values)
+    for start in range(0, len(read), rows):
+        block = read[start:start + rows]
+        sums = integrand(np.stack([traj.fields[i].values[cells] for i in block]))
+        for i, s in zip(block, sums):
+            total = total + w[i] * s
     total = total * traj.grid.cell_volume
     return float(total) if np.ndim(total) == 0 else total
 

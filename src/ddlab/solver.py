@@ -278,7 +278,7 @@ def _grad_max(u: np.ndarray, grid: GridSpec, p: SolveParams) -> float:
     """max |grad u| where the diffusion declares a spectral bound, else 0."""
     if not _explicit_diffusion(p):
         return 0.0
-    return float(np.sqrt(np.max(np.sum(_grad(u, grid.dx) ** 2, axis=0))))
+    return float(np.sqrt(np.max(np.sum(_grad(u, grid) ** 2, axis=0))))
 
 
 @dataclass(eq=False, slots=True)

@@ -320,11 +320,24 @@ _QUARTIC = dict(eta=lambda u: u**4 / 12.0, eta_prime=lambda u: u**3 / 3.0,
                 eta_second=lambda u: u**2, eta_third=lambda u: 2.0 * u)
 
 
+# on _smooth_run's box [0, 2): a bump in the middle, and bumps whose
+# support reaches the seam at x = 0 (center = radius: the factor vanishes
+# on cell 0, the box's halo cell) and at x = 2 (center = 2 - radius: the
+# halo cell past the last cell wraps to cell 0).  A bump nonzero on cell
+# 0, which a sweep config rejects, wraps its halo at x = 0 to cell n - 1.
 @pytest.mark.parametrize("dim, theta, diffusion", [
     (1, diag.bump_over(1.0, 0.25, 0.45, 0.2), "linear"),
+    (1, diag.bump_over(0.45, 0.25, 0.45, 0.2), "linear"),
+    (1, diag.bump_over(1.55, 0.25, 0.45, 0.2), "power2"),
+    (1, diag.bump_over(0.4, 0.25, 0.45, 0.2), "power2"),
     (2, diag.TestFunction(center=(1.0, 0.9), t_center=0.25,
                           radius=(0.45, 0.6), t_radius=0.2), "power2"),
-])
+    (2, diag.TestFunction(center=(0.45, 1.4), t_center=0.25,
+                          radius=(0.45, 0.6), t_radius=0.2), "linear"),
+    (2, diag.TestFunction(center=(1.55, 0.6), t_center=0.25,
+                          radius=(0.45, 0.6), t_radius=0.2), "power2"),
+], ids=["1d", "1d_seam_at_0", "1d_seam_at_L", "1d_wraps_at_0", "2d",
+        "2d_seams_0_L", "2d_seams_L_0"])
 def test_separable_pairings_match_the_full_mesh_oracle(dim, theta, diffusion):
     traj = _smooth_run(dim, np.linspace(0.0, 0.5, 6))
     flux, diff = burgers_flux(), diffusion_preset(diffusion)
@@ -365,6 +378,34 @@ def test_pairings_evaluate_the_bump_once_per_factor(monkeypatch):
         diag.kruzkov_residual(traj, burgers_flux(), 0.5, traj.grid.dx, theta)
         counts.append((production, len(calls)))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("dim, center", [(1, 1.0), (1, 1.55), (2, 0.45)])
+def test_pairings_evaluate_the_entropy_only_on_the_support_box(monkeypatch, dim,
+                                                              center):
+    # the bump's support |x - center| < 0.45 holds `inside` cells per axis;
+    # the production pairing differentiates on one halo cell per side and
+    # then drops it, the Kruzkov pairing needs no halo.  The time support
+    # (0.2, 0.6) holds T = 0.5, so the Kruzkov end term at T is read too.
+    traj = _smooth_run(dim, np.linspace(0.0, 0.5, 9))
+    theta = diag.bump_over(center, 0.4, 0.45, 0.2, dim=dim)
+    inside = int(np.count_nonzero(np.abs(traj.grid.axes()[0] - center) < 0.45))
+    box = (inside,) * dim
+    shapes = []
+
+    def recording(f):
+        return lambda u: shapes.append(np.shape(u)) or f(u)
+
+    pair = make_entropy_pair(flux=burgers_flux(), **dict(
+        _QUARTIC, eta_prime=recording(_QUARTIC["eta_prime"])))
+    diag.entropy_production(traj, pair, theta, 0.05, 0.01, linear_diffusion())
+    assert shapes and all(s[1:] == box for s in shapes)   # a stack of samples
+    shapes.clear()
+    eta, eta_p, eta_pp = kruzkov_entropy(0.5, traj.grid.dx)
+    monkeypatch.setattr(diag, "kruzkov_entropy",
+                        lambda k, rho: (recording(eta), eta_p, eta_pp))
+    diag.kruzkov_residual(traj, burgers_flux(), 0.5, traj.grid.dx, theta)
+    assert box in shapes and all(s[-dim:] == box for s in shapes)
 
 
 def test_kruzkov_residual_nonpositive_on_diffusive_run(burgers_run):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ddlab import grids
 from ddlab.grids import (
     Field,
     GridSpec,
@@ -162,20 +163,46 @@ def test_trajectory_append_validation():
     assert traj.times[-1] == 0.25
 
 
-def test_spacetime_integral_trapezoid():
-    g = GridSpec(n=16, length=1.0)
+def _flat_run(n: int) -> Trajectory:
+    g = GridSpec(n=n, length=1.0)
     traj = Trajectory(grid=g)
     for t in np.linspace(0.0, 1.0, 9):
-        traj.append(t, Field(g, np.full(16, t)))  # integrand sums to t
-    assert spacetime_integral(traj, np.sum) == pytest.approx(0.5, abs=1e-12)
+        traj.append(t, Field(g, np.full(n, t)))  # integrand sums to t
+    return traj
+
+
+def _cell_sums(u):
+    return np.sum(u, axis=1)
+
+
+def test_spacetime_integral_trapezoid():
+    traj = _flat_run(16)
+    assert spacetime_integral(traj, _cell_sums) == pytest.approx(0.5, abs=1e-12)
     # with a time factor zero at t = 0.25 and after t = 0.5, the samples
     # whose weight is zero are never read
     times = np.array(traj.times)
     read = []
-    val = spacetime_integral(traj, lambda u: read.append(u[0]) or np.sum(u),
+    val = spacetime_integral(traj, lambda u: read.extend(u[:, 0]) or _cell_sums(u),
                              factor=(times != 0.25) & (times <= 0.5))
     assert val == pytest.approx(0.125 * (0.125 + 0.375 + 0.5), abs=1e-12)
     assert read == [0.0, 0.125, 0.375, 0.5]
+
+
+# a block holds 8,192 cells: four samples of 2,048, eight of 1,000
+@pytest.mark.parametrize("cells, size, rows", [
+    (..., 2048, [4, 4, 1]),
+    (slice(0, 512), 512, [9]),
+    ((np.arange(-1, 999) % 2048,), 1000, [8, 1]),   # wraps the seam
+], ids=["every_cell", "slice", "wrapped_index"])
+def test_spacetime_integral_stacks_blocks_of_cells_in_sample_order(cells, size, rows):
+    traj = _flat_run(2048)
+    stacks = []
+    val = spacetime_integral(traj, lambda u: stacks.append(u) or _cell_sums(u),
+                             cells=cells)
+    assert val == pytest.approx(0.5 * size / 2048, abs=1e-12)
+    assert [u.shape for u in stacks] == [(k, size) for k in rows]
+    assert grids._BLOCK == 8192
+    assert np.concatenate([u[:, 0] for u in stacks]).tolist() == traj.times
 
 
 def test_spacetime_integral_needs_two_samples():
@@ -183,7 +210,7 @@ def test_spacetime_integral_needs_two_samples():
     traj = Trajectory(grid=g)
     traj.append(0.0, Field(g, np.zeros(16)))
     with pytest.raises(ValueError):
-        spacetime_integral(traj, np.sum)
+        spacetime_integral(traj, _cell_sums)
 
 
 def test_snapshot_csv_roundtrip(tmp_path):
