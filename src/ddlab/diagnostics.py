@@ -213,7 +213,8 @@ def power_energy_identity(traj: Trajectory, alpha: float, diff: DiffusionSpec,
         grad = _grad(u, grid)
         diss = np.abs(u) ** (a - 1.0) * _dissipation_density(grad, diff)
         if use_cubed:
-            disp = np.sign(u) * np.abs(u) ** (a - 2.0) * np.sum(grad**3, axis=0)
+            disp = np.sign(u) * np.abs(u) ** (a - 2.0) * np.sum(
+                grad * grad * grad, axis=0)
         else:
             disp = np.abs(u) ** (a - 1.0) * sum(
                 _diff_centered(g**2, ax, grid.dx)

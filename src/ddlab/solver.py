@@ -10,8 +10,9 @@ max |grad u| (1 for linear diffusion); eps div (b(grad u) - S grad u) stays
 explicit (stabilized ETD: Du & Zhu, BIT 45, 2005).  Where the linear part
 damps the high modes (eps > 0), the steps of each sample interval are
 chosen by step doubling against TOL (Hairer, Norsett & Wanner, Solving
-ODEs I, II.4), and the explicit step limit only caps how fine they get;
-elsewhere dt is limited by convection, re-evaluated after every step.
+ODEs I, II.4), down to one step per interval, where a trial spans a pair
+of intervals; the explicit step limit only caps how fine they get.
+Elsewhere dt is limited by convection, re-evaluated after every step.
 Both controllers step through _advance, the one place where steps are taken.
 Each step it takes advances every live stream of steps on the grid as the
 rows of one stacked step, in one fixed order: the entries of solve_many,
@@ -323,10 +324,10 @@ def _advance(controllers: list, grid: GridSpec, coefficients: Callable):
     """
     # a _Stack is built once per tuple of rows: restacking the sets every
     # step costs 16 us of a 160 us step on the three-entry N = 512 dispersive
-    # ladder.  That ladder steps 16 distinct tuples over its solve, as does
-    # a damped pair at N = 512; kept 16 or 8, neither rebuilds one (kept 4,
-    # the ladder rebuilds 1).  A power entry's rows take a new S every
-    # interval
+    # ladder.  That ladder steps 16 distinct tuples over its solve, and two
+    # damped entries at N = 512 step 22; kept 16 or 8, neither rebuilds one
+    # (kept 4, the ladder rebuilds 1).  A power entry's rows take a new S
+    # every interval
     stacks = functools.lru_cache(maxsize=16)(
         functools.partial(_stack, grid, coefficients))
     axes = tuple(range(-grid.dim, 0))
@@ -368,16 +369,23 @@ def solve_many(u0: InitialData, params: list, grid: GridSpec) -> list:
 
     Each sample interval is planned as n0 = ceil(width / stable_dt) equal
     steps from its start, whose max |grad u| also sets the interval's S.
-    Where the linear part damps the high modes (eps > 0) and n0 > 2, that
+    Where the linear part damps the high modes (eps > 0) and n0 > 1, that
     plan is only the finest one: the interval is integrated from the same
     start with n and with ceil(n/2) equal steps, the two trials stacked,
     and the n-step result is accepted when their Richardson error estimate
     is under TOL times the initial sup norm, or when n has reached n0;
     otherwise n doubles, capped at n0.  The next interval starts from the
     accepted n, or from half of it when the estimate was well under TOL.
-    params["steps"] counts the accepted steps, params["trial_steps"] the
-    coarse and rejected ones, and params["dt_min"] is the smallest accepted
-    step, read from each accepted stream's last h, its smallest.
+    Half of n = 2 is one step per interval: the trials then span the pair
+    of intervals ahead, one step of 2 width against one step of width per
+    interval, all at the S of the pair's start.  An accepted pair stores
+    both samples, and the next interval tries another pair; a rejected one
+    falls back to the trial at n = 2 on its first interval, whose coarse
+    trial is the pair's first fine step.  A last lone interval takes the
+    trial at n = 2.  params["steps"] counts the accepted steps,
+    params["trial_steps"] the coarse and rejected ones, and
+    params["dt_min"] is the smallest accepted step, read from each
+    accepted stream's last h, its smallest.
 
     Elsewhere the plan's steps are taken as a stream with replan set:
     after every step _advance re-evaluates the limit and, if it fell below
@@ -402,11 +410,12 @@ def solve_many(u0: InitialData, params: list, grid: GridSpec) -> list:
         "diffusion": p.diffusion.name,
         "initial": u0.name,
     }) for p in params]
-    # the (h, S) of each entry: width / n of step doubling, and the plans and
-    # re-plans of undamped intervals.  Per solve to t = 0.5: 12 distinct h on
-    # the dispersive entry at N = 512, 3 on the damped N = 4096 entry; a
-    # power2 entry at N = 256 takes a new S every interval, so it builds 136
-    # sets over 17 distinct h.  32 sets per entry build each once
+    # the (h, S) of each entry: width / n and a pair's 2 width of step
+    # doubling, and the plans and re-plans of undamped intervals.  Per solve
+    # to t = 0.5: 12 distinct h on the dispersive entry at N = 512, 6 on the
+    # damped N = 512 entry, 3 on the damped N = 4096 one; a power2 entry at
+    # N = 256 takes a new S every interval, so it builds 136 sets over 17
+    # distinct h.  32 sets per entry build each once
     coefficients = functools.lru_cache(maxsize=32 * len(params))(
         _etd_coefficient_set)
     _advance([_control(u, p, grid, traj) for p, traj in zip(params, trajs)],
@@ -416,7 +425,8 @@ def solve_many(u0: InitialData, params: list, grid: GridSpec) -> list:
 
 def _control(u: Field, p: SolveParams, grid: GridSpec, traj: Trajectory):
     """The controller of one entry of solve_many: it yields the streams of
-    each sample interval to _advance and fills traj from their ends."""
+    each sample interval, or of a pair of them, to _advance and fills traj
+    from their ends."""
     u0_sup = u.max_abs()
     sample_times = np.linspace(0.0, p.t_end, p.sample_count)
     # planning every interval from the same width keeps h, and so the
@@ -434,7 +444,7 @@ def _control(u: Field, p: SolveParams, grid: GridSpec, traj: Trajectory):
     blowup_sup = BLOWUP_FACTOR * max(u0_sup, 1e-300)
     damped = p.epsilon > 0.0
     tol = TOL * u0_sup
-    n = 2   # steps of the next damped interval's fine trial
+    n = 2   # steps of the next damped interval's fine trial; 1 tries a pair
     uv = u.values
     v = _spectrum(uv, grid)
     u_max = u0_sup
@@ -442,15 +452,42 @@ def _control(u: Field, p: SolveParams, grid: GridSpec, traj: Trajectory):
     def stream(n, replan=False):
         return _Stream(v, uv, n, width / n, t, target, p, S, blowup_sup, replan)
 
-    for target in sample_times[1:]:
+    i = 1   # the sample the next interval ends on
+    while i < p.sample_count and not traj.blowup:
+        target = sample_times[i]
         grad_max = _grad_max(uv, grid, p)
         S = _spectral_bound(p, grad_max)
         n0 = math.ceil(width / stable_dt(p, grid, u_max, grad_max))
-        if damped and n0 > 2:   # a trial accepts two steps at the fewest
-            n = min(n, n0)
+        kept, coarse = (), None
+        if damped and n0 > 1 and n == 1 and i + 1 < p.sample_count:
+            # a pair of intervals at the S of its start: one step of 2 width
+            # against one step of width per interval
+            far = sample_times[i + 1]
+            pair, first = _Stream(v, uv, 1, 2.0 * width, t, far, p, S,
+                                  blowup_sup), stream(1)
+            yield pair, first
+            second = _Stream(first.v, first.uv, 1, width, target, far, p, S,
+                             blowup_sup)
+            err = math.inf
+            if first.u_max <= blowup_sup:
+                yield second,
+                # Richardson, as below, at (2 width / width)^4 - 1
+                err = np.max(np.abs(second.uv - pair.uv)) / 15.0
+            trial_steps += pair.k
+            if err < tol:
+                kept = (first, second)
+            else:   # first is the coarse step of the trial at n = 2 below
+                trial_steps += second.k
+                coarse = first
+        if not kept and damped and n0 > 1:
+            n = min(max(n, 2), n0)
             m = math.ceil(n / 2)
-            coarse, fine = stream(m), stream(n)
-            yield coarse, fine
+            fine = stream(n)
+            if coarse is None:
+                coarse = stream(m)
+                yield coarse, fine
+            else:
+                yield fine,
             trial_steps += coarse.k
             while True:
                 # Richardson: the n-step error of an order-4 scheme; a trial
@@ -462,23 +499,27 @@ def _control(u: Field, p: SolveParams, grid: GridSpec, traj: Trajectory):
                 coarse, m, n = fine, n, min(2 * n, n0)
                 fine = stream(n)
                 yield fine,
-            if err < tol / 32.0:   # the estimate at n/2 would be ~16x this
-                n = max(2, math.ceil(n / 2))
-        else:
-            fine = stream(n0, replan=True)
-            yield fine,
+            # the estimate at n/2 would be ~16x this; half of 2 tries a pair
+            if err < tol / 32.0:
+                n = math.ceil(n / 2)
+            kept = (fine,)
+        elif not kept:
+            kept = (stream(n0, replan=True),)
+            yield kept
+        for fine in kept:
+            steps += fine.k
+            dt_min = min(dt_min, fine.h)
+            if not fine.u_max <= blowup_sup:   # also catches nan
+                traj.blowup = True
+                traj.params["t_blowup"] = fine.t
+                break
+            u = Field(grid, fine.uv)
+            traj.append(sample_times[i], u)
+            i += 1
+            if not wrap_guard and _support_touches_wrap(u):
+                traj.taint = True
+                wrap_guard = True
         v, uv, u_max, t = fine.v, fine.uv, fine.u_max, fine.t
-        steps += fine.k
-        dt_min = min(dt_min, fine.h)
-        if not u_max <= blowup_sup:   # also catches nan
-            traj.blowup = True
-            traj.params["t_blowup"] = t
-            break
-        u = Field(grid, uv)
-        traj.append(target, u)
-        if not wrap_guard and _support_touches_wrap(u):
-            traj.taint = True
-            wrap_guard = True
 
     traj.params["steps"] = steps
     traj.params["trial_steps"] = trial_steps

@@ -292,10 +292,12 @@ def test_main_solve_writes_snapshots(tmp_path, capsys):
         manifest = json.load(fh)
     assert manifest["N"] == 64
     assert not manifest["blowup"]
-    # the convective plan of two steps per sample interval is taken as it
-    # is: step doubling tries no fewer than two
-    assert manifest["params"]["steps"] == 8
-    assert manifest["params"]["trial_steps"] == 0
+    # planned at two steps per sample interval, the solve is step doubled:
+    # the first and the last interval accept a trial of two steps, with one
+    # coarse step each, and the two between a pair of one step each, with
+    # one coarse step of twice the width
+    assert manifest["params"]["steps"] == 6
+    assert manifest["params"]["trial_steps"] == 3
 
 
 @pytest.mark.parametrize("arg", [("--epsilon", "nan"), ("--delta", "inf"),

@@ -339,9 +339,11 @@ def test_solve_blowup_flag_on_a_damped_entry():
     assert 0.0 < traj.params["t_blowup"] <= 0.5 / 8
 
 
-def _solve_counting_etd_sets(p, g):
-    """solve(smoothed_riemann, p, g), the (h, S) of each row of every step
-    it took, and the (h, S) of each ETD coefficient set it built."""
+def _solve_counting_etd_sets(p, g, u0=initial_preset("smoothed_riemann"),
+                             stepped=None):
+    """solve(u0, p, g), the (h, S) of each row of every step it took, and
+    the (h, S) of each ETD coefficient set it built.  The h of each step's
+    rows, as one tuple per step, go to stepped, if given."""
     rows, builds = [], []
     stack, step = solver._stack, solver._step_arr
     build = solver._etd_coefficient_set
@@ -351,6 +353,8 @@ def _solve_counting_etd_sets(p, g):
 
     def counted_step(v, u, grid, k):
         rows.extend((h, S) for _, h, S in k[0])
+        if stepped is not None:
+            stepped.append(tuple(h for _, h, _ in k[0]))
         return step(v, u, grid, k[1])
 
     def counted_build(grid, p, h, S):
@@ -361,7 +365,7 @@ def _solve_counting_etd_sets(p, g):
         m.setattr(solver, "_stack", stack_with_rows)
         m.setattr(solver, "_step_arr", counted_step)
         m.setattr(solver, "_etd_coefficient_set", counted_build)
-        traj = solve(initial_preset("smoothed_riemann"), p, g)
+        traj = solve(u0, p, g)
     return traj, rows, builds
 
 
@@ -447,13 +451,45 @@ def test_damped_solve_takes_no_more_steps_than_the_convective_plan(damped_entry)
     assert len(rows) == traj.params["steps"] + traj.params["trial_steps"]
 
 
+def test_damped_solve_accepts_fewer_steps_than_two_per_interval(damped_entry):
+    # a trial within one sample interval accepts two steps at the fewest,
+    # 128 over these 64 intervals; a pair of intervals accepts one step each,
+    # against one coarse step of twice the width over both
+    _, _, traj, rows, _ = damped_entry
+    assert traj.params["steps"] < 128
+    assert (2.0 * traj.times[1], 1.0) in rows
+
+
 def test_damped_solve_builds_each_etd_level_once(damped_entry):
-    # no set is evicted and rebuilt: one build per distinct h = width / n
+    # no set is evicted and rebuilt: one build per distinct h, width / n or
+    # a pair's 2 width
     _, _, traj, rows, builds = damped_entry
     assert 1 < len(builds) and sorted(builds) == sorted(set(rows))
     # each interval's coarse and rejected trials step longer than its
     # accepted fine one, so the smallest step of any row is dt_min
     assert traj.params["dt_min"] == min(h for h, _ in rows)
+
+
+def test_a_rejected_pair_falls_back_to_the_trial_at_two_steps():
+    # a sine steepens into a shock by t = 1/pi, under-resolved at N = 64:
+    # pairs of intervals pass while it is smooth, and the first one across
+    # the steepening fails.  Its first interval then takes the trial at
+    # n = 2, whose coarse trial is the pair's step of width to that
+    # interval's end: the fine trial's two steps follow alone
+    g = GridSpec(n=64, length=2.0)
+    p = _params(burgers_flux(), linear_diffusion(), 0.02, 0.02**2.5,
+                t_end=0.5, sample_count=33)
+    stepped = []
+    traj, rows, _ = _solve_counting_etd_sets(p, g, initial_preset("sine"),
+                                             stepped)
+    width = traj.times[1]
+    pair, fine = [(2.0 * width, width), (width,)], [(width / 2.0,)] * 2
+    starts = [i for i, hs in enumerate(stepped) if hs == pair[0]]
+    rejected = [i for i in starts if stepped[i:i + 4] == pair + fine]
+    assert len(rejected) == 1 and starts[0] < rejected[0]
+    assert len(traj.times) == 33 and not traj.blowup
+    # every step is counted, as accepted or as a trial
+    assert len(rows) == traj.params["steps"] + traj.params["trial_steps"]
 
 
 def test_stabilized_power2_solve_matches_the_explicit_bound_plan():
@@ -615,7 +651,8 @@ def _group(flux, diff, eps, delta, n, t_end, samples, initial):
 def _blowup_beside_a_kept_row():
     # growth e^(eps t) clears the blow-up threshold at eps = 40: every trial
     # of its first interval blows up, and then its plan, at step 256.  The
-    # kept row (eps = 1e-3) takes 2-step intervals through all of that
+    # kept row (eps = 1e-3), planned at two steps an interval, takes pairs
+    # of one-step intervals through all of that
     f, g = zero_flux(), GridSpec(n=64, length=2.0)
     return (initial_preset("sine", amplitude=1e-3), g, [
         _params(f, _BACKWARD, 40.0, 0.0, t_end=0.5, sample_count=3),
@@ -633,14 +670,18 @@ def _blowup_beside_a_kept_row():
     (_group(burgers_flux(), power_diffusion(2.0), (0.08, 0.04),
             (0.08**2.5, 0.04**2.5), 64, 0.05, 3,
             initial_preset("smoothed_riemann", w=0.05)), 4),
-    (_blowup_beside_a_kept_row(), 3),
+    (_blowup_beside_a_kept_row(), 4),
+    # two damped entries, densely sampled: their pairs of intervals stack
+    (_group(burgers_flux(), linear_diffusion(), (0.08, 0.04),
+            (0.08**2.5, 0.04**2.5), 128, 0.25, 33,
+            initial_preset("smoothed_riemann")), 4),
     # an eps = 0 entry among damped ones: its row joins their stack, which
     # runs the explicit diffusion, and adds eps times the remainder, +-0
     (_group(burgers_flux(), power_diffusion(2.0), (0.08, 0.0, 0.04),
             (0.08**2.5, 1e-3, 0.04**2.5), 64, 0.05, 3,
             initial_preset("smoothed_riemann", w=0.05)), 5),
 ], ids=["undamped_ladder", "coarse_fine_pair", "power2", "blowup",
-        "power2_with_eps0"])
+        "damped_pairs", "power2_with_eps0"])
 def test_stacked_solves_equal_solo_solves_of_the_literal_step(monkeypatch,
                                                                group, rows):
     u0, g, params = group
@@ -669,7 +710,8 @@ def test_stacked_solves_equal_solo_solves_of_the_literal_step(monkeypatch,
         assert blown.blowup and not kept.blowup
         assert len(blown.times) == 1 and len(kept.times) == 257
         assert 0.0 < blown.params["t_blowup"] < 0.25
-        assert kept.params["steps"] == 512
+        # two steps in the first and the last interval, one in each other
+        assert kept.params["steps"] == 258
 
 
 def test_solve_many_rejects_params_of_different_specs():
@@ -698,6 +740,37 @@ def test_dispersive_ladder_builds_each_stack_once(monkeypatch):
                            initial_preset("smoothed_riemann"))
     solver.solve_many(u0, params, g)
     assert len(built) == len({frozenset(rows) for rows in built}) == 16
+
+
+@pytest.mark.parametrize("eps, n", [((0.04,), 512), ((0.04, 0.02), 256)],
+                         ids=["damped_entry", "two_damped_entries"])
+def test_damped_solves_build_each_stack_and_etd_set_once(monkeypatch, eps, n):
+    # pairs of intervals add the rows (2 width, width) and (width,) to the
+    # trials' stacks, and 2 width to each entry's ETD sets: _advance's
+    # stack cache and solve_many's sets keep every one for the solve
+    stacks, sets = [], []
+    stack, build = solver._stack, solver._etd_coefficient_set
+
+    def counted_stack(grid, coefficients, rows):
+        stacks.append(rows)
+        return stack(grid, coefficients, rows)
+
+    def counted_build(grid, p, h, S):
+        sets.append((p, h, S))
+        return build(grid, p, h, S)
+
+    monkeypatch.setattr(solver, "_stack", counted_stack)
+    monkeypatch.setattr(solver, "_etd_coefficient_set", counted_build)
+    u0, g, params = _group(burgers_flux(), linear_diffusion(), eps,
+                           [e**2.5 for e in eps], n, 0.5, 65,
+                           initial_preset("smoothed_riemann"))
+    width = np.linspace(0.0, 0.5, 65)[1]
+    solver.solve_many(u0, params, g)
+    assert len(stacks) == len(set(stacks)) and len(sets) == len(set(sets))
+    assert {(p, 2.0 * width, 1.0) for p in params} <= set(sets)
+    # with two entries, some steps stack both entries' pairs
+    assert any(sum(h == 2.0 * width for _, h, _ in rows) == len(params)
+               for rows in stacks)
 
 
 @pytest.mark.parametrize("n", [512, 255])
