@@ -198,7 +198,6 @@ def _cmd_solve(args) -> int:
         "N": args.N,
         "params": traj.params,
         "blowup": traj.blowup,
-        "taint": traj.taint,
     })
     if traj.blowup:
         print("run blew up; partial trajectory written", file=sys.stderr)

@@ -101,7 +101,6 @@ class Trajectory:
     fields: list = field(default_factory=list)
     params: dict = field(default_factory=dict)
     blowup: bool = False
-    taint: bool = False
 
     def append(self, t: float, f: Field):
         if f.grid != self.grid:

@@ -238,8 +238,14 @@ class SweepConfig:
             if max(n, self.ref_n) % min(n, self.ref_n):
                 raise ValueError(f"grids are incommensurate: {n} vs ref_n "
                                  f"{self.ref_n}")
+        # initial data that divides by zero (w = 0, say) names its preset
         for idx in range(len(self.epsilons)):
-            self.initial_data().build(_entry(self, idx)[0])
+            try:
+                self.initial_data().build(_entry(self, idx)[0])
+            except FloatingPointError as exc:
+                raise FloatingPointError(
+                    f"initial {self.initial} {dict(self.initial_args)}: "
+                    f"{exc}") from exc
 
     def initial_data(self) -> InitialData:
         return initial_preset(self.initial, **dict(self.initial_args))
@@ -267,7 +273,6 @@ class RunRecord:
     dt_min: float
     steps: int
     blowup: bool
-    taint: bool
     L1: float
     L2: float
     Linf: float
@@ -420,7 +425,7 @@ def execute_run(cfg: SweepConfig, idx: int,
         epsilon=eps, delta=delta, gamma=cfg.gamma, N=grid.n, dx=grid.dx,
         dt_min=traj.params.get("dt_min", 0.0),
         steps=traj.params.get("steps", 0),
-        blowup=traj.blowup, taint=traj.taint, L1=nan, L2=nan, Linf=nan,
+        blowup=traj.blowup, L1=nan, L2=nan, Linf=nan,
         mu1=mu1, mu2=mu2, mu3=mu3, kruzkov_pos=kru, young_var=young,
     )
     return record, None if traj.blowup else traj.final()

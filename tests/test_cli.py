@@ -365,6 +365,20 @@ def test_main_sweep_out_on_a_regular_file_is_a_config_error(tmp_path,
     assert "config error" in capsys.readouterr().err
 
 
+def test_main_sweep_initial_data_dividing_by_zero_is_a_config_error(tmp_path,
+                                                                    capsys):
+    # a config error, not a numpy warning, whatever the warning filters:
+    # the suite turns every warning into an error
+    cfg = _write(tmp_path, "[problem]\nw = 0\n[sweep]\nepsilons = 0.08\n"
+                           "grids = 64\nref_n = 128\n")
+    assert main(["sweep", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: initial smoothed_riemann "
+                            "{'w': 0.0}: divide by zero encountered in divide\n")
+
+
 def test_main_solve_unknown_preset(tmp_path, capsys):
     assert main(["solve", "--preset", "nope",
                  "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -142,13 +142,12 @@ def test_compare_rejects_mismatched_domains():
 def test_run_record_csv_row_types():
     rec = RunRecord(epsilon=0.04, delta=0.04**2.5, gamma=2.5, N=512,
                     dx=2.0 / 512, dt_min=1e-4, steps=100, blowup=False,
-                    taint=True, L1=0.1, L2=0.2, Linf=0.3, mu1=1e-3,
-                    mu2=-1e-3, mu3=1e-4, kruzkov_pos=0.0, young_var=0.01)
+                    L1=0.1, L2=0.2, Linf=0.3, mu1=1e-3, mu2=-1e-3, mu3=1e-4,
+                    kruzkov_pos=0.0, young_var=0.01)
     row = rec.csv_row().split(",")
     assert len(row) == len(RECORD_COLUMNS)
     assert row[RECORD_COLUMNS.index("N")] == "512"
     assert row[RECORD_COLUMNS.index("blowup")] == "0"
-    assert row[RECORD_COLUMNS.index("taint")] == "1"
     # float fields round-trip exactly through repr
     assert float(row[RECORD_COLUMNS.index("delta")]) == 0.04**2.5
 
