@@ -10,8 +10,8 @@ max |grad u| (1 for linear diffusion); eps div (b(grad u) - S grad u) stays
 explicit (stabilized ETD: Du & Zhu, BIT 45, 2005).  Where the linear part
 damps the high modes (eps > 0), the steps of each sample interval are
 chosen by step doubling against TOL (Hairer, Norsett & Wanner, Solving
-ODEs I, II.4), down to one step per interval, where a trial spans a pair
-of intervals; the explicit step limit only caps how fine they get.
+ODEs I, II.4), down to one step per interval; the explicit step limit
+only caps how fine they get.
 Elsewhere dt is limited by convection, re-evaluated after every step.
 Both controllers step through _advance, the one place where steps are taken.
 Each step it takes advances every live stream of steps on the grid as the
@@ -353,29 +353,13 @@ def solve_many(u0: InitialData, params: list, grid: GridSpec) -> list:
     of all of them, and each trajectory is the one its entry would reach
     alone, bit for bit.  Every sample time is hit exactly.
 
-    Each sample interval is planned as n0 = ceil(width / stable_dt) equal
-    steps from its start, whose max |grad u| also sets the interval's S.
-    Where the linear part damps the high modes (eps > 0) and n0 > 1, that
-    plan is only the finest one: the interval is integrated from the same
-    start with n and with ceil(n/2) equal steps, the two trials stacked,
-    and the n-step result is accepted when their Richardson error estimate
-    is under TOL times the initial sup norm, or when n has reached n0;
-    otherwise n doubles, capped at n0.  The next interval starts from the
-    accepted n, or from half of it when the estimate was well under TOL.
-    Half of n = 2 is one step per interval: the trials then span the pair
-    of intervals ahead, one step of 2 width against one step of width per
-    interval, all at the S of the pair's start.  An accepted pair stores
-    both samples, and the next interval tries another pair; a rejected one
-    falls back to the trial at n = 2 on its first interval, whose coarse
-    trial is the pair's first fine step.  A last lone interval takes the
-    trial at n = 2.  params["steps"] counts the accepted steps,
-    params["trial_steps"] the coarse and rejected ones, and
-    params["dt_min"] is the smallest accepted step, read from each
-    accepted stream's last h, its smallest.
-
-    Elsewhere the plan's steps are taken as a stream with replan set:
-    after every step _advance re-evaluates the limit and, if it fell below
-    the step, splits the rest of the interval again.
+    Where the linear part damps the high modes (eps > 0), step doubling
+    (see _control) keeps each sample interval's estimated time error under
+    TOL times the initial sup norm, in steps no shorter than stable_dt at
+    the interval's start.  Elsewhere, and where that limit allows the whole
+    interval, dt is limited by stable_dt, re-evaluated after every step.
+    params["steps"] counts the accepted steps, params["trial_steps"] the
+    others, and params["dt_min"] is the smallest accepted step.
 
     Blow-up (a non-finite value, or max |u| beyond BLOWUP_FACTOR times its
     initial value) returns a partial trajectory with the blowup flag set
@@ -395,7 +379,7 @@ def solve_many(u0: InitialData, params: list, grid: GridSpec) -> list:
         "diffusion": p.diffusion.name,
         "initial": u0.name,
     }) for p in params]
-    # the (h, S) of each entry: width / n and a pair's 2 width of step
+    # the (h, S) of each entry: span width / m and width / n of step
     # doubling, and the plans and re-plans of undamped intervals.  Per solve
     # to t = 0.5: 12 distinct h on the dispersive entry at N = 512, 6 on the
     # damped N = 512 entry, 3 on the damped N = 4096 one; a power2 entry at
@@ -410,8 +394,24 @@ def solve_many(u0: InitialData, params: list, grid: GridSpec) -> list:
 
 def _control(u: Field, p: SolveParams, grid: GridSpec, traj: Trajectory):
     """The controller of one entry of solve_many: it yields the streams of
-    each sample interval, or of a pair of them, to _advance and fills traj
-    from their ends."""
+    each sample interval to _advance and fills traj from their ends.
+
+    Each interval is planned as n0 = ceil(width / stable_dt) equal steps
+    from its start, whose max |grad u| also sets the interval's S.  Where
+    the linear part damps the high modes (eps > 0) and n0 > 1, that plan
+    is only the finest one, and step doubling picks n, the steps per
+    interval.  A trial spans the next interval, or the next two when n = 1
+    and both exist, at the S of its start: a fine trial of n steps of
+    width / n in each interval of the span, and a coarse trial of
+    m = ceil(n span / 2) steps over the span, stacked with the fine
+    trial's first interval.  The fine trial is accepted when its
+    Richardson estimate is under TOL times the initial sup norm, or when
+    n has reached n0; otherwise its first interval is the coarse trial of
+    the next, at span 1 and n doubled, capped at n0.  The next trial
+    starts from the accepted n, or from half of it when the estimate was
+    well under TOL.  Elsewhere the plan's steps are taken as one stream
+    with replan set.
+    """
     u0_sup = u.max_abs()
     sample_times = np.linspace(0.0, p.t_end, p.sample_count)
     # planning every interval from the same width keeps h, and so the
@@ -426,7 +426,7 @@ def _control(u: Field, p: SolveParams, grid: GridSpec, traj: Trajectory):
     blowup_sup = BLOWUP_FACTOR * max(u0_sup, 1e-300)
     damped = p.epsilon > 0.0
     tol = TOL * u0_sup
-    n = 2   # steps of the next damped interval's fine trial; 1 tries a pair
+    n = 2   # fine steps per interval of the next damped trial
     uv = u.values
     v = _spectrum(uv, grid)
     u_max = u0_sup
@@ -440,64 +440,50 @@ def _control(u: Field, p: SolveParams, grid: GridSpec, traj: Trajectory):
         grad_max = _grad_max(uv, grid, p)
         S = _spectral_bound(p, grad_max)
         n0 = math.ceil(width / stable_dt(p, grid, u_max, grad_max))
-        kept, coarse = (), None
-        if damped and n0 > 1 and n == 1 and i + 1 < p.sample_count:
-            # a pair of intervals at the S of its start: one step of 2 width
-            # against one step of width per interval
-            far = sample_times[i + 1]
-            pair, first = _Stream(v, uv, 1, 2.0 * width, t, far, p, S,
-                                  blowup_sup), stream(1)
-            yield pair, first
-            second = _Stream(first.v, first.uv, 1, width, target, far, p, S,
-                             blowup_sup)
-            err = math.inf
-            if first.u_max <= blowup_sup:
-                yield second,
-                # Richardson, as below, at (2 width / width)^4 - 1
-                err = np.max(np.abs(second.uv - pair.uv)) / 15.0
-            trial_steps += pair.k
-            if err < tol:
-                kept = (first, second)
-            else:   # first is the coarse step of the trial at n = 2 below
-                trial_steps += second.k
-                coarse = first
-        if not kept and damped and n0 > 1:
-            n = min(max(n, 2), n0)
-            m = math.ceil(n / 2)
-            fine = stream(n)
-            if coarse is None:
-                coarse = stream(m)
-                yield coarse, fine
+        if damped and n0 > 1:
+            if n == 1 and i + 1 < p.sample_count:
+                span = 2
             else:
-                yield fine,
+                span, n = 1, min(max(n, 2), n0)
+            m = math.ceil(n * span / 2)
+            coarse = _Stream(v, uv, m, span * width / m, t,
+                             sample_times[i + span - 1], p, S, blowup_sup)
+            fine = (stream(n),)
+            yield coarse, *fine
             trial_steps += coarse.k
+            if span == 2 and fine[0].u_max <= blowup_sup:
+                fine += (_Stream(fine[0].v, fine[0].uv, n, width / n, target,
+                                 sample_times[i + 1], p, S, blowup_sup),)
+                yield fine[1:]
             while True:
                 # Richardson: the n-step error of an order-4 scheme; a trial
-                # that blew up gives nan or a huge value, which never passes
-                err = np.max(np.abs(fine.uv - coarse.uv)) / ((n / m) ** 4 - 1.0)
+                # cut short, or that blew up (nan or a huge value), never
+                # passes
+                err = (np.max(np.abs(fine[-1].uv - coarse.uv))
+                       / ((n * span / m) ** 4 - 1.0)
+                       if len(fine) == span else math.inf)
                 if err < tol or n == n0:
                     break
-                trial_steps += fine.k
-                coarse, m, n = fine, n, min(2 * n, n0)
-                fine = stream(n)
-                yield fine,
-            # the estimate at n/2 would be ~16x this; half of 2 tries a pair
+                trial_steps += sum(s.k for s in fine)
+                coarse, m, n, span = fine[0], n, min(2 * n, n0), 1
+                fine = (stream(n),)
+                yield fine
+            # the estimate at n/2 would be ~16x this
             if err < tol / 32.0:
                 n = math.ceil(n / 2)
-            kept = (fine,)
-        elif not kept:
-            kept = (stream(n0, replan=True),)
-            yield kept
-        for fine in kept:
-            steps += fine.k
-            dt_min = min(dt_min, fine.h)
-            if not fine.u_max <= blowup_sup:   # also catches nan
+        else:
+            fine = (stream(n0, replan=True),)
+            yield fine
+        for s in fine:
+            steps += s.k
+            dt_min = min(dt_min, s.h)
+            if not s.u_max <= blowup_sup:   # also catches nan
                 traj.blowup = True
-                traj.params["t_blowup"] = fine.t
+                traj.params["t_blowup"] = s.t
                 break
-            traj.append(sample_times[i], Field(grid, fine.uv))
+            traj.append(sample_times[i], Field(grid, s.uv))
             i += 1
-        v, uv, u_max, t = fine.v, fine.uv, fine.u_max, fine.t
+        v, uv, u_max, t = s.v, s.uv, s.u_max, s.t
 
     traj.params["steps"] = steps
     traj.params["trial_steps"] = trial_steps

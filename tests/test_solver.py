@@ -460,6 +460,40 @@ def test_damped_solve_accepts_fewer_steps_than_two_per_interval(damped_entry):
     assert (2.0 * traj.times[1], 1.0) in rows
 
 
+@pytest.mark.parametrize("thr, c, w, t_blowup, samples, steps, trials, tail", [
+    # the pair at sample 9 blows up in its first step, so its second is not
+    # stepped; the trial at two steps on its first interval blows up too
+    (1.02, 8, 0.1, 0.0703125, 9, 18, 10, ((2, 1), (0.5,), (0.5,))),
+    # the pair at samples 7-8 blows up in its second step and falls back to
+    # the trial at two steps, which passes; the next pair blows up in its
+    # first step
+    (1.01, 4, 0.08, 0.0625, 8, 16, 11,
+     ((2, 1), (1,), (0.5,), (0.5,), (2, 1), (0.5,), (0.5,))),
+], ids=["first_step", "second_step"])
+def test_a_pair_that_blows_up_falls_back_to_two_steps(thr, c, w, t_blowup,
+                                                      samples, steps, trials,
+                                                      tail):
+    # Burgers below thr and nan from thr up: a step whose stages reach thr
+    # blows up, and the KdV-Burgers overshoot of the smoothed Riemann data
+    # crosses thr
+    flux = FluxSpec(eval=lambda u: np.where(u < thr, 0.5 * u * u, np.nan),
+                    deriv=lambda u: u, m=2)
+    g = GridSpec(n=128, length=2.0)
+    p = _params(flux, linear_diffusion(), 0.02, c * 0.02**2, t_end=0.5,
+                sample_count=65)
+    stepped = []
+    traj, rows, _ = _solve_counting_etd_sets(
+        p, g, initial_preset("smoothed_riemann", w=w), stepped)
+    assert traj.blowup and traj.params["t_blowup"] == t_blowup
+    assert len(traj.times) == samples
+    assert (traj.params["steps"], traj.params["trial_steps"]) == (steps, trials)
+    # every step a trial took is counted, the blown ones included
+    assert len(rows) == steps + trials
+    # no step is taken from a blown step's end
+    width = traj.times[1]
+    assert stepped[-len(tail):] == [tuple(k * width for k in r) for r in tail]
+
+
 def test_damped_solve_builds_each_etd_level_once(damped_entry):
     # no set is evicted and rebuilt: one build per distinct h, width / n or
     # a pair's 2 width
